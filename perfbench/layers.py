@@ -18,6 +18,7 @@ import numpy as np
 
 from sscirl import envproto, plant, policy, sigproc, trainer
 
+from checkout import BENCHMARK
 from tracer import Spans, Tracer
 
 
@@ -78,41 +79,7 @@ def install(tracer: Tracer) -> None:
 REQUEST_KINDS = ("reset", "step", "measure", "set_gain", "run_episode")
 
 # name -> unit, in the order BENCHMARK.json lists them
-PER_LAYER = {
-    "plant.episodes": "count",
-    "plant.sim_steps": "count",
-    "plant.run_episode.self_s": "s",
-    "plant.kernel.s": "s",
-    "plant.step.calls": "count",
-    "plant.step.s": "s",
-    "plant.discretize.misses": "count",
-    "sigproc.pipeline.calls": "count",
-    "sigproc.bandpass.s": "s",
-    "sigproc.downsample.s": "s",
-    "sigproc.filter_designs": "count",
-    "sigproc.downsample.useful_ratio": "ratio",
-    "policy.forward.calls": "count",
-    "policy.forward.s": "s",
-    "policy.grad.s": "s",
-    "policy.adam.s": "s",
-    "policy.checkpoint.calls": "count",
-    "policy.checkpoint.s": "s",
-    "trainer.self_s": "s",
-    "trainer.reward.calls": "count",
-    "trainer.reward.s": "s",
-    "trainer.cache.lookups": "count",
-    "trainer.cache.hit_ratio": "ratio",
-    "trainer.cache.retained_mb": "MB",
-    **{f"envproto.requests.{kind}": "count" for kind in REQUEST_KINDS},
-    "envproto.bytes_tx": "bytes",
-    "envproto.bytes_rx": "bytes",
-    "envproto.encode.s": "s",
-    "envproto.decode.s": "s",
-    "envproto.rtt_ms.p50": "ms",
-    "envproto.rtt_ms.p99": "ms",
-    "envproto.handle.s": "s",
-    "trace.overhead_pct": "%",
-}
+PER_LAYER = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
 
 
 def _ratio(num: float, den: float) -> float:

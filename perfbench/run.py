@@ -30,14 +30,17 @@ import sys
 import time
 from pathlib import Path
 
+import checkout  # exits when there is no program to measure
 import hostspeed
 
 HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
-OUT = HERE / "out"
-WORKLOADS = ("train_cached", "train_uncached", "remote_train", "remote_stepping")
+ROOT, OUT = checkout.ROOT, checkout.OUT
+WORKLOADS = [w["name"] for w in checkout.BENCHMARK["workloads"]]
 SETUP_PROBES = 2
-DEADLINE_S = 170.0
+# the whole run, all processes: a fixed part for the set-ups and checks,
+# and a multiple of --seconds (a 10 s run takes 21-29 s on 2 vCPUs)
+DEADLINE_FIXED_S = 50.0
+DEADLINE_PER_S = 12.0
 HOST_LOOP_N = 2_000_000  # diagnostic before and after the run: about 0.2 s
 
 
@@ -48,15 +51,20 @@ def spawn(args, setup_only: bool, deadline: float) -> dict:
     if setup_only:
         cmd.append("--setup-only")
     ref_before = hostspeed.probe()
+    jiffies_before = hostspeed.cpu_jiffies()
     started = time.monotonic()
-    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
-                          timeout=max(1.0, deadline - started))
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                              timeout=max(1.0, deadline - started))
+    except subprocess.TimeoutExpired:
+        raise SystemExit("perfbench: worker did not end within the run's deadline")
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perfbench: worker exited with {proc.returncode}")
     report = json.loads(lines[-1])
     report["setup_wall_s"] = report["t_ready"] - started
-    report["setup_s"] = report["setup_wall_s"] * hostspeed.scale(
+    report["setup_running"] = hostspeed.running_share(jiffies_before, report["jiffies_ready"])
+    report["setup_s"] = report["setup_wall_s"] * report["setup_running"] * hostspeed.scale(
         (ref_before + report["ref_after_setup_s"]) / 2)
     return report
 
@@ -69,9 +77,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
-    if not (ROOT / "src" / "sscirl" / "__init__.py").is_file():
-        sys.exit(f"perfbench: no program at {ROOT / 'src' / 'sscirl'}")
-    deadline = time.monotonic() + DEADLINE_S
+    deadline = time.monotonic() + DEADLINE_FIXED_S + DEADLINE_PER_S * args.seconds
 
     loop_before = hostspeed.loop(HOST_LOOP_N)
     setups = [spawn(args, True, deadline) for _ in range(SETUP_PROBES)]
@@ -93,6 +99,7 @@ def main() -> int:
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "round_seeds": report["seeds"],
         "setup_samples_s": [s["setup_s"] for s in setups],
+        "setup_running": [s["setup_running"] for s in setups],
         "rounds": report["rounds"], "host_probes_s": report["host_probes_s"],
         "untraced_rounds": report.get("untraced_rounds"),
         "host_loop_s": {"before": loop_before, "after": loop_after},

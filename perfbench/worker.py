@@ -44,6 +44,7 @@ def timed_round(wl, k: int, tracer: Tracer | None) -> dict:
         wl.server_trace(True)
     srv0 = wl.server_usage()["cpu_s"]
     cpu0 = time.process_time()
+    jiffies0 = hostspeed.cpu_jiffies()
     t0 = time.monotonic()
     error = None
     try:
@@ -51,13 +52,15 @@ def timed_round(wl, k: int, tracer: Tracer | None) -> dict:
     except Exception:  # a failed round counts its operations as failed
         ops, error = 0, traceback.format_exc(limit=3)
     t1 = time.monotonic()
+    jiffies1 = hostspeed.cpu_jiffies()
     cpu1 = time.process_time()
     srv1 = wl.server_usage()["cpu_s"]
     if tracer is not None:
         tracer.remove()
         wl.server_trace(False)
     return {"round": k, "ops": ops, "t0": t0, "t1": t1, "wall_s": t1 - t0,
-            "cpu_s": (cpu1 - cpu0) + (srv1 - srv0), "error": error}
+            "cpu_s": (cpu1 - cpu0) + (srv1 - srv0), "error": error,
+            "running": hostspeed.running_share(jiffies0, jiffies1)}
 
 
 PROBE_EVERY_S = 1.5
@@ -87,6 +90,10 @@ def measure(wl, trace: bool, first_probe: tuple[float, float]) -> dict:
                 failures.append(f"round {k}: check raised {traceback.format_exc(limit=3)}")
         if trace:
             repeats.append(run(k, None))
+    try:
+        failures += wl.check_run()
+    except Exception:
+        failures.append(f"run: check raised {traceback.format_exc(limit=3)}")
     if probes[-1][0] < max(r["t1"] for r in rounds + repeats):
         probes.append((time.monotonic(), hostspeed.probe()))
     for rec in rounds + repeats:
@@ -99,11 +106,13 @@ def measure(wl, trace: bool, first_probe: tuple[float, float]) -> dict:
 
 def _totals(recs, at_reference: bool) -> tuple[int, float, float]:
     """Operations, wall seconds and CPU seconds of the rounds that did not
-    fail; with ``at_reference``, seconds at the reference host speed."""
+    fail; with ``at_reference``, seconds at the reference host speed, and
+    wall seconds without the time the hypervisor withheld."""
     done = [r for r in recs if r["error"] is None]
     f = [hostspeed.scale(r["ref_s"]) if at_reference else 1.0 for r in done]
+    g = [r["running"] if at_reference else 1.0 for r in done]
     return (sum(r["ops"] for r in done),
-            sum(r["wall_s"] * x for r, x in zip(done, f)),
+            sum(r["wall_s"] * x * y for r, x, y in zip(done, f, g)),
             sum(r["cpu_s"] * x for r, x in zip(done, f)))
 
 
@@ -191,6 +200,7 @@ def main() -> int:
     try:
         wl.setup()
         report["t_ready"] = time.monotonic()
+        report["jiffies_ready"] = hostspeed.cpu_jiffies()
         report["ref_after_setup_s"] = hostspeed.probe()
         if not args.setup_only:
             run = measure(wl, trace, (time.monotonic(), report["ref_after_setup_s"]))
@@ -209,7 +219,7 @@ def main() -> int:
             "errors": errors,
             "failures": run["failures"],
             "notes": wl.notes,
-            "rounds": [{k: r[k] for k in ("round", "ops", "wall_s", "cpu_s", "ref_s")}
+            "rounds": [{k: r[k] for k in ("round", "ops", "wall_s", "cpu_s", "ref_s", "running")}
                        for r in rounds],
             "host_probes_s": [ref for _, ref in run["probes"]],
             "end_to_end": end_to_end(rounds, True, client_rss, server_rss),
@@ -222,7 +232,7 @@ def main() -> int:
             traced, untraced = _rate(rounds), _rate(run["repeats"])
             overhead = 100.0 * (1.0 - traced / untraced) if untraced else 0.0
             report["untraced_rounds"] = [{k: r[k] for k in ("round", "ops", "wall_s", "cpu_s",
-                                                            "ref_s")}
+                                                            "ref_s", "running")}
                                          for r in run["repeats"]]
             report["per_layer"] = layer_metrics(Spans(run["tracer"].arrays()), server,
                                                 overhead)

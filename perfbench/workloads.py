@@ -4,7 +4,8 @@ Each does a fixed number of rounds of fixed work: the number of rounds
 comes from ``--seconds`` and the nominal length of a round, and every
 input of a round comes from the run's seed. Nothing depends on how long
 anything took. ``run_round`` is the timed part; ``check_round`` runs right
-after it, untimed, and returns the failed checks.
+after it, untimed, and returns the failed checks; ``check_run`` runs after
+the last round and checks what only holds over all of them.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class Workload:
         self.server: ServerProcess | None = None
         self.env: envproto.RemoteEnv | None = None
         self.scenario = plant.PlantScenario()
-        # results of checks that do not hold on every seed; reported, not gated
+        # misses of single rounds that are gated only over the run
+        # (see TrainCached.check_run)
         self.notes: list[str] = []
 
     def setup(self) -> None:
@@ -96,6 +98,10 @@ class Workload:
 
     def check_round(self, k: int) -> list[str]:
         """Failed checks of the round just run."""
+        return []
+
+    def check_run(self) -> list[str]:
+        """Failed checks over all the rounds checked."""
         return []
 
     def server_usage(self) -> dict:
@@ -149,6 +155,8 @@ class TrainCached(Workload):
         trainer.train(self.scenario, replace(self.config, n_epoch=1, seed=self.warmup_seed),
                       run_dir=self.workdir / "warmup")
         self._obs = None
+        self.trainings = 0
+        self.at_target = {"best.ckpt": 0, "last.ckpt": 0}
 
     def run_round(self, k):
         run_dir = self.workdir / f"round{k}"
@@ -162,23 +170,40 @@ class TrainCached(Workload):
         cfg, scn = self.config, self.scenario
         if self._obs is None:
             self._obs = trainer.canonical_observation(scn, cfg)
-        best = policy.load_checkpoint(run_dir / "best.ckpt", cfg.d_obs, cfg.hidden_size)
-        mu = policy.forward(best, self._obs).mu
-        action = min(max(mu, cfg.kp_min), cfg.kp_max)
         target = ref.most_damped_gain(scn, cfg.kp_min, cfg.kp_max)
+        params = {ckpt: policy.load_checkpoint(run_dir / ckpt, cfg.d_obs, cfg.hidden_size)
+                  for ckpt in ("best.ckpt", "last.ckpt")}
+        actions = {ckpt: min(max(policy.forward(p, self._obs).mu, cfg.kp_min), cfg.kp_max)
+                   for ckpt, p in params.items()}
+        ratio = trainer.evaluate(params["best.ckpt"], scn, cfg,
+                                 seed=self.seeds[k]).energy_ratio
         buckets = ref.bucket_count(cfg.kp_min, cfg.kp_max, cfg.cache_resolution)
-        ratio = trainer.evaluate(best, scn, cfg, seed=self.seeds[k]).energy_ratio
         shutil.rmtree(run_dir)
         failures = []
-        if not abs(action - target) <= 0.25:
-            self.notes.append(f"round {k} (seed {self.seeds[k]}): best.ckpt acts {action!r} "
-                              f"on canonical_observation, most-damped gain is {target!r}")
+        self.trainings += 1
+        for ckpt, action in actions.items():
+            if abs(action - target) <= 0.25:
+                self.at_target[ckpt] += 1
+            else:
+                self.notes.append(f"round {k} (seed {self.seeds[k]}): {ckpt} acts {action!r} "
+                                  f"on canonical_observation, most-damped gain is {target!r}")
         if not (episodes <= buckets_used + 1 and buckets_used <= buckets):
             failures.append(f"round {k}: {episodes} plant episodes for {buckets_used} "
                             f"cache buckets of {buckets}")
         if not ratio <= 0.10:
             failures.append(f"round {k}: evaluate energy ratio {ratio!r} > 0.10")
         return failures
+
+    def check_run(self):
+        # Training must leave a policy that acts at the most-damped gain. A
+        # single training misses on some seeds: best.ckpt is kept at the
+        # first epoch tied for the highest mean reward, which can be an early
+        # policy, and on a few seeds the last policy drifts away. So each
+        # miss is reported in the notes, and the check fails when a
+        # checkpoint misses on half of the run's trainings or more.
+        return [f"{ckpt} acts at the most-damped gain after only {hits} of "
+                f"{self.trainings} trainings"
+                for ckpt, hits in self.at_target.items() if not 2 * hits > self.trainings]
 
 
 class TrainUncached(Workload):
@@ -190,6 +215,11 @@ class TrainUncached(Workload):
     seed_stream = 2
     config = trainer.TrainConfig(cache_enabled=False, n_epoch=2)
     ops_per_round = config.n_epoch * config.n_iter
+
+    def setup(self):
+        trainer.train(self.scenario, replace(self.config, n_epoch=1, n_iter=1,
+                                             seed=self.warmup_seed),
+                      run_dir=self.workdir / "warmup")
 
     def sampled_epoch(self, k: int) -> int:
         return self.seeds[k] % self.config.n_epoch
