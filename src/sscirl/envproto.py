@@ -56,6 +56,14 @@ class _Session:
         self.state = plant.initial_state(scenario)
         self.rng = np.random.default_rng(seed)
 
+    def _in_bounds(self, kp: float) -> bool:
+        lo, hi = self.kp_bounds
+        return lo <= kp <= hi  # false for NaN
+
+    def _bounds_error(self, rid, kp):
+        lo, hi = self.kp_bounds
+        return _error(rid, "bounds", f"kp {kp} outside [{lo}, {hi}]")
+
     def handle(self, msg: dict) -> dict:
         if not isinstance(msg, dict) or "kind" not in msg or "id" not in msg:
             return _error(msg.get("id", -1) if isinstance(msg, dict) else -1,
@@ -77,10 +85,8 @@ class _Session:
                 return _ok(rid, {"t": self.state.t})
             if kind == "set_gain":
                 kp = float(msg["kp"])
-                lo, hi = self.kp_bounds
-                if not (lo <= kp <= hi):
-                    return _error(rid, "bounds",
-                                  f"kp {kp} outside [{lo}, {hi}]")
+                if not self._in_bounds(kp):
+                    return self._bounds_error(rid, kp)
                 self.state = plant.apply_gain(self.state, plant.GainAction(kp))
                 return _ok(rid, {"active_kp": kp})
             if kind == "step":
@@ -98,8 +104,11 @@ class _Session:
                         "rate": self.scenario.sample_rate, "t0": self.state.t,
                         "diverged": False}
             if kind == "run_episode":
-                result = plant.run_episode(self.scenario,
-                                           plant.GainAction(float(msg["kp"])),
+                kp = float(msg["kp"])
+                # the trainer asks for its pre-activation trace at kp_unstable
+                if not (self._in_bounds(kp) or kp == self.scenario.kp_unstable):
+                    return self._bounds_error(rid, kp)
+                result = plant.run_episode(self.scenario, plant.GainAction(kp),
                                            msg.get("seed"))
                 return {"id": rid, "kind": "trace",
                         "samples": result.trace.samples.tolist(),

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
+# unused here: perfbench's traced run counts calls through plant.linalg
+from scipy import linalg  # noqa: F401
 
 from .kernel import simulate_segments
 from .sigproc import SignalTrace
@@ -109,26 +110,73 @@ def damping_of_gain(scenario: PlantScenario, kp: float) -> float:
 
 
 def mode_eigenvalues(scenario: PlantScenario, kp: float) -> tuple[complex, complex]:
-    """Continuous-time eigenvalues of the mode at the given gain (|zeta| < 1)."""
+    """Continuous-time eigenvalues of the mode at the given gain: a complex
+    pair for |zeta| <= 1, the real pair -zeta*w +/- w*sqrt(zeta^2 - 1) for
+    |zeta| > 1."""
     zeta = damping_of_gain(scenario, kp)
     w = scenario.omega
+    if abs(zeta) > 1.0:
+        root = w * math.sqrt(zeta * zeta - 1.0)
+        return complex(-zeta * w + root, 0.0), complex(-zeta * w - root, 0.0)
     root = w * math.sqrt(1.0 - zeta * zeta)
     lam = complex(-zeta * w, root)
     return lam, lam.conjugate()
 
 
+# b1 is summed as a series when max(omega, |zeta*omega|) * dt is below this
+_SERIES_STEP = 1.0
+
+
 @lru_cache(maxsize=256)
 def _discretize(omega: float, zeta: float, dt: float) -> tuple:
     """Exact one-step discretization of x'' + 2*zeta*omega*x' + omega^2*x = w
-    with zero-order hold on the forcing: returns (A_d flattened, b_d)."""
-    a = np.array([[0.0, 1.0], [-omega * omega, -2.0 * zeta * omega]])
-    m = np.zeros((3, 3))
-    m[:2, :2] = a
-    m[1, 2] = 1.0
-    em = linalg.expm(m * dt)
-    ad = em[:2, :2]
-    bd = em[:2, 2]
-    return (ad[0, 0], ad[0, 1], ad[1, 0], ad[1, 1], bd[0], bd[1])
+    with zero-order hold on the forcing: returns (A_d flattened, b_d).
+
+    Closed form in scalar arithmetic, with sigma = zeta*omega and
+    q = omega^2*(1 - zeta^2):
+    A_d = exp(-sigma*dt) * [[c + sigma*s, s], [-omega^2*s, c - sigma*s]],
+    c = cos(sqrt(q)*dt), s = sin(sqrt(q)*dt)/sqrt(q) (cosh and sinh for
+    q < 0; c = 1, s = dt for q = 0), b2 = a12 and b1 = (1 - a11)/omega^2.
+    """
+    sigma = zeta * omega
+    q = omega * omega - sigma * sigma
+    if q > 0.0:
+        r = math.sqrt(q)
+        c, s = math.cos(r * dt), math.sin(r * dt) / r
+    elif q < 0.0:
+        r = math.sqrt(-q)
+        c, s = math.cosh(r * dt), math.sinh(r * dt) / r
+    else:
+        c, s = 1.0, dt
+    decay = math.exp(-sigma * dt)
+    a11 = decay * (c + sigma * s)
+    a12 = decay * s
+    a22 = decay * (c - sigma * s)
+    if max(omega, abs(sigma)) * dt < _SERIES_STEP:
+        b1 = _zoh_position_gain(omega, sigma, dt)
+    else:
+        b1 = (1.0 - a11) / (omega * omega)
+    return (a11, a12, -omega * omega * a12, a22, b1, a12)
+
+
+def _zoh_position_gain(omega: float, sigma: float, dt: float) -> float:
+    """b1 = sum over k >= 1 of (A^k B)_1 * dt^(k+1)/(k+1)!, for steps short
+    against the mode, where 1 - a11 cancels. By Cayley-Hamilton
+    A^k = alpha_k*I + beta_k*A with A^2 = -2*sigma*A - omega^2*I, so
+    (A^k B)_1 = beta_k."""
+    alpha, beta = 0.0, 1.0          # k = 1
+    power = 0.5 * dt * dt           # dt^(k+1)/(k+1)!
+    total = power
+    k, small = 1, 0
+    # beta_k vanishes on every other k at sigma = 0: stop on two small terms
+    while small < 2 and k < 60:
+        alpha, beta = -omega * omega * beta, alpha - 2.0 * sigma * beta
+        k += 1
+        power *= dt / (k + 1)
+        term = beta * power
+        total += term
+        small = small + 1 if abs(term) <= 1e-18 * abs(total) else 0
+    return total
 
 
 def transition(scenario: PlantScenario, kp: float) -> tuple:

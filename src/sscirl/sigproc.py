@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
@@ -97,6 +98,29 @@ ANTI_ALIAS_ORDER = 8
 ANTI_ALIAS_REL_CUTOFF = 0.45  # of the target rate
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=64)
+def _butter(order: int, cutoff, btype: str, sample_rate: float) -> np.ndarray:
+    """Memoised Butterworth design as second-order sections, read-only;
+    cutoff is a frequency or a (low, high) tuple. scipy's sosfilt needs a
+    writeable buffer, so callers filter with a copy."""
+    return _read_only(signal.butter(order, cutoff, btype=btype, fs=sample_rate,
+                                    output="sos"))
+
+
+@lru_cache(maxsize=16)
+def _anti_alias(sample_rate: float, target_rate: float) -> tuple:
+    """(sos, sosfilt_zi(sos)) of the anti-aliasing low-pass for one rate
+    pair, read-only. The zi solve runs once per rate pair."""
+    sos = _butter(ANTI_ALIAS_ORDER, ANTI_ALIAS_REL_CUTOFF * target_rate,
+                  "lowpass", sample_rate)
+    return sos, _read_only(signal.sosfilt_zi(sos))
+
+
 def downsample(trace: SignalTrace, target_rate: float) -> SignalTrace:
     """Decimate to target_rate after an anti-aliasing low-pass.
 
@@ -118,11 +142,9 @@ def downsample(trace: SignalTrace, target_rate: float) -> SignalTrace:
     if factor == 1:
         return SignalTrace(trace.samples.copy(), trace.sample_rate, trace.t0)
 
-    cutoff = ANTI_ALIAS_REL_CUTOFF * target_rate
-    sos = signal.butter(ANTI_ALIAS_ORDER, cutoff, btype="lowpass",
-                        fs=trace.sample_rate, output="sos")
-    zi = signal.sosfilt_zi(sos) * trace.samples[0]
-    smooth, _ = signal.sosfilt(sos, trace.samples, zi=zi)
+    sos, zi_unit = _anti_alias(trace.sample_rate, target_rate)
+    smooth, _ = signal.sosfilt(sos.copy(), trace.samples,
+                               zi=zi_unit * trace.samples[0])
     return SignalTrace(smooth[::factor], target_rate, trace.t0)
 
 
@@ -135,15 +157,15 @@ def design_bandpass(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
             f"band-pass upper cutoff {spec.f_max} Hz violates the Nyquist "
             f"frequency {nyquist} Hz at sample rate {sample_rate} Hz"
         )
-    return signal.butter(spec.order, [spec.f_min, spec.f_max],
-                         btype="bandpass", fs=sample_rate, output="sos")
+    return _butter(spec.order, (spec.f_min, spec.f_max), "bandpass", sample_rate)
 
 
 def bandpass(trace: SignalTrace, spec: BandpassSpec) -> SignalTrace:
     """Causal single-pass Butterworth band-pass with zero initial state."""
     trace._require_nonempty("bandpass")
     sos = design_bandpass(spec, trace.sample_rate)
-    return SignalTrace(signal.sosfilt(sos, trace.samples), trace.sample_rate, trace.t0)
+    return SignalTrace(signal.sosfilt(sos.copy(), trace.samples), trace.sample_rate,
+                       trace.t0)
 
 
 def bandpass_gain(spec: BandpassSpec, sample_rate: float, freqs) -> np.ndarray:
@@ -205,6 +227,7 @@ def segment(trace: SignalTrace, t_start: float, t_end: float) -> SignalTrace:
 
 PRE_DECIMATION = "pre_decimation"
 POST_DECIMATION = "post_decimation"
+FILTER_STAGES = (PRE_DECIMATION, POST_DECIMATION)
 
 
 def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,

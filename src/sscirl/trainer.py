@@ -53,6 +53,9 @@ class TrainConfig:
             raise ValueError("need kp_min < kp_max")
         if self.cache_resolution <= 0:
             raise ValueError("cache_resolution must be positive")
+        if self.filter_stage not in sigproc.FILTER_STAGES:
+            raise ValueError(f"filter_stage must be one of {sigproc.FILTER_STAGES}, "
+                             f"got {self.filter_stage!r}")
 
     @property
     def bandpass_spec(self) -> sigproc.BandpassSpec:

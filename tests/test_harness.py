@@ -182,6 +182,34 @@ class TestProtocol:
         reply = conn.send(id=1, kind="set_gain", kp=10.0)
         assert reply["kind"] == "error" and reply["code"] == "bounds"
 
+    def test_run_episode_out_of_bounds(self, conn):
+        reply = conn.send(id=1, kind="run_episode", kp=-50.0, seed=0)
+        assert reply["kind"] == "error" and reply["code"] == "bounds"
+
+    def test_run_episode_nan_gain(self, conn):
+        reply = conn.send_raw('{"id": 1, "kind": "run_episode", "kp": NaN}')
+        assert reply["kind"] == "error" and reply["code"] == "bounds"
+        reply = conn.send(id=2, kind="set_gain", kp=float("nan"))
+        assert reply["kind"] == "error" and reply["code"] == "bounds"
+
+    def test_run_episode_admits_kp_unstable(self):
+        # the trainer's pre-activation trace runs at kp_unstable, which may
+        # lie outside the server's bounds
+        srv = EnvServer(SCN, port=0, kp_bounds=(0.5, 3.5))
+        srv.serve_background()
+        c = Conn(srv.address)
+        try:
+            reply = c.send(id=1, kind="run_episode", kp=SCN.kp_unstable, seed=0)
+            assert reply["kind"] == "trace" and SCN.kp_unstable > 3.5
+            reply = c.send(id=2, kind="run_episode", kp=3.9, seed=0)
+            assert reply["kind"] == "error" and reply["code"] == "bounds"
+            reply = c.send(id=3, kind="set_gain", kp=SCN.kp_unstable)
+            assert reply["kind"] == "error" and reply["code"] == "bounds"
+        finally:
+            c.close()
+            srv.shutdown()
+            srv.server_close()
+
     def test_run_episode_matches_local(self, conn):
         reply = conn.send(id=1, kind="run_episode", kp=2.0, seed=5)
         local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)

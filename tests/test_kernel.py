@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -78,7 +79,7 @@ class TestBitIdentity:
             proc = subprocess.run(
                 [sys.executable, "-c", code],
                 capture_output=True, text=True,
-                env={"SSCIRL_PURE_PYTHON": env_flag, "PATH": "/usr/bin:/bin"},
+                env={**os.environ, "SSCIRL_PURE_PYTHON": env_flag},
             )
             assert proc.returncode == 0, proc.stderr
             runs[env_flag] = proc.stdout.split()

@@ -44,6 +44,19 @@ class TestEigenvalues:
         assert abs(lam.imag) == pytest.approx(2 * math.pi * 48, rel=2e-3)
         assert conj.imag == -lam.imag
 
+    def test_overdamped_gain_gives_real_pair(self):
+        scn = PlantScenario(zeta_stable=0.9)
+        zeta = damping_of_gain(scn, 0.5)
+        assert zeta == pytest.approx(2.25)
+        lam1, lam2 = mode_eigenvalues(scn, 0.5)
+        w = scn.omega
+        assert lam1.imag == lam2.imag == 0.0
+        assert lam1.real == pytest.approx(-zeta * w + w * math.sqrt(zeta ** 2 - 1))
+        assert lam2.real == pytest.approx(-zeta * w - w * math.sqrt(zeta ** 2 - 1))
+        # the characteristic polynomial: product w^2, sum -2*zeta*w
+        assert (lam1 * lam2).real == pytest.approx(w * w)
+        assert (lam1 + lam2).real == pytest.approx(-2 * zeta * w)
+
     def test_discretization_matches_eigenvalues(self):
         # one-step transition eigenvalue magnitude = exp(-zeta*omega*dt)
         for kp in (0.5, 2.0, 3.0, 4.0):
@@ -52,6 +65,60 @@ class TestEigenvalues:
             zeta = damping_of_gain(DEFAULT, kp)
             expected = math.exp(-zeta * DEFAULT.omega * DEFAULT.sim_dt)
             assert np.max(np.abs(np.abs(eig) - expected)) < 1e-10
+
+
+def _expm_reference(omega, zeta, dt):
+    """(a11, a12, a21, a22, b1, b2) from expm of the augmented 3x3 matrix."""
+    from scipy import linalg
+    m = np.zeros((3, 3))
+    m[0, 1] = 1.0
+    m[1, 0] = -omega * omega
+    m[1, 1] = -2.0 * zeta * omega
+    m[1, 2] = 1.0
+    em = linalg.expm(m * dt)
+    return np.array([em[0, 0], em[0, 1], em[1, 0], em[1, 1], em[0, 2], em[1, 2]])
+
+
+ZETAS = [float(z) for z in np.linspace(-2.0, 1.5, 15)]  # includes 0 and 1
+
+
+class TestClosedFormDiscretization:
+    @pytest.mark.parametrize("omega, dt", [
+        (DEFAULT.omega, DEFAULT.sim_dt),
+        (DEFAULT.omega, 5e-3),
+        # 1 - a11 ~ 2e-10: (1 - a11)/omega^2 alone would cancel to ~1e-6
+        (2.0, 1e-5),
+    ])
+    def test_matches_expm(self, omega, dt):
+        assert 0.0 in ZETAS and 1.0 in ZETAS
+        for zeta in ZETAS:
+            got = np.array(plant._discretize(omega, zeta, dt))
+            ref = _expm_reference(omega, zeta, dt)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (zeta, got, ref)
+
+    def test_default_gains_match_expm(self):
+        for kp in np.linspace(0.5, 4.0, 71):
+            zeta = damping_of_gain(DEFAULT, kp)
+            got = np.array(transition(DEFAULT, kp))
+            ref = _expm_reference(DEFAULT.omega, zeta, DEFAULT.sim_dt)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("zeta_stable, kp", [
+        (0.05, 2.0),    # underdamped
+        (0.5, 1.0),     # critical: zeta = 1
+        (0.9, 0.5),     # overdamped: zeta = 2.25
+        (0.05, 4.0),    # unstable
+        (0.9, 4.5),     # unstable and overdamped: zeta = -1.35
+    ])
+    def test_eigenvalues_are_exp_lambda_dt(self, zeta_stable, kp):
+        scn = PlantScenario(zeta_stable=zeta_stable)
+        a11, a12, a21, a22, _, _ = transition(scn, kp)
+        got = np.sort_complex(np.linalg.eigvals(np.array([[a11, a12], [a21, a22]])))
+        lam = mode_eigenvalues(scn, kp)
+        want = np.sort_complex(np.exp(np.array(lam) * scn.sim_dt))
+        # a repeated eigenvalue is perturbed by ~sqrt(eps)
+        tol = 1e-7 if damping_of_gain(scn, kp) == 1.0 else 1e-12
+        assert np.allclose(got, want, rtol=0, atol=tol)
 
 
 class TestStep:

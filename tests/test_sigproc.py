@@ -194,6 +194,46 @@ class TestPipeline:
                              BandpassSpec(15.0, 55.0, 4), 100.0, stage="bogus")
 
 
+class TestDesignCache:
+    def test_one_butter_call_per_design(self, monkeypatch):
+        calls = []
+        butter = sigproc.signal.butter
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return butter(*args, **kwargs)
+
+        monkeypatch.setattr(sigproc.signal, "butter", counting)
+        sigproc._butter.cache_clear()
+        sigproc._anti_alias.cache_clear()
+        trace = sine(20.0, 5000.0, 1.0)
+        spec = BandpassSpec(15.0, 55.0, 4)
+        first = sigproc.pipeline(trace, spec, 100.0)
+        for _ in range(3):
+            again = sigproc.pipeline(trace, spec, 100.0)
+        assert len(calls) == 2  # the band-pass and the anti-alias low-pass
+        assert np.array_equal(first[1].samples, again[1].samples)
+        bandpass_gain(spec, 5000.0, [48.0])
+        downsample(trace, 100.0)
+        assert len(calls) == 2
+        bandpass(trace, BandpassSpec(10.0, 60.0, 4))
+        downsample(trace, 500.0)
+        assert len(calls) == 4
+
+    def test_designs_are_read_only(self):
+        spec = BandpassSpec(15.0, 55.0, 4)
+        sos = sigproc.design_bandpass(spec, 5000.0)
+        aa_sos, aa_zi = sigproc._anti_alias(5000.0, 100.0)
+        for arr in (sos, aa_sos, aa_zi):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        fresh = sigproc.signal.butter(4, [15.0, 55.0], btype="bandpass", fs=5000.0,
+                                      output="sos")
+        assert np.array_equal(sos, fresh)
+        assert np.array_equal(aa_zi, sigproc.signal.sosfilt_zi(aa_sos))
+
+
 class TestCsvRoundTrip:
     def test_roundtrip(self, tmp_path):
         trace = sine(7.0, 5000.0, 1.0)

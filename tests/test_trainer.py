@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sscirl import plant, policy as pol, trainer
+from sscirl import plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
                             episode_reward, episode_seed, evaluate, grid_oracle,
@@ -191,6 +194,28 @@ class TestTrain:
         # one pre-activation trace + one episode per iteration
         assert result.plant_episodes == 1 + cfg.n_epoch * cfg.n_iter
 
+    def test_training_stays_on_one_thread(self, tmp_path):
+        # CPU used by the process outside its main thread (e.g. BLAS worker
+        # threads spinning after a LAPACK call) during a 3-epoch training,
+        # in a fresh interpreter
+        code = (
+            "import sys, time\n"
+            "from sscirl import plant, trainer\n"
+            "scn = plant.PlantScenario()\n"
+            "for cache in (True, False):\n"
+            "    cfg = trainer.TrainConfig(n_epoch=3, cache_enabled=cache)\n"
+            "    p0, t0 = time.process_time(), time.thread_time()\n"
+            "    trainer.train(scn, cfg, run_dir=sys.argv[1] + f'/run{cache}')\n"
+            "    p1, t1 = time.process_time(), time.thread_time()\n"
+            "    print(cache, (p1 - p0 - (t1 - t0)) / (t1 - t0))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, env=os.environ.copy())
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stdout.splitlines():
+            cache, share = line.split()
+            assert float(share) < 0.05, f"cache {cache}: other threads used {share}"
+
     def test_cache_enabled_bounds_episodes(self, tmp_path):
         cfg = small_config(n_epoch=30)
         result = train(SCN, cfg, run_dir=tmp_path)
@@ -248,6 +273,13 @@ class TestOracle:
         assert best == cfg.kp_min
         assert rewards.count(max(rewards)) == 1
         assert all(a > b for a, b in zip(rewards, rewards[1:]))
+
+
+def test_unknown_filter_stage_rejected():
+    with pytest.raises(ValueError, match="filter_stage"):
+        TrainConfig(filter_stage="bogus")
+    for stage in sigproc.FILTER_STAGES:
+        assert TrainConfig(filter_stage=stage).filter_stage == stage
 
 
 def test_episode_seed_is_stable():
