@@ -6,7 +6,8 @@ gradients), trainer (episodic policy-gradient loop with gain-bucket
 caching), envproto (socket protocol for external simulators), cli.
 """
 
-from .kernel import USING_COMPILED
-
+# one episode kernel, in plant on scipy.signal.lfilter; the benchmark
+# still records this flag
+USING_COMPILED = False
 __version__ = "0.1.0"
 __all__ = ["USING_COMPILED", "__version__"]

@@ -7,7 +7,7 @@ response. Grammar:
 
     request  := {"id": N, "kind": KIND, ...}
     KIND     := "reset" {scenario?: {field: value}, seed?: N}
-              | "step" {n_steps: N}
+              | "step" {n_steps: N}          1 <= N <= horizon / sim_dt
               | "set_gain" {kp: X}
               | "measure" {}
               | "run_episode" {kp: X, seed?: N}
@@ -91,11 +91,17 @@ class _Session:
                 return _ok(rid, {"active_kp": kp})
             if kind == "step":
                 n = int(msg["n_steps"])
-                if n < 1:
-                    return _error(rid, "args", "n_steps must be >= 1")
-                for _ in range(n):
+                cap = round(self.scenario.horizon / self.scenario.sim_dt)
+                if not 1 <= n <= cap:
+                    return _error(rid, "args",
+                                  f"n_steps must be in [1, {cap}] (one horizon)")
+                try:
                     self.state = plant.step(self.state, self.scenario,
-                                            self.scenario.sim_dt, self.rng)
+                                            self.scenario.sim_dt, self.rng, n)
+                except plant.DivergedError as exc:
+                    # keep the last finite state, at the time the error names
+                    self.state = exc.state
+                    raise
                 return _ok(rid, {"t": self.state.t,
                                  "mode_state": list(self.state.mode_state)})
             if kind == "measure":
@@ -115,7 +121,7 @@ class _Session:
                         "rate": result.trace.sample_rate,
                         "t0": result.trace.t0, "diverged": result.diverged}
             return _error(rid, "unknown_kind", f"unknown kind {kind!r}")
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             return _error(rid, "args", str(exc))
         except plant.DivergedError as exc:
             return _error(rid, "diverged", str(exc))

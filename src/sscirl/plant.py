@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 # unused here: perfbench's traced run counts calls through plant.linalg
 from scipy import linalg  # noqa: F401
+from scipy import signal
 
-from .kernel import simulate_segments
 from .sigproc import SignalTrace
 
 
@@ -27,11 +27,13 @@ class PlantError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """Simulation exceeded the divergence bound; carries the last finite time."""
+    """Simulation exceeded the divergence bound; carries the last finite
+    time and, from ``step``, the last finite state."""
 
-    def __init__(self, t: float):
+    def __init__(self, t: float, state: PlantState | None = None):
         super().__init__(f"plant state diverged at t = {t:.6f} s")
         self.t = t
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -185,21 +187,120 @@ def transition(scenario: PlantScenario, kp: float) -> tuple:
                        scenario.sim_dt)
 
 
+# samples per lfilter call: bounds the temporaries, and a diverging segment
+# stops within one chunk of the step that crossed the bound
+_CHUNK = 4096
+
+
+def _advance(x: float, v: float, coeffs, w: np.ndarray, thr2: float,
+             out: np.ndarray | None = None, vnoise: np.ndarray | None = None,
+             p_nom: float = 0.0) -> tuple:
+    """Advance the mode len(w) steps at one gain, w[j] forcing step j + 1.
+
+    Within a segment the recurrence s' = A s + b w makes x and v order-2
+    IIR filters of w with the shared denominator [1, -tr A, det A] and
+    numerators [b1, a12*b2 - a22*b1] (x) and [b2, a21*b1 - a11*b2] (v).
+    Their initial conditions are those of the back-stepped state A^-1 s
+    with a zero past input, which reduce to the zero-input first step
+    (A s) and -det A * s. When out is given, out[j] = p_nom + x + vnoise[j]
+    receives the position after step j + 1.
+
+    Returns (n, x, v, crossing): the n steps taken before the first state
+    whose squared norm exceeds thr2 (len(w) if none did), the state after
+    them, and that crossing state as a pair, or None.
+    """
+    a11, a12, a21, a22, b1, b2 = coeffs
+    det = a11 * a22 - a12 * a21
+    den = (1.0, -(a11 + a22), det)
+    num_x = (b1, a12 * b2 - a22 * b1)
+    num_v = (b2, a21 * b1 - a11 * b2)
+    zx = np.array([a11 * x + a12 * v, -det * x])
+    zv = np.array([a21 * x + a22 * v, -det * v])
+    for i in range(0, len(w), _CHUNK):
+        wc = w[i:i + _CHUNK]
+        xs, zx = signal.lfilter(num_x, den, wc, zi=zx)
+        vs, zv = signal.lfilter(num_v, den, wc, zi=zv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = xs * xs
+            r2 += vs * vs
+            crossed = np.flatnonzero(r2 > thr2)
+        m = int(crossed[0]) if crossed.size else len(wc)
+        if out is not None:
+            np.add(xs[:m], p_nom, out=out[i:i + m])
+            out[i:i + m] += vnoise[i:i + m]
+        if m:
+            x, v = float(xs[m - 1]), float(vs[m - 1])
+        if m < len(wc):
+            return i + m, x, v, (float(xs[m]), float(vs[m]))
+    return len(w), x, v, None
+
+
+def simulate_segments(x, v, seg_mats, seg_steps, w, vnoise, p_nom, threshold, out):
+    """Advance the 2-state resonant mode through piecewise-constant-gain segments.
+
+    Parameters
+    ----------
+    x, v : float
+        Initial mode position and velocity.
+    seg_mats : (n_seg, 6) float array
+        Per segment: a11, a12, a21, a22, b1, b2 of the exact one-step
+        discretization (state transition plus zero-order-hold input column).
+    seg_steps : (n_seg,) int array
+        Steps per segment; must sum to len(out) - 1.
+    w : float array, len(out) - 1
+        Process-noise force per step.
+    vnoise : float array, len(out)
+        Measurement noise per sample.
+    p_nom : float
+        Nominal operating point added to the measured output.
+    threshold : float
+        Divergence bound on the Euclidean norm of the state.
+    out : float array
+        Output buffer for measured samples; out[k] is the sample at step k.
+
+    Returns
+    -------
+    (n_valid, x, v, diverged) : number of valid samples written, final
+    state (the one that crossed the bound on divergence), and whether the
+    divergence bound was hit.
+    """
+    thr2 = threshold * threshold
+    out[0] = p_nom + x + vnoise[0]
+    k = 1
+    for coeffs, m in zip(np.asarray(seg_mats, dtype=np.float64).tolist(),
+                         np.asarray(seg_steps).tolist()):
+        n, x, v, crossing = _advance(x, v, coeffs, w[k - 1:k - 1 + m], thr2,
+                                     out[k:k + m], vnoise[k:k + m], p_nom)
+        k += n
+        if crossing is not None:
+            return k, crossing[0], crossing[1], True
+    return k, x, v, False
+
+
 def step(state: PlantState, scenario: PlantScenario, dt: float,
-         rng: np.random.Generator | None = None) -> PlantState:
-    """Advance one exact-discretization step at the state's active gain."""
+         rng: np.random.Generator | None = None, n_steps: int = 1) -> PlantState:
+    """Advance n_steps exact-discretization steps at the state's active gain.
+
+    With rng, step j is forced by the j-th of n_steps standard normals
+    drawn at once, which is the stream n_steps single steps draw. On
+    divergence the raised DivergedError carries the last finite state and
+    its time.
+    """
     if abs(dt - scenario.sim_dt) > 1e-15:
         raise PlantError(f"dt must equal scenario.sim_dt = {scenario.sim_dt}")
-    a11, a12, a21, a22, b1, b2 = transition(scenario, state.active_kp)
-    w = 0.0
     if rng is not None and scenario.noise_std > 0:
-        w = rng.standard_normal() * scenario.noise_std / math.sqrt(dt)
-    x, v = state.mode_state
-    xn = a11 * x + a12 * v + b1 * w
-    vn = a21 * x + a22 * v + b2 * w
-    if xn * xn + vn * vn > scenario.diverge_threshold ** 2:
-        raise DivergedError(state.t)
-    return PlantState(state.t + dt, np.array([xn, vn]), state.active_kp)
+        w = rng.standard_normal(n_steps)
+        w *= scenario.noise_std
+        w /= math.sqrt(dt)
+    else:
+        w = np.zeros(n_steps)
+    x, v = state.mode_state.tolist()
+    n, x, v, crossing = _advance(x, v, transition(scenario, state.active_kp), w,
+                                 scenario.diverge_threshold ** 2)
+    end = PlantState(state.t + n * dt, np.array([x, v]), state.active_kp)
+    if crossing is not None:
+        raise DivergedError(end.t, end)
+    return end
 
 
 def apply_gain(state: PlantState, action: GainAction) -> PlantState:
@@ -247,8 +348,10 @@ def run_episode(scenario: PlantScenario, action: GainAction,
 
     rng = np.random.default_rng(seed)
     if scenario.noise_std > 0:
-        w = rng.standard_normal(n_total - 1) * (scenario.noise_std / math.sqrt(dt))
-        vnoise = rng.standard_normal(n_total) * scenario.noise_std
+        w = rng.standard_normal(n_total - 1)
+        w *= scenario.noise_std / math.sqrt(dt)
+        vnoise = rng.standard_normal(n_total)
+        vnoise *= scenario.noise_std
     else:
         w = np.zeros(n_total - 1)
         vnoise = np.zeros(n_total)

@@ -259,6 +259,16 @@ def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
     raise TraceError(f"unknown filter stage {stage!r}")
 
 
+def filtered_trace(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
+                   stage: str = PRE_DECIMATION) -> SignalTrace:
+    """The `filtered` half of pipeline(), without the decimation it would
+    discard: the full-rate band-passed trace for pre_decimation, the
+    low-rate one for post_decimation."""
+    if stage == PRE_DECIMATION:
+        return bandpass(trace, spec)
+    return pipeline(trace, spec, target_rate, stage)[0]
+
+
 # ---------------------------------------------------------------------------
 # CSV serialization
 

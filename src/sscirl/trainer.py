@@ -4,7 +4,7 @@ Each iteration: condition the pre-activation measurement into an
 observation window, sample a gain from the policy, clamp it into the safe
 range, and score it by the negated post-activation oscillation energy.
 Gain proposals falling into an already-evaluated cache bucket reuse the
-stored plant run instead of simulating again. Epochs end with one
+stored reward instead of simulating again. Epochs end with one
 gradient-ascent Adam step on the weighted log-probability objective.
 """
 
@@ -77,8 +77,8 @@ class EpisodeRecord:
 class EvalCache:
     """Per-gain-bucket reuse of plant evaluations.
 
-    Buckets are uniform at the configured resolution; the first run in a
-    bucket becomes its representative evaluation.
+    Buckets are uniform at the configured resolution; the reward of the
+    first run in a bucket becomes its representative evaluation.
     """
 
     def __init__(self, resolution: float):
@@ -94,9 +94,8 @@ class EvalCache:
             entry["hits"] += 1
         return entry
 
-    def store(self, kp: float, reward: float, trace=None) -> None:
-        self._entries.setdefault(
-            self.bucket(kp), {"reward": reward, "trace": trace, "hits": 0})
+    def store(self, kp: float, reward: float) -> None:
+        self._entries.setdefault(self.bucket(kp), {"reward": reward, "hits": 0})
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -146,8 +145,8 @@ def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
     trace = result.trace
     if trace.t0 + trace.duration < window_end - 1e-9:
         return None
-    filtered, _ = sigproc.pipeline(trace, config.bandpass_spec,
-                                   config.target_rate, config.filter_stage)
+    filtered = sigproc.filtered_trace(trace, config.bandpass_spec,
+                                      config.target_rate, config.filter_stage)
     post = sigproc.segment(filtered, scenario.act_time, trace.t0 + trace.duration + trace.dt)
     return -sigproc.oscillation_energy(post, 0.0, config.t_reward)
 
@@ -211,7 +210,7 @@ def run_iteration(params: pol.PolicyParameters, env, scenario, config: TrainConf
         if reward is None:
             reward = divergence_penalty(worst_reward)
         if config.cache_enabled:
-            cache.store(applied, reward, result.trace)
+            cache.store(applied, reward)
 
     return EpisodeRecord(obs, action_raw, applied, log_prob, reward,
                          out.var, cached)
@@ -409,8 +408,8 @@ def _post_energy(result: plant.EpisodeResult, scenario, config) -> float:
     end = trace.t0 + trace.duration
     if result.diverged and end < scenario.horizon - trace.dt - 1e-9:
         return math.inf
-    filtered, _ = sigproc.pipeline(trace, config.bandpass_spec,
-                                   config.target_rate, config.filter_stage)
+    filtered = sigproc.filtered_trace(trace, config.bandpass_spec,
+                                      config.target_rate, config.filter_stage)
     post = sigproc.segment(filtered, scenario.act_time, end + trace.dt)
     return sigproc.oscillation_energy(post, 0.0, post.duration)
 
@@ -427,8 +426,8 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
     mitigated = plant.run_episode(scenario, plant.GainAction(applied), seed)
     unmitigated = plant.run_episode(scenario, plant.GainAction(scenario.kp_unstable), seed)
 
-    filtered, _ = sigproc.pipeline(mitigated.trace, config.bandpass_spec,
-                                   config.target_rate, config.filter_stage)
+    filtered = sigproc.filtered_trace(mitigated.trace, config.bandpass_spec,
+                                      config.target_rate, config.filter_stage)
     pre = sigproc.segment(filtered, 0.0, scenario.act_time)
     pre_energy = sigproc.oscillation_energy(pre, 0.0, pre.duration)
     post_energy = _post_energy(mitigated, scenario, config)

@@ -1,5 +1,6 @@
 import json
 import socket
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,36 @@ class TestProtocol:
         finally:
             c1.close()
             c2.close()
+
+    def test_step_capped_at_one_horizon(self, conn):
+        cap = round(SCN.horizon / SCN.sim_dt)
+        assert conn.send(id=1, kind="reset", seed=0)["kind"] == "ok"
+        for rid, n in enumerate((0, cap + 1, 10**9), start=2):
+            reply = conn.send(id=rid, kind="step", n_steps=n)
+            assert reply["kind"] == "error" and reply["code"] == "args"
+        reply = conn.send_raw('{"id": 5, "kind": "step", "n_steps": Infinity}')
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        # the rejected requests left the session where it was
+        reply = conn.send(id=6, kind="step", n_steps=cap)
+        assert reply["kind"] == "ok"
+        assert reply["payload"]["t"] == pytest.approx(SCN.horizon)
+
+    def test_state_after_divergence_is_last_finite(self, conn):
+        overrides = {"zeta_stable": 0.05, "diverge_threshold": 20.0, "noise_std": 0.0}
+        scn = replace(SCN, **overrides)
+        start = plant.apply_gain(plant.initial_state(scn),
+                                 plant.GainAction(scn.kp_unstable))
+        with pytest.raises(plant.DivergedError) as err:
+            plant.step(start, scn, scn.sim_dt, n_steps=5000)
+        last = err.value.state
+        conn.send(id=1, kind="reset", scenario=overrides, seed=0)
+        conn.send(id=2, kind="set_gain", kp=scn.kp_unstable)
+        reply = conn.send(id=3, kind="step", n_steps=5000)
+        assert reply["kind"] == "error" and reply["code"] == "diverged"
+        assert f"t = {last.t:.6f} s" in reply["message"]
+        reply = conn.send(id=4, kind="measure")
+        assert reply["t0"] == last.t
+        assert reply["samples"] == [scn.p_nom + last.mode_state[0]]
 
     def test_reset_scenario_overrides(self, conn):
         reply = conn.send(id=1, kind="reset", scenario={"f_osc": 30.0}, seed=0)

@@ -1,94 +1,193 @@
-import os
-import subprocess
-import sys
+"""The lfilter episode kernel against the per-sample state-space loop it
+replaced (``kernel_reference``): agreement to 1e-10 of the peak mode
+amplitude, the same divergence step, and n-step ``plant.step`` against n
+single steps."""
+
+import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kernel_reference
 import sscirl
-from sscirl import _kernel_py, plant
+from sscirl import plant
+
+REL_TOL = 1e-10
 
 
-def _workload(scenario, kp_segments, seed):
-    """Build the segment matrices and noise arrays run_episode would use."""
-    rng = np.random.default_rng(seed)
-    n_total = round(scenario.horizon / scenario.sim_dt)
-    n_steps = n_total - 1  # out[0] is the initial sample
-    steps = [n_steps // len(kp_segments)] * len(kp_segments)
-    steps[-1] += n_steps - sum(steps)
-    mats = np.array([plant._discretize(scenario.omega,
-                                       plant.damping_of_gain(scenario, kp),
-                                       scenario.sim_dt)
-                     for kp in kp_segments])
-    w = rng.normal(0.0, scenario.noise_std / np.sqrt(scenario.sim_dt), n_steps)
-    vnoise = rng.normal(0.0, scenario.noise_std, n_total)
-    out = np.empty(n_total)
-    return (scenario.disturbance_amp, 0.0, mats, np.array(steps), w, vnoise,
-            scenario.p_nom, scenario.diverge_threshold, out)
-
-
-def _run(kernel, args):
-    x0, v0, mats, steps, w, vnoise, p_nom, thr, out = args
-    out = out.copy()
+def _run(kernel, x0, v0, mats, steps, w, vnoise, p_nom, threshold):
+    out = np.full(len(vnoise), np.nan)
     n_valid, x, v, diverged = kernel.simulate_segments(
-        x0, v0, mats, steps, w.copy(), vnoise.copy(), p_nom, thr, out)
+        x0, v0, np.asarray(mats, dtype=float), np.asarray(steps, dtype=np.int64),
+        w, vnoise, p_nom, threshold, out)
     return n_valid, x, v, diverged, out
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    try:
-        from sscirl import _kernel
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    return _kernel
+def _noise(scenario, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n_steps) * (scenario.noise_std / math.sqrt(scenario.sim_dt))
+    vnoise = rng.standard_normal(n_steps + 1) * scenario.noise_std
+    return w, vnoise
 
 
-class TestBitIdentity:
-    def test_full_episode_workload(self, compiled):
-        scn = plant.PlantScenario()
-        args = _workload(scn, [scn.kp_stable, scn.kp_unstable, 2.0], seed=3)
-        n_c, x_c, v_c, d_c, out_c = _run(compiled, args)
-        n_p, x_p, v_p, d_p, out_p = _run(_kernel_py, args)
-        assert (n_c, d_c) == (n_p, d_p)
-        assert x_c == x_p and v_c == v_p
-        assert np.array_equal(out_c, out_p)
-
-    def test_divergence_truncation_agrees(self, compiled):
-        scn = plant.PlantScenario(zeta_stable=0.05, diverge_threshold=1e3,
-                                  noise_std=0.0)
-        args = _workload(scn, [scn.kp_unstable], seed=0)
-        n_c, _, _, d_c, out_c = _run(compiled, args)
-        n_p, _, _, d_p, out_p = _run(_kernel_py, args)
-        assert d_c and d_p
-        assert n_c == n_p < len(out_c)
-        assert np.array_equal(out_c[:n_c], out_p[:n_p])
-
-    def test_run_episode_identical_across_backends(self, compiled):
-        # the public path through plant.run_episode under each backend
-        code = (
-            "import numpy as np\n"
-            "import sscirl\n"
-            "from sscirl import plant\n"
-            "scn = plant.PlantScenario()\n"
-            "r = plant.run_episode(scn, plant.GainAction(2.0), seed=9)\n"
-            "print(sscirl.USING_COMPILED, r.trace.samples.sum().hex())\n"
-        )
-        runs = {}
-        for env_flag in ("0", "1"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True, text=True,
-                env={**os.environ, "SSCIRL_PURE_PYTHON": env_flag},
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs[env_flag] = proc.stdout.split()
-        assert runs["0"][0] == "True"
-        assert runs["1"][0] == "False"
-        assert runs["0"][1] == runs["1"][1]
+def _assert_agree(scenario, mats, steps, w, vnoise):
+    """Both kernels on one workload, from the scenario's initial state: same
+    sample count and flag, samples and final state within REL_TOL of the
+    peak mode amplitude."""
+    args = (scenario.disturbance_amp, 0.0, mats, steps, w, vnoise, scenario.p_nom,
+            scenario.diverge_threshold)
+    n_k, x_k, v_k, d_k, out_k = _run(plant, *args)
+    n_r, x_r, v_r, d_r, out_r = _run(kernel_reference, *args)
+    assert (n_k, d_k) == (n_r, d_r)
+    peak = max(np.max(np.abs(out_r[:n_r] - scenario.p_nom)), abs(x_r))
+    assert np.max(np.abs(out_k[:n_k] - out_r[:n_r])) <= REL_TOL * peak
+    assert abs(x_k - x_r) <= REL_TOL * peak
+    assert abs(v_k - v_r) <= REL_TOL * scenario.omega * peak
+    assert np.isnan(out_k[n_k:]).all()
+    return n_k, d_k
 
 
-def test_backend_flags_consistent():
-    from sscirl import kernel
-    assert kernel.USING_COMPILED == sscirl.USING_COMPILED
-    assert _kernel_py.COMPILED is False
+def _episode_workload(scenario, kp, seed):
+    """Segments and noise exactly as run_episode builds them."""
+    dt = scenario.sim_dt
+    n_total = round(scenario.horizon / dt)
+    k_mistune = round(scenario.mistune_time / dt)
+    k_act = round(scenario.act_time / dt)
+    steps = [k_mistune, k_act - k_mistune, n_total - 1 - k_act]
+    mats = [plant.transition(scenario, g)
+            for g in (scenario.kp_stable, scenario.kp_unstable, kp)]
+    return (mats, steps, *_noise(scenario, n_total - 1, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_episode_agrees_with_reference(seed):
+    scn = plant.PlantScenario()
+    for kp in (0.5, 1.0, 2.0, 2.5, 3.0, 3.5, 3.9):
+        n_valid, diverged = _assert_agree(scn, *_episode_workload(scn, kp, seed))
+        assert n_valid == round(scn.horizon / scn.sim_dt) and not diverged
+
+
+def test_run_episode_uses_the_kernel_workload():
+    scn = plant.PlantScenario()
+    mats, steps, w, vnoise = _episode_workload(scn, 2.0, 9)
+    *_, out = _run(kernel_reference, scn.disturbance_amp, 0.0, mats, steps, w,
+                   vnoise, scn.p_nom, scn.diverge_threshold)
+    samples = plant.run_episode(scn, plant.GainAction(2.0), seed=9).trace.samples
+    assert np.max(np.abs(samples - out)) <= REL_TOL * np.max(np.abs(out - scn.p_nom))
+
+
+@pytest.mark.parametrize("length", [0, 1, 4095, 4096, 4097])
+def test_segment_lengths(length):
+    scn = plant.PlantScenario(noise_std=1e-3)
+    mats = [plant.transition(scn, kp) for kp in (scn.kp_unstable, 2.0, 0.5)]
+    steps = [length, 3, length]
+    w, vnoise = _noise(scn, sum(steps), seed=length)
+    n_valid, diverged = _assert_agree(scn, mats, steps, w, vnoise)
+    assert n_valid == sum(steps) + 1 and not diverged
+
+
+@pytest.mark.parametrize("zeta_stable", [0.05, 0.5, 2.0])
+def test_divergence_step_agrees(zeta_stable):
+    scn = plant.PlantScenario(zeta_stable=zeta_stable, diverge_threshold=1e3)
+    n_valid, diverged = _assert_agree(scn, *_episode_workload(scn, scn.kp_unstable, 0))
+    assert diverged and n_valid < round(scn.horizon / scn.sim_dt)
+
+
+def test_explosive_divergence_found_at_first_crossing():
+    # zeta = -50 at kp_unstable: the state grows ~400x per step, so a chunk
+    # that runs past the crossing overflows to inf and nan
+    scn = plant.PlantScenario(zeta_stable=50.0, noise_std=0.0)
+    workload = _episode_workload(scn, scn.kp_unstable, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n_valid, diverged = _assert_agree(scn, *workload)
+        result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
+    assert diverged
+    assert round(scn.mistune_time / scn.sim_dt) < n_valid \
+        < round(scn.mistune_time / scn.sim_dt) + 100
+    assert len(result.trace) == n_valid and result.diverged
+    assert np.all(np.isfinite(result.final_state))
+    assert np.linalg.norm(result.final_state) > scn.diverge_threshold
+
+
+def test_chunks_bound_the_filtered_work(monkeypatch):
+    # each lfilter call takes at most one chunk, and a diverging episode
+    # filters no further than the chunk that crossed the bound
+    sizes = []
+    lfilter = plant.signal.lfilter
+
+    def counting(b, a, x, zi):
+        sizes.append(len(x))
+        return lfilter(b, a, x, zi=zi)
+
+    monkeypatch.setattr(plant.signal, "lfilter", counting)
+    scn = plant.PlantScenario(zeta_stable=50.0, noise_std=0.0)
+    result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
+    assert result.diverged
+    assert max(sizes) == plant._CHUNK
+    assert sum(sizes) // 2 < len(result.trace) + plant._CHUNK
+
+
+@pytest.mark.parametrize("crossing", [1, 4096, 4097, 4098])
+def test_divergence_at_chunk_edges(crossing):
+    # an overdamped unstable mode (zeta = -1.05) that first exceeds every
+    # earlier state norm at step `crossing`; put the bound just below it
+    scn = plant.PlantScenario(zeta_stable=1.05, noise_std=0.0)
+    a11, a12, a21, a22, _, _ = plant.transition(scn, scn.kp_unstable)
+    x, v = scn.disturbance_amp, 0.0
+    norms = [math.hypot(x, v)]
+    for _ in range(crossing):
+        x, v = a11 * x + a12 * v, a21 * x + a22 * v
+        norms.append(math.hypot(x, v))
+    assert norms[-1] > max(norms[:-1]) and math.isfinite(norms[-1])
+    bound = math.sqrt(max(norms[:-1]) * norms[-1])
+    scn = replace(scn, diverge_threshold=bound)
+    steps = [crossing + 10]
+    w, vnoise = np.zeros(steps[0]), np.zeros(steps[0] + 1)
+    n_valid, diverged = _assert_agree(
+        scn, [plant.transition(scn, scn.kp_unstable)], steps, w, vnoise)
+    assert diverged and n_valid == crossing
+
+
+def test_step_n_matches_single_steps_and_draw_order():
+    # no initial disturbance: the state is driven by the noise alone, so a
+    # different draw order would show in it
+    scn = plant.PlantScenario(noise_std=1e-2, disturbance_amp=0.0)
+    n = 4100
+    start = plant.PlantState(0.0, np.zeros(2), 2.0)
+    rng_n, rng_1 = np.random.default_rng(3), np.random.default_rng(3)
+    batched = plant.step(start, scn, scn.sim_dt, rng_n, n)
+    single = start
+    peak = 0.0
+    for _ in range(n):
+        single = plant.step(single, scn, scn.sim_dt, rng_1)
+        peak = max(peak, abs(single.mode_state[0]))
+    assert rng_n.standard_normal() == rng_1.standard_normal()
+    assert batched.t == pytest.approx(single.t, rel=1e-12)
+    assert batched.active_kp == single.active_kp
+    assert abs(batched.mode_state[0] - single.mode_state[0]) <= REL_TOL * peak
+    assert abs(batched.mode_state[1] - single.mode_state[1]) <= REL_TOL * scn.omega * peak
+
+
+def test_step_divergence_carries_last_finite_state():
+    scn = plant.PlantScenario(zeta_stable=0.05, diverge_threshold=20.0, noise_std=0.0)
+    start = plant.PlantState(0.0, np.array([scn.disturbance_amp, 0.0]), scn.kp_unstable)
+    with pytest.raises(plant.DivergedError) as err:
+        plant.step(start, scn, scn.sim_dt, n_steps=50000)
+    last = err.value.state
+    single, taken = start, 0
+    with pytest.raises(plant.DivergedError) as err_1:
+        while True:
+            single = plant.step(single, scn, scn.sim_dt)
+            taken += 1
+    assert taken > 0 and last.t == pytest.approx(taken * scn.sim_dt, rel=1e-12)
+    assert err.value.t == last.t and err_1.value.t == single.t
+    assert np.linalg.norm(last.mode_state) <= scn.diverge_threshold
+    assert np.allclose(last.mode_state, single.mode_state, rtol=REL_TOL, atol=0)
+
+
+def test_using_compiled_flag_is_false():
+    # one kernel, on scipy.signal.lfilter; the flag stays for old readers
+    assert sscirl.USING_COMPILED is False

@@ -193,6 +193,15 @@ class TestPipeline:
             sigproc.pipeline(sine(20.0, 5000.0, 1.0),
                              BandpassSpec(15.0, 55.0, 4), 100.0, stage="bogus")
 
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    def test_filtered_trace_is_pipeline_filtered_half(self, stage):
+        trace = sine(48.0, 5000.0, 2.0)
+        spec = BandpassSpec(15.0, 45.0, 4)
+        filtered, _ = sigproc.pipeline(trace, spec, 100.0, stage)
+        alone = sigproc.filtered_trace(trace, spec, 100.0, stage)
+        assert np.array_equal(alone.samples, filtered.samples)
+        assert (alone.sample_rate, alone.t0) == (filtered.sample_rate, filtered.t0)
+
 
 class TestDesignCache:
     def test_one_butter_call_per_design(self, monkeypatch):
