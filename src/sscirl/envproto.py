@@ -10,18 +10,26 @@ response. Grammar:
               | "step" {n_steps: N}          1 <= N <= horizon / sim_dt
               | "set_gain" {kp: X}
               | "measure" {}
-              | "run_episode" {kp: X, seed?: N}
+              | "run_episode" {kp: X, seed?: N, encoding?: ENC}
+    ENC      := "json" (default) | "f64le"
     response := {"id": N, "kind": "ok", "payload": {...}}
-              | {"id": N, "kind": "trace", "samples": [...], "rate": X,
+              | {"id": N, "kind": "trace", SAMPLES, "rate": X,
                  "t0": X, "diverged": B}
               | {"id": N, "kind": "error", "code": S, "message": S}
+    SAMPLES  := "samples": [X, ...]       encoding "json", and "measure"
+              | "samples_b64": S          encoding "f64le": base64 (RFC 4648)
+                                          of the little-endian float64 bytes
 
-Floats are serialized with full round-trip precision (Python repr), so a
-remote episode is bit-identical to a local one at the same seed.
+Floats in JSON are serialized with full round-trip precision (Python repr),
+and "f64le" carries the bits themselves, so a remote episode is
+bit-identical to a local one at the same seed either way. A request line
+may hold at most MAX_REQUEST_BYTES (64 KiB) including its newline; a
+longer one gets code "parse" and the connection is closed.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import socket
@@ -39,7 +47,17 @@ class ProtocolError(RuntimeError):
     pass
 
 
+class ServerError(ProtocolError):
+    """The server answered with an `error` reply; `code` names the cause."""
+
+    def __init__(self, code, message):
+        super().__init__(f"server error [{code}]: {message}")
+        self.code = code
+
+
 DEFAULT_KP_BOUNDS = (0.5, 4.0)
+MAX_REQUEST_BYTES = 64 * 1024
+TRACE_ENCODINGS = ("json", "f64le")
 
 
 class _Session:
@@ -111,15 +129,25 @@ class _Session:
                         "diverged": False}
             if kind == "run_episode":
                 kp = float(msg["kp"])
+                encoding = msg.get("encoding", "json")
+                if encoding not in TRACE_ENCODINGS:
+                    return _error(rid, "args", f"encoding must be one of "
+                                               f"{TRACE_ENCODINGS}, got {encoding!r}")
                 # the trainer asks for its pre-activation trace at kp_unstable
                 if not (self._in_bounds(kp) or kp == self.scenario.kp_unstable):
                     return self._bounds_error(rid, kp)
                 result = plant.run_episode(self.scenario, plant.GainAction(kp),
                                            msg.get("seed"))
-                return {"id": rid, "kind": "trace",
-                        "samples": result.trace.samples.tolist(),
-                        "rate": result.trace.sample_rate,
-                        "t0": result.trace.t0, "diverged": result.diverged}
+                samples = result.trace.samples
+                reply = {"id": rid, "kind": "trace"}
+                if encoding == "f64le":
+                    reply["samples_b64"] = base64.b64encode(
+                        samples.astype("<f8").tobytes()).decode("ascii")
+                else:
+                    reply["samples"] = samples.tolist()
+                reply.update(rate=result.trace.sample_rate, t0=result.trace.t0,
+                             diverged=result.diverged)
+                return reply
             return _error(rid, "unknown_kind", f"unknown kind {kind!r}")
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             return _error(rid, "args", str(exc))
@@ -138,7 +166,11 @@ def _error(rid, code, message):
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         session = _Session(self.server.scenario, self.server.kp_bounds)
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+            if len(raw) > MAX_REQUEST_BYTES:
+                self._reply(_error(-1, "parse", f"request line exceeds "
+                                                f"{MAX_REQUEST_BYTES} bytes"))
+                return
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
@@ -148,8 +180,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 reply = _error(-1, "parse", f"bad JSON: {exc}")
             else:
                 reply = session.handle(msg)
-            self.wfile.write((json.dumps(reply) + "\n").encode())
-            self.wfile.flush()
+            self._reply(reply)
+
+    def _reply(self, reply):
+        self.wfile.write((json.dumps(reply) + "\n").encode())
+        self.wfile.flush()
 
 
 class EnvServer(socketserver.ThreadingTCPServer):
@@ -178,8 +213,11 @@ class RemoteEnv:
     """Client adapter presenting the trainer's environment interface.
 
     Speaks the line protocol against a served plant (or any external
-    simulator implementing it). A failed episode request is retried once on
-    a fresh connection; a second failure raises.
+    simulator implementing it). An episode request that fails in transport
+    (connection lost, malformed reply, bad trace payload) is retried once on
+    a fresh connection, and a second failure raises. An `error` reply raises
+    `ServerError` at once. With a scenario, a trace longer than one horizon
+    is a bad payload.
     """
 
     def __init__(self, host: str, port: int,
@@ -215,11 +253,12 @@ class RemoteEnv:
         if not line:
             raise ProtocolError("connection closed by server")
         reply = json.loads(line)
+        if not isinstance(reply, dict):
+            raise ProtocolError(f"reply is not a JSON object: {line[:40]!r}")
         if reply.get("id") != self._seq:
             raise ProtocolError(f"response id {reply.get('id')} != request {self._seq}")
         if reply.get("kind") == "error":
-            raise ProtocolError(f"server error [{reply.get('code')}]: "
-                                f"{reply.get('message')}")
+            raise ServerError(reply.get("code"), reply.get("message"))
         return reply
 
     def run_episode(self, kp: float, seed: int | None) -> plant.EpisodeResult:
@@ -229,19 +268,45 @@ class RemoteEnv:
                 if attempt:
                     self.close()
                     self._connect()
-                reply = self.request("run_episode", kp=float(kp),
+                reply = self.request("run_episode", kp=float(kp), encoding="f64le",
                                      **({"seed": int(seed)} if seed is not None else {}))
+                trace = self._decode_trace(reply)
                 break
+            except ServerError:
+                raise  # a refusal is deterministic; asking again cannot help
             except (ProtocolError, OSError, json.JSONDecodeError) as exc:
                 last_exc = exc
         else:
             raise ProtocolError(f"episode failed after retry: {last_exc}")
         self.episode_count += 1
-        trace = SignalTrace(np.array(reply["samples"]), reply["rate"], reply["t0"])
         diverged = bool(reply.get("diverged"))
         diverged_at = trace.t0 + len(trace) * trace.dt if diverged else None
         return plant.EpisodeResult(trace=trace, diverged=diverged,
                                    diverged_at=diverged_at)
+
+    def _decode_trace(self, reply: dict) -> SignalTrace:
+        """The reply's trace, from `samples_b64` or a `samples` list (which
+        external simulators that ignore `encoding` send)."""
+        try:
+            if "samples_b64" in reply:
+                raw = base64.b64decode(reply["samples_b64"], validate=True)
+                samples = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            else:
+                samples = np.asarray(reply["samples"], dtype=np.float64)
+            rate = float(reply["rate"])
+            t0 = float(reply["t0"])
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error too
+            raise ProtocolError(f"bad trace payload: {exc}") from exc
+        if not 0 < rate < math.inf or not math.isfinite(t0):
+            raise ProtocolError(f"bad trace payload: rate {rate}, t0 {t0}")
+        if self.scenario is not None:
+            cap = round(self.scenario.horizon * rate) + 1
+            if samples.size > cap:
+                raise ProtocolError(f"trace of {samples.size} samples exceeds "
+                                    f"{cap} (one horizon at {rate} Hz)")
+        if samples.ndim != 1 or not np.all(np.isfinite(samples)):
+            raise ProtocolError("trace samples must be a flat list of finite numbers")
+        return SignalTrace(samples, rate, t0)
 
     def close(self):
         for obj in (self._fh, self._sock):

@@ -292,8 +292,10 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
           run_dir=None, env=None) -> TrainResult:
     """Full training run with best-model tracking and CSV logging.
 
-    run_dir (optional) receives training_log.csv, best.ckpt, last.ckpt and
-    the resolved config snapshot. env defaults to the in-process plant; any
+    run_dir (optional) receives training_log.csv, the resolved config
+    snapshot, and best.ckpt (the latest of the epochs tied at the top mean
+    reward) and last.ckpt, both written once when the run ends, provided an
+    epoch finished. env defaults to the in-process plant; any
     object with run_episode(kp, seed) -> EpisodeResult works (e.g. the
     remote protocol adapter).
     """
@@ -336,17 +338,18 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
             if log_fh is not None:
                 log_fh.write(stats.csv_row() + "\n")
                 log_fh.flush()
-            if stats.mean_reward > best_reward:
+            # among epochs tied at the top reward, keep the latest: ties are
+            # common once every clamped action lands on kp_min
+            if stats.mean_reward >= best_reward:
                 best_reward = stats.mean_reward
                 best_params = params.copy()
-                if run_dir is not None:
-                    pol.save_checkpoint(best_params, run_dir / "best.ckpt")
-            if run_dir is not None:
-                pol.save_checkpoint(params, run_dir / "last.ckpt")
     finally:
         if log_fh is not None:
             log_fh.flush()
             log_fh.close()
+        if run_dir is not None and stats_rows:
+            pol.save_checkpoint(best_params, run_dir / "best.ckpt")
+            pol.save_checkpoint(params, run_dir / "last.ckpt")
         if own_env:
             env.close()
 

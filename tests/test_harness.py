@@ -1,14 +1,20 @@
+import base64
 import json
 import socket
+import socketserver
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sscirl import cli, plant, sigproc, trainer
-from sscirl.envproto import EnvServer, ProtocolError, RemoteEnv
+from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
+                             RemoteEnv, ServerError)
 
 SCN = plant.PlantScenario()
+# reaches the divergence bound soon after the gain is mistuned
+DIVERGING = {"zeta_stable": 0.05, "diverge_threshold": 20.0}
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +224,39 @@ class TestProtocol:
         assert np.array_equal(np.array(reply["samples"]), local.trace.samples)
         assert reply["diverged"] == local.diverged
 
+    @pytest.mark.parametrize("kp, overrides", [
+        (2.0, {}), (SCN.kp_unstable, {}), (SCN.kp_unstable, DIVERGING)],
+        ids=["normal", "kp_unstable", "diverged"])
+    def test_run_episode_f64le_matches_local(self, conn, kp, overrides):
+        scn = replace(SCN, **overrides)
+        local = plant.run_episode(scn, plant.GainAction(kp), seed=5)
+        assert conn.send(id=1, kind="reset", scenario=overrides)["kind"] == "ok"
+        reply = conn.send(id=2, kind="run_episode", kp=kp, seed=5, encoding="f64le")
+        assert reply["kind"] == "trace" and "samples" not in reply
+        remote = np.frombuffer(base64.b64decode(reply["samples_b64"]), dtype="<f8")
+        assert remote.tobytes() == local.trace.samples.astype("<f8").tobytes()
+        assert reply["diverged"] == local.diverged == (overrides == DIVERGING)
+        # a diverged trace is truncated, the others span the horizon
+        assert (len(remote) < round(scn.horizon / scn.sim_dt)) == local.diverged
+
+    def test_run_episode_unknown_encoding(self, conn):
+        reply = conn.send(id=1, kind="run_episode", kp=2.0, seed=0, encoding="bogus")
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert "bogus" in reply["message"]
+
+    def test_request_line_at_cap_is_served(self, conn):
+        line = json.dumps({"id": 1, "kind": "reset"})
+        reply = conn.send_raw(line + " " * (MAX_REQUEST_BYTES - 1 - len(line)))
+        assert reply["kind"] == "ok"
+
+    def test_request_line_over_cap_closes_connection(self, conn):
+        # one byte over the cap, and no newline: the server stops reading
+        conn.sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+        reply = json.loads(conn.fh.readline())
+        assert reply["kind"] == "error" and reply["code"] == "parse"
+        assert f"exceeds {MAX_REQUEST_BYTES} bytes" in reply["message"]
+        assert conn.fh.readline() == ""
+
     def test_unknown_kind_keeps_connection(self, conn):
         reply = conn.send(id=1, kind="bogus")
         assert reply["kind"] == "error" and reply["code"] == "unknown_kind"
@@ -299,6 +338,18 @@ class TestRemoteEnv:
         assert remote.trace.sample_rate == local.trace.sample_rate
         assert env.episode_count == 1
 
+    def test_diverged_episode_matches_local(self, server):
+        scn = replace(SCN, **DIVERGING)
+        env = RemoteEnv(*server.address, scenario=scn)
+        try:
+            remote = env.run_episode(scn.kp_unstable, 5)
+        finally:
+            env.close()
+        local = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=5)
+        assert remote.diverged and local.diverged
+        assert np.array_equal(remote.trace.samples, local.trace.samples)
+        assert remote.diverged_at == local.diverged_at
+
     def test_server_down_raises(self):
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
@@ -325,3 +376,139 @@ class TestRemoteEnv:
         env.close()
         assert (d_local / "training_log.csv").read_bytes() == \
                (d_remote / "training_log.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the client against canned replies
+
+class _StubHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        self.server.connections += 1
+        for raw in self.rfile:
+            msg = json.loads(raw)
+            self.server.requests.append(msg)
+            canned = self.server.canned
+            if msg["kind"] != "run_episode":
+                line = json.dumps({"id": msg["id"], "kind": "ok", "payload": {}})
+            elif isinstance(canned, str):
+                line = canned
+            else:
+                line = json.dumps({"id": msg["id"], **canned})
+            self.wfile.write((line + "\n").encode())
+
+
+class StubSimulator(socketserver.ThreadingTCPServer):
+    """An external simulator that acknowledges every request and answers
+    each `run_episode` with one canned reply (fields, or a raw line),
+    recording what it receives."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, canned):
+        super().__init__(("127.0.0.1", 0), _StubHandler)
+        self.canned = canned
+        self.connections = 0
+        self.requests = []
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+
+
+@pytest.fixture
+def stub():
+    servers = []
+
+    def start(line=None, **canned):
+        servers.append(StubSimulator(canned if line is None else line))
+        return servers[-1]
+
+    yield start
+    for srv in servers:
+        srv.shutdown()
+        srv.server_close()
+
+
+def f64le(samples):
+    return base64.b64encode(np.asarray(samples, dtype="<f8").tobytes()).decode()
+
+
+TRACE = {"kind": "trace", "rate": SCN.sample_rate, "t0": 0.0, "diverged": False}
+N_TOTAL = round(SCN.horizon / SCN.sim_dt)
+
+
+class TestRemoteEnvPayloads:
+    def test_decodes_json_list_from_external_simulator(self, stub):
+        # a simulator that ignores `encoding` and sends a float list
+        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        srv = stub(**TRACE, samples=local.trace.samples.tolist())
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            result = env.run_episode(2.0, 5)
+        finally:
+            env.close()
+        assert np.array_equal(result.trace.samples, local.trace.samples)
+        assert srv.requests[-1]["encoding"] == "f64le"
+        assert srv.connections == 1
+
+    def test_decoded_samples_are_writable_float64(self, stub):
+        srv = stub(**TRACE, samples_b64=f64le([1.0, 2.0, 3.0]))
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            samples = env.run_episode(2.0, 5).trace.samples
+        finally:
+            env.close()
+        assert samples.dtype == np.float64 and samples.flags.writeable
+        assert samples.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("payload", [
+        {"id": 99},
+        {"samples_b64": "not base64!"},
+        {"samples_b64": base64.b64encode(bytes(12)).decode()},
+        {"samples_b64": f64le(np.zeros(N_TOTAL + 2))},
+        {"samples_b64": f64le([1.0, float("nan"), 1.0])},
+        {"samples": [1.0, float("inf"), 1.0]},
+        {"samples": [1.0, "x"]},
+        {},
+    ], ids=["id_mismatch", "bad_base64", "partial_float", "over_horizon", "nan_f64le",
+            "inf_json", "not_numbers", "no_samples"])
+    def test_bad_payload_retried_then_raises(self, stub, payload):
+        srv = stub(**TRACE, **payload)
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            with pytest.raises(ProtocolError, match="after retry") as err:
+                env.run_episode(2.0, 5)
+        finally:
+            env.close()
+        assert not isinstance(err.value, ServerError)
+        # a bad payload is a transport failure: one retry on a new connection
+        assert srv.connections == 2
+        assert env.episode_count == 0
+
+    def test_non_object_reply_retried_then_raises(self, stub):
+        srv = stub("[1.0, 2.0]")
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            with pytest.raises(ProtocolError, match="not a JSON object"):
+                env.run_episode(2.0, 5)
+        finally:
+            env.close()
+        assert srv.connections == 2
+
+    def test_one_horizon_accepted(self, stub):
+        srv = stub(**TRACE, samples_b64=f64le(np.zeros(N_TOTAL + 1)))
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            assert len(env.run_episode(2.0, 5).trace) == N_TOTAL + 1
+        finally:
+            env.close()
+
+    def test_error_reply_not_retried(self, stub):
+        srv = stub(kind="error", code="bounds", message="kp 9.0 outside [0.5, 4.0]")
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            with pytest.raises(ServerError, match=r"\[bounds\]") as err:
+                env.run_episode(9.0, 5)
+        finally:
+            env.close()
+        assert err.value.code == "bounds"
+        assert srv.connections == 1
+        assert [m["kind"] for m in srv.requests] == ["reset", "run_episode"]

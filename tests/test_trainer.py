@@ -180,6 +180,60 @@ class TestTrain:
                                   result.best_params.tensors[name])
         pol.load_checkpoint(tmp_path / "last.ckpt", cfg.d_obs, cfg.hidden_size)
 
+    def test_best_is_latest_among_tied_epochs(self, tmp_path, monkeypatch):
+        rewards = iter([-3.0, -1.0, -2.0, -1.0, -1.5])
+        real = trainer.run_epoch
+
+        def scripted(*args):
+            params, stats, records = real(*args)
+            return params, replace(stats, mean_reward=next(rewards)), records
+
+        monkeypatch.setattr(trainer, "run_epoch", scripted)
+        result = train(SCN, small_config(), run_dir=tmp_path)
+        assert result.best_reward == -1.0
+        # one Adam step per epoch: epoch 4 ties epoch 2 and wins
+        assert result.best_params.step_count == 4
+        best = pol.load_checkpoint(tmp_path / "best.ckpt")
+        assert best.step_count == 4
+
+    def test_best_checkpoint_acts_at_optimum_on_tied_seed(self):
+        # at this seed 68+ epochs tie at the top reward; the first of them
+        # acted at 2.17, the latest clamps to the most-damped gain kp_min
+        cfg = TrainConfig(seed=4246685796)
+        result = train(SCN, cfg)
+        mu = pol.forward(result.best_params, canonical_observation(SCN, cfg)).mu
+        assert clamp(mu, cfg.kp_min, cfg.kp_max) == cfg.kp_min
+
+    @pytest.mark.parametrize("fail_at", [None, 0, 3])
+    def test_checkpoints_written_once_per_run(self, tmp_path, monkeypatch, fail_at):
+        # best.ckpt and last.ckpt are written once, when the run ends, also
+        # when a later epoch raised; nothing is written if no epoch finished
+        saved = []
+        real = trainer.run_epoch
+
+        def failing(params, env, scenario, config, rng, cache, obs_trace,
+                    epoch, worst):
+            if epoch == fail_at:
+                raise RuntimeError("simulator lost")
+            return real(params, env, scenario, config, rng, cache, obs_trace,
+                        epoch, worst)
+
+        monkeypatch.setattr(trainer, "run_epoch", failing)
+        monkeypatch.setattr(pol, "save_checkpoint", lambda params, path:
+                            saved.append((path.name, params.step_count)))
+        cfg = small_config(n_epoch=6)
+        if fail_at is None:
+            train(SCN, cfg, run_dir=tmp_path)
+        else:
+            with pytest.raises(RuntimeError, match="simulator lost"):
+                train(SCN, cfg, run_dir=tmp_path)
+        finished = cfg.n_epoch if fail_at is None else fail_at
+        if finished:
+            assert [name for name, _ in saved] == ["best.ckpt", "last.ckpt"]
+            assert saved[1][1] == finished  # one Adam step per epoch
+        else:
+            assert saved == []
+
     def test_config_snapshot_roundtrip(self, tmp_path):
         cfg = small_config(kp_max=3.5)
         scn = plant.PlantScenario(f_osc=47.0)
