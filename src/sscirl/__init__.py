@@ -3,7 +3,8 @@
 Subpackages: sigproc (signal conditioning + oscillation energy), plant
 (surrogate resonant grid model), policy (Gaussian MLP with hand-derived
 gradients), trainer (episodic policy-gradient loop with gain-bucket
-caching), envproto (socket protocol for external simulators), cli.
+caching), config (TrainConfig and the flat key = value run
+configuration), envproto (socket protocol for external simulators), cli.
 """
 
 # one episode kernel, in plant on scipy.signal.lfilter; the benchmark

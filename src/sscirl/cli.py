@@ -9,24 +9,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 from . import plant, policy, sigproc, trainer
+from .config import KEYS, ConfigError, resolve, write
 from .envproto import EnvServer, RemoteEnv, ProtocolError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BAD_CONFIG = 2
 
-_SCENARIO_KEYS = tuple(f.name for f in fields(plant.PlantScenario))
-_TRAIN_KEYS = tuple(f.name for f in fields(trainer.TrainConfig))
 _ALIASES = {"epochs": "n_epoch", "iters": "n_iter"}
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key = value config file")
-    pairs = [(key, key) for key in _SCENARIO_KEYS + _TRAIN_KEYS]
+    pairs = [(key, key) for key in KEYS]
     pairs += list(_ALIASES.items())
     for flag, target in pairs:
         try:
@@ -38,34 +36,15 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def load_run_config(args) -> tuple[plant.PlantScenario, trainer.TrainConfig]:
-    """Resolve config file plus CLI overrides into the two config objects."""
-    raw: dict[str, str] = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            print(f"config not found: {path}", file=sys.stderr)
-            sys.exit(EXIT_BAD_CONFIG)
-        try:
-            raw = plant.parse_kv_file(path, plant.PlantScenario,
-                                      allow_extra=_TRAIN_KEYS)
-        except plant.PlantError as exc:
-            print(str(exc), file=sys.stderr)
-            sys.exit(EXIT_BAD_CONFIG)
-    for key in _SCENARIO_KEYS + _TRAIN_KEYS:
-        value = getattr(args, f"ov_{key}", None)
-        if value is not None:
-            raw[key] = value
+    """Resolve config file plus CLI overrides into the two config objects;
+    a bad config exits 2 with a message naming the field."""
+    overrides = {key: value for key in KEYS
+                 if (value := getattr(args, f"ov_{key}", None)) is not None}
     try:
-        scen_raw = {k: v for k, v in raw.items() if k in _SCENARIO_KEYS}
-        cfg_raw = {k: v for k, v in raw.items() if k in _TRAIN_KEYS}
-        scenario = plant.PlantScenario(
-            **plant.coerce_fields(plant.PlantScenario, scen_raw))
-        config = trainer.TrainConfig(
-            **plant.coerce_fields(trainer.TrainConfig, cfg_raw))
-    except (ValueError, plant.PlantError) as exc:
+        return resolve(args.config, overrides)
+    except ConfigError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
-    return scenario, config
 
 
 def _make_env(spec: str, scenario: plant.PlantScenario):
@@ -108,9 +87,7 @@ def cmd_evaluate(args) -> int:
                               mitigate=not args.no_mitigation)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.txt", "w") as fh:
-        for key, value in report.as_dict().items():
-            fh.write(f"{key} = {value!r}\n")
+    write(out / "report.txt", report.as_dict())
     sigproc.write_trace_csv(report.trace, out / "episode.csv")
     for key, value in report.as_dict().items():
         print(f"{key} = {value!r}")
@@ -128,8 +105,7 @@ def cmd_simulate(args) -> int:
     sigproc.write_trace_csv(filtered, out / "filtered.csv")
     sigproc.write_trace_csv(observed, out / "decimated.csv")
     if result.diverged:
-        with open(out / "diverged.txt", "w") as fh:
-            fh.write(f"diverged_at = {result.diverged_at!r}\n")
+        write(out / "diverged.txt", {"diverged_at": result.diverged_at})
         print(f"warning: trace truncated, state diverged at "
               f"{result.diverged_at:.4f} s")
     print(f"wrote raw/filtered/decimated CSVs to {out}")

@@ -1,0 +1,189 @@
+"""The flat `key = value` run configuration.
+
+One file covers the plant scenario and the training settings: one
+`key = value` per line, `#` starts a comment, every key is a field of
+`plant.PlantScenario` or `TrainConfig`, and values are Python literals as
+`repr` writes them. Each value is typed by its field's default: bool
+(1/true/yes/on or 0/false/no/off, any case), int, float or str (quotes
+optional). This module alone reads, writes and types the format; `validate`
+checks that a scenario and a training configuration can run together.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields
+
+from . import sigproc
+from .plant import PlantScenario
+
+
+class ConfigError(ValueError):
+    """A configuration that cannot be used; the message names the field."""
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    n_epoch: int = 200
+    n_iter: int = 8
+    lr: float = 1e-3
+    seed: int = 0
+    kp_min: float = 0.5
+    kp_max: float = 4.0
+    cache_resolution: float = 0.05
+    obs_window: float = 0.4
+    d_obs: int = 30
+    hidden_size: int = 64
+    bandpass_low: float = 15.0
+    bandpass_high: float = 55.0
+    bandpass_order: int = 4
+    target_rate: float = 100.0
+    t_reward: float = 2.0
+    filter_stage: str = sigproc.PRE_DECIMATION
+    baseline_enabled: bool = False
+    cache_enabled: bool = True
+
+    def __post_init__(self):
+        if self.n_epoch < 1 or self.n_iter < 1:
+            raise ValueError("n_epoch and n_iter must be >= 1")
+        if not (self.kp_min < self.kp_max):
+            raise ValueError("need kp_min < kp_max")
+        if self.cache_resolution <= 0:
+            raise ValueError("cache_resolution must be positive")
+        if self.filter_stage not in sigproc.FILTER_STAGES:
+            raise ValueError(f"filter_stage must be one of {sigproc.FILTER_STAGES}, "
+                             f"got {self.filter_stage!r}")
+
+    @property
+    def bandpass_spec(self) -> sigproc.BandpassSpec:
+        return sigproc.BandpassSpec(self.bandpass_low, self.bandpass_high,
+                                    self.bandpass_order)
+
+
+SCENARIO_KEYS = tuple(f.name for f in fields(PlantScenario))
+KEYS = SCENARIO_KEYS + tuple(f.name for f in fields(TrainConfig))
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def read(path) -> dict[str, str]:
+    """The file's values as text by key; a line that is not `key = value`
+    or names an unknown key is an error citing path:line."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"config not found: {path}") from None
+    raw = {}
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, eq, value = text.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {text!r}")
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        raw[key] = value.strip()
+    return raw
+
+
+def write(path, *parts) -> None:
+    """Write `key = repr(value)` lines: a dataclass part field by field, a
+    mapping item by item, and a str part as a `#` comment line."""
+    with open(path, "w") as fh:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(f"# {part}\n")
+                continue
+            mapping = part if isinstance(part, Mapping) else asdict(part)
+            for key, value in mapping.items():
+                fh.write(f"{key} = {value!r}\n")
+
+
+def coerce(cls, raw: Mapping) -> dict:
+    """Type raw values (text, or JSON scalars) by the defaults of the
+    dataclass cls's fields. An unknown key, or a value its field's type
+    does not take (a float must be finite), is an error naming the key."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    typed = {}
+    for key, value in raw.items():
+        if key not in kinds:
+            raise ConfigError(f"unknown key {key!r}")
+        kind, text = kinds[key], str(value).strip()
+        if kind is str:
+            quoted = len(text) >= 2 and text[0] == text[-1] and text[0] in "'\""
+            typed[key] = text[1:-1] if quoted else text
+            continue
+        try:
+            typed[key] = _BOOLS[text.lower()] if kind is bool else kind(text)
+            ok = kind is not float or math.isfinite(typed[key])
+        except (KeyError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}")
+    return typed
+
+
+def resolve(path=None, overrides: Mapping = {}) -> tuple[PlantScenario, TrainConfig]:
+    """The scenario and training configuration of a file (the defaults
+    without one) with overrides applied, checked by `validate`."""
+    raw = {**(read(path) if path is not None else {}), **overrides}
+    scenario = _build(PlantScenario, {k: v for k, v in raw.items() if k in SCENARIO_KEYS})
+    # keys of neither dataclass fall to TrainConfig's coercion, which rejects them
+    config = _build(TrainConfig, {k: v for k, v in raw.items() if k not in SCENARIO_KEYS})
+    validate(scenario, config)
+    return scenario, config
+
+
+def _build(cls, raw: Mapping):
+    typed = coerce(cls, raw)
+    try:
+        return cls(**typed)
+    except ValueError as exc:  # PlantError, sigproc.TraceError
+        raise ConfigError(str(exc)) from exc
+
+
+def _named(key: str, check, *args) -> None:
+    """Run a sigproc check, naming key in the ConfigError it raises."""
+    try:
+        check(*args)
+    except sigproc.TraceError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def validate(scenario: PlantScenario, config: TrainConfig) -> None:
+    """Raise ConfigError, naming the fields, unless a training of config
+    on scenario can run to its end: finite values, a non-negative seed, a
+    positive learning rate and network, a target rate dividing the native
+    rate, a band-pass the native rate can carry (pre-decimation), an
+    observation window inside the observation region, and a reward window
+    inside the horizon."""
+    for part in (scenario, config):
+        for key, value in asdict(part).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+    for key, least in (("seed", 0), ("hidden_size", 1), ("d_obs", 1)):
+        if getattr(config, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
+    if not config.lr > 0:
+        raise ConfigError(f"lr must be positive, got {config.lr}")
+    _named("target_rate", sigproc.decimation_factor, scenario.sample_rate,
+           config.target_rate)
+    _named("bandpass_low, bandpass_high or bandpass_order", sigproc.BandpassSpec,
+           config.bandpass_low, config.bandpass_high, config.bandpass_order)
+    if config.filter_stage == sigproc.PRE_DECIMATION:
+        _named("bandpass_high", sigproc.design_bandpass, config.bandpass_spec,
+               scenario.sample_rate)
+    if not (config.d_obs / config.target_rate <= config.obs_window
+            <= scenario.act_time):
+        raise ConfigError(
+            f"need d_obs / target_rate <= obs_window <= act_time, got "
+            f"{config.d_obs} / {config.target_rate}, {config.obs_window} "
+            f"and {scenario.act_time}")
+    # episode_reward allows the same 1e-9 s
+    if scenario.act_time + config.t_reward > scenario.horizon + 1e-9:
+        raise ConfigError(f"need act_time + t_reward <= horizon, got "
+                          f"{scenario.act_time} + {config.t_reward} > {scenario.horizon}")

@@ -20,6 +20,12 @@ response. Grammar:
               | "samples_b64": S          encoding "f64le": base64 (RFC 4648)
                                           of the little-endian float64 bytes
 
+A reset's scenario values are typed by `config.coerce`, as in a config
+file (so "48" is 48.0); an unknown field or a value its field does not
+take gets code "args" naming the field. The episode the reset asks for
+may hold at most as many samples, round(horizon / sim_dt), as the served
+scenario's; a longer one gets "args" and the session keeps its scenario.
+
 Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is
 bit-identical to a local one at the same seed either way. A request line
@@ -40,6 +46,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import plant
+from .config import coerce
 from .sigproc import SignalTrace
 
 
@@ -96,9 +103,15 @@ class _Session:
         kind = msg["kind"]
         try:
             if kind == "reset":
-                overrides = msg.get("scenario", {})
-                scenario = replace(self.base_scenario, **overrides) \
-                    if overrides else self.base_scenario
+                overrides = msg.get("scenario") or {}
+                if not isinstance(overrides, dict):
+                    raise TypeError("scenario must be an object of field: value")
+                scenario = replace(self.base_scenario,
+                                   **coerce(plant.PlantScenario, overrides))
+                cap = self.base_scenario.n_samples
+                if scenario.n_samples > cap:
+                    return _error(rid, "args", f"episode of {scenario.n_samples} "
+                                               f"samples exceeds the served {cap}")
                 self._reset(scenario, msg.get("seed"))
                 return _ok(rid, {"t": self.state.t})
             if kind == "set_gain":
@@ -109,7 +122,7 @@ class _Session:
                 return _ok(rid, {"active_kp": kp})
             if kind == "step":
                 n = int(msg["n_steps"])
-                cap = round(self.scenario.horizon / self.scenario.sim_dt)
+                cap = self.scenario.n_samples
                 if not 1 <= n <= cap:
                     return _error(rid, "args",
                                   f"n_steps must be in [1, {cap}] (one horizon)")

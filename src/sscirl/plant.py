@@ -11,7 +11,7 @@ mistuned gain at mistune_time, the commanded gain at act_time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -84,6 +84,11 @@ class PlantScenario:
     @property
     def sample_rate(self) -> float:
         return 1.0 / self.sim_dt
+
+    @property
+    def n_samples(self) -> int:
+        """Samples in one episode: round(horizon / sim_dt)."""
+        return int(round(self.horizon / self.sim_dt))
 
 
 @dataclass
@@ -337,7 +342,7 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     sample and the flag is set.
     """
     dt = scenario.sim_dt
-    n_total = int(round(scenario.horizon / dt))
+    n_total = scenario.n_samples
     k_mistune = int(round(scenario.mistune_time / dt))
     k_act = int(round(scenario.act_time / dt))
 
@@ -365,61 +370,3 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     return EpisodeResult(trace=trace, diverged=bool(diverged),
                          diverged_at=(n_valid * dt) if diverged else None,
                          final_state=np.array([x, v]))
-
-
-# ---------------------------------------------------------------------------
-# scenario files: flat key = value text
-
-def load_scenario(path) -> PlantScenario:
-    """Parse a key = value scenario file; unknown keys are an error."""
-    raw = parse_kv_file(path, PlantScenario)
-    return PlantScenario(**coerce_fields(PlantScenario, raw))
-
-
-def parse_kv_file(path, dataclass_type, allow_extra: tuple[str, ...] = ()) -> dict:
-    """Read `key = value` lines (# comments) typed against a dataclass."""
-    known = {f.name: f.type for f in fields(dataclass_type)}
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PlantError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in known and key not in allow_extra:
-                raise PlantError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
-    return out
-
-
-def save_scenario(scenario: PlantScenario, path) -> None:
-    with open(path, "w") as fh:
-        for f in fields(scenario):
-            fh.write(f"{f.name} = {getattr(scenario, f.name)!r}\n")
-
-
-def coerce_fields(dataclass_type, raw: dict) -> dict:
-    """Convert string values from a kv file to the dataclass field types."""
-    typed = {}
-    by_name = {f.name: f for f in fields(dataclass_type)}
-    for key, value in raw.items():
-        if key not in by_name:
-            continue
-        default = by_name[key].default
-        if isinstance(default, bool):
-            typed[key] = str(value).lower() in ("1", "true", "yes", "on")
-        elif isinstance(default, int):
-            typed[key] = int(value)
-        elif isinstance(default, float):
-            typed[key] = float(value)
-        elif isinstance(default, str):
-            text = str(value)
-            if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-                text = text[1:-1]
-            typed[key] = text
-        else:
-            typed[key] = value
-    return typed

@@ -102,10 +102,12 @@ class PolicyOutput:
 
 @dataclass
 class SampledAction:
-    """Pre-clamp action sample with its log-probability and stored noise."""
+    """Pre-clamp action sample with its log-probability, the policy's
+    variance and the stored noise."""
 
     a: float
     log_prob: float
+    var: float
     epsilon: float
 
 
@@ -158,7 +160,7 @@ def sample(params: PolicyParameters, obs,
     out = forward(params, obs)
     eps = float(rng.standard_normal())
     a = out.mu + math.sqrt(out.var) * eps
-    return SampledAction(a, gaussian_log_prob(a, out.mu, out.var), eps)
+    return SampledAction(a, gaussian_log_prob(a, out.mu, out.var), out.var, eps)
 
 
 def log_prob(params: PolicyParameters, obs, a: float) -> float:

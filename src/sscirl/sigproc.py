@@ -121,6 +121,20 @@ def _anti_alias(sample_rate: float, target_rate: float) -> tuple:
     return sos, _read_only(signal.sosfilt_zi(sos))
 
 
+def decimation_factor(sample_rate: float, target_rate: float) -> int:
+    """The integer factor from sample_rate down to target_rate; TraceError
+    unless target_rate is positive and divides sample_rate."""
+    if not (target_rate > 0):
+        raise TraceError(f"target_rate must be positive, got {target_rate}")
+    factor = sample_rate / target_rate
+    if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
+        raise TraceError(
+            f"incompatible rates: {sample_rate} Hz is not an integer "
+            f"multiple of {target_rate} Hz"
+        )
+    return int(round(factor))
+
+
 def downsample(trace: SignalTrace, target_rate: float) -> SignalTrace:
     """Decimate to target_rate after an anti-aliasing low-pass.
 
@@ -130,15 +144,7 @@ def downsample(trace: SignalTrace, target_rate: float) -> SignalTrace:
     transient).
     """
     trace._require_nonempty("downsample")
-    if not (target_rate > 0):
-        raise TraceError(f"target_rate must be positive, got {target_rate}")
-    factor = trace.sample_rate / target_rate
-    if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
-        raise TraceError(
-            f"incompatible rates: {trace.sample_rate} Hz is not an integer "
-            f"multiple of {target_rate} Hz"
-        )
-    factor = int(round(factor))
+    factor = decimation_factor(trace.sample_rate, target_rate)
     if factor == 1:
         return SignalTrace(trace.samples.copy(), trace.sample_rate, trace.t0)
 

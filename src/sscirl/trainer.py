@@ -11,56 +11,19 @@ gradient-ascent Adam step on the weighted log-probability objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import policy as pol
 from . import plant, sigproc
+from .config import TrainConfig, validate, write
 
 LOG_HEADER = ("epoch,mean_reward,min_reward,max_reward,mean_action,"
               "mean_var,cache_hit_rate,clamp_rate")
 
 DIVERGENCE_PENALTY_FLOOR = -1e6
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    n_epoch: int = 200
-    n_iter: int = 8
-    lr: float = 1e-3
-    seed: int = 0
-    kp_min: float = 0.5
-    kp_max: float = 4.0
-    cache_resolution: float = 0.05
-    obs_window: float = 0.4
-    d_obs: int = 30
-    hidden_size: int = 64
-    bandpass_low: float = 15.0
-    bandpass_high: float = 55.0
-    bandpass_order: int = 4
-    target_rate: float = 100.0
-    t_reward: float = 2.0
-    filter_stage: str = sigproc.PRE_DECIMATION
-    baseline_enabled: bool = False
-    cache_enabled: bool = True
-
-    def __post_init__(self):
-        if self.n_epoch < 1 or self.n_iter < 1:
-            raise ValueError("n_epoch and n_iter must be >= 1")
-        if not (self.kp_min < self.kp_max):
-            raise ValueError("need kp_min < kp_max")
-        if self.cache_resolution <= 0:
-            raise ValueError("cache_resolution must be positive")
-        if self.filter_stage not in sigproc.FILTER_STAGES:
-            raise ValueError(f"filter_stage must be one of {sigproc.FILTER_STAGES}, "
-                             f"got {self.filter_stage!r}")
-
-    @property
-    def bandpass_spec(self) -> sigproc.BandpassSpec:
-        return sigproc.BandpassSpec(self.bandpass_low, self.bandpass_high,
-                                    self.bandpass_order)
 
 
 @dataclass
@@ -193,11 +156,8 @@ def run_iteration(params: pol.PolicyParameters, env, scenario, config: TrainConf
     start = rng.uniform(lo, hi)
     obs = sigproc.extract_window(obs_trace, start, config.d_obs)
 
-    out = pol.forward(params, obs)
-    eps = float(rng.standard_normal())
-    action_raw = out.mu + math.sqrt(out.var) * eps
-    log_prob = pol.gaussian_log_prob(action_raw, out.mu, out.var)
-    applied = clamp(action_raw, config.kp_min, config.kp_max)
+    action = pol.sample(params, obs, rng)
+    applied = clamp(action.a, config.kp_min, config.kp_max)
 
     cached = False
     entry = cache.lookup(applied) if config.cache_enabled else None
@@ -212,8 +172,8 @@ def run_iteration(params: pol.PolicyParameters, env, scenario, config: TrainConf
         if config.cache_enabled:
             cache.store(applied, reward)
 
-    return EpisodeRecord(obs, action_raw, applied, log_prob, reward,
-                         out.var, cached)
+    return EpisodeRecord(obs, action.a, applied, action.log_prob, reward,
+                         action.var, cached)
 
 
 def divergence_penalty(worst_reward: float | None) -> float:
@@ -297,8 +257,10 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     reward) and last.ckpt, both written once when the run ends, provided an
     epoch finished. env defaults to the in-process plant; any
     object with run_episode(kp, seed) -> EpisodeResult works (e.g. the
-    remote protocol adapter).
+    remote protocol adapter). The pair is checked by config.validate before
+    anything runs or is written.
     """
+    validate(scenario, config)
     own_env = env is None
     if env is None:
         env = LocalPlantEnv(scenario)
@@ -307,7 +269,7 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     log_fh = None
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
-        write_config_snapshot(run_dir / "config.cfg", scenario, config)
+        write(run_dir / "config.cfg", "resolved run configuration", scenario, config)
         log_fh = open(run_dir / "training_log.csv", "w")
         log_fh.write(LOG_HEADER + "\n")
         log_fh.flush()
@@ -356,26 +318,6 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     episodes = getattr(env, "episode_count", -1)
     return TrainResult(best_params, params, best_reward, stats_rows, run_dir,
                        cache, episodes)
-
-
-def write_config_snapshot(path, scenario: plant.PlantScenario,
-                          config: TrainConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write("# resolved run configuration\n")
-        for f in fields(scenario):
-            fh.write(f"{f.name} = {getattr(scenario, f.name)!r}\n")
-        for f in fields(config):
-            fh.write(f"{f.name} = {getattr(config, f.name)!r}\n")
-
-
-def load_config_snapshot(path) -> tuple[plant.PlantScenario, TrainConfig]:
-    scen_keys = {f.name for f in fields(plant.PlantScenario)}
-    cfg_keys = {f.name for f in fields(TrainConfig)}
-    raw = plant.parse_kv_file(path, plant.PlantScenario, allow_extra=tuple(cfg_keys))
-    scen = {k: v for k, v in raw.items() if k in scen_keys}
-    cfg = {k: v for k, v in raw.items() if k in cfg_keys}
-    return (plant.PlantScenario(**plant.coerce_fields(plant.PlantScenario, scen)),
-            TrainConfig(**plant.coerce_fields(TrainConfig, cfg)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,203 @@
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sscirl import config, trainer
+from sscirl.config import ConfigError, TrainConfig
+from sscirl.plant import PlantScenario
+
+SCN = PlantScenario()
+
+
+class TestScenarioFiles:
+    def test_roundtrip(self, tmp_path):
+        scn = PlantScenario(f_osc=47.0, kp_crit=2.8, horizon=8.0)
+        path = tmp_path / "scenario.cfg"
+        config.write(path, scn)
+        assert config.resolve(path) == (scn, TrainConfig())
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("f_osc = 48\nbogus_key = 1\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: unknown key 'bogus_key'"):
+            config.read(path)
+
+    def test_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("# comment\n\nf_osc = 47.5  # trailing\n")
+        assert config.read(path) == {"f_osc": "47.5"}
+        assert config.resolve(path)[0].f_osc == 47.5
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("f_osc = 48\n\nf_osc 47\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:3: expected key = value"):
+            config.read(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config not found"):
+            config.read(tmp_path / "nope.cfg")
+
+
+class TestTrainSnapshot:
+    def test_config_snapshot_roundtrip(self, tmp_path):
+        cfg = TrainConfig(n_epoch=5, n_iter=4, seed=3, kp_max=3.5)
+        scn = PlantScenario(f_osc=47.0)
+        trainer.train(scn, cfg, run_dir=tmp_path)
+        text = (tmp_path / "config.cfg").read_text()
+        assert text.startswith("# resolved run configuration\n")
+        assert "filter_stage = 'pre_decimation'\n" in text
+        assert config.resolve(tmp_path / "config.cfg") == (scn, cfg)
+
+    def test_mapping_part(self, tmp_path):
+        path = tmp_path / "report.txt"
+        config.write(path, {"diverged_at": 1.25, "ok": True})
+        assert path.read_text() == "diverged_at = 1.25\nok = True\n"
+
+
+# ---------------------------------------------------------------------------
+# write -> read -> resolve on random valid pairs
+
+def _finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_pairs(draw):
+    kp_stable = draw(_finite(-5.0, 5.0))
+    kp_crit = kp_stable + draw(_finite(1e-3, 3.0))
+    kp_unstable = kp_crit + draw(_finite(1e-3, 3.0))
+    mistune_time = draw(_finite(0.0, 5.0))
+    act_time = mistune_time + draw(_finite(1e-2, 5.0))
+    t_reward = draw(_finite(1e-2, 5.0))
+    sim_dt = draw(_finite(1e-4, 1e-2))
+    scenario = PlantScenario(
+        f_osc=draw(_finite(1.0, 200.0)), kp_stable=kp_stable,
+        kp_unstable=kp_unstable, kp_crit=kp_crit,
+        zeta_stable=draw(_finite(1e-4, 1.0)), p_nom=draw(_finite(-10.0, 10.0)),
+        sim_dt=sim_dt, horizon=act_time + t_reward + draw(_finite(0.0, 5.0)),
+        mistune_time=mistune_time, act_time=act_time,
+        noise_std=draw(_finite(0.0, 1.0)), disturbance_amp=draw(_finite(0.0, 1.0)),
+        diverge_threshold=draw(_finite(1.0, 1e12)))
+
+    target_rate = scenario.sample_rate / draw(st.integers(1, 20))
+    d_obs = draw(st.integers(1, 60))
+    lo = d_obs / target_rate
+    assume(lo <= act_time)
+    stage = draw(st.sampled_from(["pre_decimation", "post_decimation"]))
+    top = 0.5 * scenario.sample_rate if stage == "pre_decimation" else 1e4
+    bandpass_low = draw(_finite(0.1, 0.4 * top))
+    kp_min = draw(_finite(-5.0, 5.0))
+    cfg = TrainConfig(
+        n_epoch=draw(st.integers(1, 10**6)), n_iter=draw(st.integers(1, 1000)),
+        lr=draw(_finite(1e-9, 1.0)), seed=draw(st.integers(0, 2**64)),
+        kp_min=kp_min, kp_max=kp_min + draw(_finite(1e-3, 10.0)),
+        cache_resolution=draw(_finite(1e-6, 1.0)),
+        obs_window=draw(_finite(lo, act_time)),
+        d_obs=d_obs, hidden_size=draw(st.integers(1, 256)),
+        bandpass_low=bandpass_low,
+        bandpass_high=draw(_finite(bandpass_low, top, exclude_min=True,
+                                   exclude_max=True)),
+        bandpass_order=draw(st.sampled_from([2, 4, 6, 8])),
+        target_rate=target_rate, t_reward=t_reward, filter_stage=stage,
+        baseline_enabled=draw(st.booleans()), cache_enabled=draw(st.booleans()))
+    return scenario, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=valid_pairs())
+def test_write_read_resolve_roundtrip(tmp_path_factory, pair):
+    config.validate(*pair)
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    config.write(path, "a header", *pair)
+    assert set(config.read(path)) == set(config.KEYS)
+    assert config.resolve(path) == pair
+
+
+# ---------------------------------------------------------------------------
+# coercion: strict booleans, errors that name the field
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True), ("True", True),
+    ("0", False), ("false", False), ("NO", False), ("Off", False), ("False", False)])
+def test_boolean_spellings(text, value):
+    assert config.coerce(TrainConfig, {"cache_enabled": text}) == {"cache_enabled": value}
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "enabled", "none"])
+def test_other_booleans_rejected(text):
+    with pytest.raises(ConfigError, match="cache_enabled"):
+        config.resolve(overrides={"cache_enabled": text})
+
+
+@pytest.mark.parametrize("key, text", [
+    ("n_epoch", "1e3"), ("seed", "1.5"), ("f_osc", "fast"), ("lr", "nan"),
+    ("horizon", "inf"), ("kp_max", "")])
+def test_bad_literal_names_field(key, text):
+    with pytest.raises(ConfigError, match=f"^{key}: expected"):
+        config.resolve(overrides={key: text})
+
+
+def test_unknown_override_rejected():
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        config.resolve(overrides={"bogus": "1"})
+
+
+def test_constructor_errors_become_config_errors():
+    with pytest.raises(ConfigError, match="kp_min < kp_max"):
+        config.resolve(overrides={"kp_min": "5", "kp_max": "4"})
+    with pytest.raises(ConfigError, match="mistune_time < act_time"):
+        config.resolve(overrides={"mistune_time": "6"})
+
+
+# ---------------------------------------------------------------------------
+# validate: values that used to fail mid-run (or silently) fail up front
+
+UNRUNNABLE = [
+    ("seed", {"seed": -1}),
+    ("hidden_size", {"hidden_size": 0}),
+    ("lr", {"lr": math.nan}),
+    ("lr", {"lr": -1e-3}),
+    ("obs_window", {"d_obs": 50}),
+    ("obs_window", {"obs_window": 6.0}),
+    ("target_rate", {"target_rate": 300.0}),
+    ("bandpass_high", {"bandpass_high": 3000.0}),
+    ("bandpass_order", {"bandpass_order": 3}),
+    ("t_reward", {"t_reward": 9.0}),
+]
+
+
+@pytest.mark.parametrize("key, changes", UNRUNNABLE,
+                         ids=[f"{k}={v}" for _, c in UNRUNNABLE for k, v in c.items()])
+def test_train_rejects_before_first_episode(tmp_path, key, changes):
+    cfg = replace(TrainConfig(n_epoch=1, n_iter=1), **changes)
+    env = trainer.LocalPlantEnv(SCN)
+    with pytest.raises(ConfigError, match=key):
+        trainer.train(SCN, cfg, run_dir=tmp_path / "run", env=env)
+    assert env.episode_count == 0
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, changes", UNRUNNABLE,
+                         ids=[f"{k}={v}" for _, c in UNRUNNABLE for k, v in c.items()])
+def test_resolve_rejects(key, changes):
+    overrides = {k: repr(v) for k, v in changes.items()}
+    with pytest.raises(ConfigError, match=key):
+        config.resolve(overrides=overrides)
+
+
+def test_post_decimation_band_is_not_held_to_native_nyquist():
+    # post_decimation clamps the band at the decimated rate, with a warning
+    cfg = TrainConfig(bandpass_high=3000.0, filter_stage="post_decimation")
+    config.validate(SCN, cfg)
+
+
+def test_defaults_and_edges_accepted():
+    config.validate(SCN, TrainConfig())
+    # window exactly filling the region; reward window ending at the horizon
+    config.validate(SCN, TrainConfig(d_obs=40, obs_window=0.4, t_reward=5.0))
+    config.validate(replace(SCN, sim_dt=1e-3), TrainConfig(target_rate=1000.0,
+                                                           bandpass_high=450.0))

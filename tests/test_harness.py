@@ -3,14 +3,16 @@ import json
 import socket
 import socketserver
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sscirl import cli, plant, sigproc, trainer
+from sscirl import cli, config, plant, sigproc, trainer
 from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
-                             RemoteEnv, ServerError)
+                             RemoteEnv, ServerError, _Session)
 
 SCN = plant.PlantScenario()
 # reaches the divergence bound soon after the gain is mistuned
@@ -33,7 +35,7 @@ class TestTrainCommand:
         lines = (out / "training_log.csv").read_text().splitlines()
         assert lines[0] == trainer.LOG_HEADER
         assert len(lines) == 11
-        scen, cfg = trainer.load_config_snapshot(out / "config.cfg")
+        scen, cfg = config.resolve(out / "config.cfg")
         assert cfg.kp_max == 3.5
         assert scen == SCN
         assert "trained 10 epochs" in capsys.readouterr().out
@@ -53,6 +55,29 @@ class TestTrainCommand:
                      "--kp_min", "5.0", "--kp_max", "4.0"])
         assert exc.value.code == cli.EXIT_BAD_CONFIG
         assert "bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cache_enabled", "ture"), ("--n_epoch", "1e3"), ("--seed", "-1"),
+        ("--hidden_size", "0"), ("--lr", "nan"), ("--d_obs", "50"),
+        ("--target_rate", "300"), ("--bandpass_high", "3000"), ("--t_reward", "9")])
+    def test_unusable_value_exits_2_naming_field(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--out", str(out), "--n_epoch", "1", "--n_iter", "1",
+                     flag, value])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        field = "obs_window" if flag == "--d_obs" else flag[2:]
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_reproduces_run(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["train", "--out", str(first), "--seed", "7",
+                        "--n_epoch", "5", "--n_iter", "4"]) == 0
+        assert run_cli(["train", "--out", str(second),
+                        "--config", str(first / "config.cfg")]) == 0
+        for name in ("training_log.csv", "config.cfg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestSimulateCommand:
@@ -324,6 +349,72 @@ class TestProtocol:
         # bad field name surfaces as an args error
         reply = conn.send(id=2, kind="reset", scenario={"nope": 1.0})
         assert reply["kind"] == "error" and reply["code"] == "args"
+
+    def test_reset_coerces_overrides(self, conn):
+        reply = conn.send(id=1, kind="reset", scenario={"f_osc": "47.5"}, seed=0)
+        assert reply["kind"] == "ok"
+        reply = conn.send(id=2, kind="run_episode", kp=2.0, seed=5)
+        local = plant.run_episode(replace(SCN, f_osc=47.5), plant.GainAction(2.0), seed=5)
+        assert reply["samples"] == local.trace.samples.tolist()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"f_osc": "fast"}, "f_osc"), ({"noise_std": True}, "noise_std"),
+        ({"horizon": [10.0]}, "horizon"), ({"p_nom": float("nan")}, "p_nom"),
+        ({"nope": 1.0}, "nope"), ({"cache_enabled": "1"}, "cache_enabled")])
+    def test_reset_bad_override_names_field(self, conn, overrides, field):
+        reply = conn.send(id=1, kind="reset", scenario=overrides)
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert field in reply["message"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"horizon": 20.0}, {"sim_dt": 1e-5}, {"horizon": 1e300},
+        {"act_time": 5.0, "horizon": 10.0 + 2 * SCN.sim_dt}])
+    def test_reset_refuses_longer_episode(self, conn, overrides):
+        reply = conn.send(id=1, kind="reset", scenario=overrides)
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        # the session kept its scenario: one served horizon still steps
+        cap = SCN.n_samples
+        assert conn.send(id=2, kind="step", n_steps=cap + 1)["code"] == "args"
+        assert conn.send(id=3, kind="step", n_steps=cap)["kind"] == "ok"
+
+    def test_reset_admits_shorter_episode(self, conn):
+        reply = conn.send(id=1, kind="reset", scenario={"horizon": 8.0, "sim_dt": 4e-4})
+        assert reply["kind"] == "ok"
+        reply = conn.send(id=2, kind="run_episode", kp=2.0, seed=5, encoding="f64le")
+        assert len(base64.b64decode(reply["samples_b64"])) == 8 * 20000
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+FIELD_VALUES = (st.floats() | st.integers() | st.booleans() | st.none()
+                | st.sampled_from(["48", "1e-5", "nan", "x", ""]))
+REQUEST = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["reset", "step", "set_gain", "measure",
+                              "run_episode"]) | JSON},
+    optional={
+        "kp": st.floats(0.0, 5.0) | JSON,
+        "n_steps": st.integers(-5, 60000) | JSON,
+        "seed": st.integers(0, 2**64) | JSON,
+        "encoding": st.sampled_from(["json", "f64le"]) | JSON,
+        "scenario": st.dictionaries(
+            st.sampled_from([f.name for f in fields(plant.PlantScenario)])
+            | st.text(max_size=8), FIELD_VALUES, max_size=4) | JSON})
+
+
+@settings(max_examples=150, deadline=None)
+@given(requests=st.lists(st.tuples(st.booleans(), REQUEST | JSON.filter(
+    lambda v: isinstance(v, dict))), min_size=1, max_size=5))
+def test_session_handle_never_raises(requests):
+    session = _Session(SCN)
+    for rid, (numbered, req) in enumerate(requests, start=1):
+        msg = {**req, "id": rid} if numbered else req
+        reply = session.handle(msg)
+        assert isinstance(reply, dict)
+        assert reply["kind"] in ("ok", "trace", "error")
+        json.dumps(reply)
 
 
 class TestRemoteEnv:

@@ -271,22 +271,3 @@ class TestScenarioValidation:
     def test_state_rejects_nonfinite(self):
         with pytest.raises(PlantError):
             PlantState(0.0, np.array([np.inf, 0.0]), 2.0)
-
-
-class TestScenarioFiles:
-    def test_roundtrip(self, tmp_path):
-        scn = PlantScenario(f_osc=47.0, kp_crit=2.8, horizon=8.0)
-        path = tmp_path / "scenario.cfg"
-        plant.save_scenario(scn, path)
-        assert plant.load_scenario(path) == scn
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("f_osc = 48\nbogus_key = 1\n")
-        with pytest.raises(PlantError, match="unknown key"):
-            plant.load_scenario(path)
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "scenario.cfg"
-        path.write_text("# comment\n\nf_osc = 47.5  # trailing\n")
-        assert plant.load_scenario(path).f_osc == 47.5

@@ -110,6 +110,12 @@ class TestSample:
         assert act.a == out.mu
         assert act.log_prob == pytest.approx(-0.5 * math.log(2 * math.pi * out.var))
 
+    def test_carries_the_policy_variance(self):
+        params = init_params(seed=4)
+        obs = random_obs(np.random.default_rng(5))
+        act = sample(params, obs, np.random.default_rng(0))
+        assert act.var == forward(params, obs).var
+
     def test_unit_noise_one_sigma(self):
         params = init_params(seed=4)
         obs = random_obs(np.random.default_rng(5))

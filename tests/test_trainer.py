@@ -81,6 +81,31 @@ class TestRunIteration:
                                 plant_seed=it, worst_reward=None)
             assert rec.reward <= 0.0
 
+    def test_action_drawn_by_policy_sample(self, obs_trace, monkeypatch):
+        # after the window start, the iteration's one draw is pol.sample's
+        cfg = small_config()
+        cache = EvalCache(cfg.cache_resolution)
+        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
+        drawn = []
+
+        def spy(params, obs, rng):
+            drawn.append(real_sample(params, obs, rng))
+            return drawn[-1]
+
+        real_sample = pol.sample
+        monkeypatch.setattr(pol, "sample", spy)
+        rng = np.random.default_rng(4)
+        rec = run_iteration(params, LocalPlantEnv(QUIET), QUIET, cfg, rng, cache,
+                            obs_trace, plant_seed=0, worst_reward=None)
+        assert len(drawn) == 1
+        act = drawn[0]
+        assert (rec.action_raw, rec.log_prob, rec.var) == (act.a, act.log_prob, act.var)
+
+        replay = np.random.default_rng(4)
+        lo, hi = window_region(QUIET, cfg)
+        obs = sigproc.extract_window(obs_trace, replay.uniform(lo, hi), cfg.d_obs)
+        assert real_sample(params, obs, replay).a == rec.action_raw
+
     def test_clamp_correctness(self, obs_trace):
         cfg = small_config()
         env = LocalPlantEnv(QUIET)
@@ -233,14 +258,6 @@ class TestTrain:
             assert saved[1][1] == finished  # one Adam step per epoch
         else:
             assert saved == []
-
-    def test_config_snapshot_roundtrip(self, tmp_path):
-        cfg = small_config(kp_max=3.5)
-        scn = plant.PlantScenario(f_osc=47.0)
-        train(scn, cfg, run_dir=tmp_path)
-        scen_back, cfg_back = trainer.load_config_snapshot(tmp_path / "config.cfg")
-        assert scen_back == scn
-        assert cfg_back == cfg
 
     def test_cache_disabled_runs_every_episode(self, tmp_path):
         cfg = small_config(cache_enabled=False)
