@@ -22,9 +22,11 @@ response. Grammar:
 
 A reset's scenario values are typed by `config.coerce`, as in a config
 file (so "48" is 48.0); an unknown field or a value its field does not
-take gets code "args" naming the field. The episode the reset asks for
-may hold at most as many samples, round(horizon / sim_dt), as the served
-scenario's; a longer one gets "args" and the session keeps its scenario.
+take gets code "args" naming the field. A `kp` must be a JSON number and
+an `n_steps` an integral one (7 or 7.0); a bool, a string or 5.9 gets
+"args" naming the field. The episode a reset asks for may hold at most as
+many samples, round(horizon / sim_dt), as the served scenario's; a longer
+one gets "args" and the session keeps its scenario.
 
 Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is
@@ -115,13 +117,13 @@ class _Session:
                 self._reset(scenario, msg.get("seed"))
                 return _ok(rid, {"t": self.state.t})
             if kind == "set_gain":
-                kp = float(msg["kp"])
+                kp = _number(msg, "kp")
                 if not self._in_bounds(kp):
                     return self._bounds_error(rid, kp)
                 self.state = plant.apply_gain(self.state, plant.GainAction(kp))
                 return _ok(rid, {"active_kp": kp})
             if kind == "step":
-                n = int(msg["n_steps"])
+                n = _integer(msg, "n_steps")
                 cap = self.scenario.n_samples
                 if not 1 <= n <= cap:
                     return _error(rid, "args",
@@ -141,7 +143,7 @@ class _Session:
                         "rate": self.scenario.sample_rate, "t0": self.state.t,
                         "diverged": False}
             if kind == "run_episode":
-                kp = float(msg["kp"])
+                kp = _number(msg, "kp")
                 encoding = msg.get("encoding", "json")
                 if encoding not in TRACE_ENCODINGS:
                     return _error(rid, "args", f"encoding must be one of "
@@ -166,6 +168,24 @@ class _Session:
             return _error(rid, "args", str(exc))
         except plant.DivergedError as exc:
             return _error(rid, "diverged", str(exc))
+
+
+def _number(msg: dict, name: str) -> float:
+    """A request's JSON-number field as a float; a bool is not a number."""
+    value = msg[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(msg: dict, name: str) -> int:
+    """A request's integral JSON-number field (7 or 7.0) as an int."""
+    value = msg[name]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _ok(rid, payload):

@@ -2,10 +2,14 @@
 
 Architecture: LayerNorm on the input, two ReLU hidden layers, a linear
 mean head and a Softplus variance head. Sampling uses the
-reparameterization a = mu + sqrt(var) * eps. Gradients of the weighted
-log-probability objective are computed by explicit reverse-mode
-differentiation; the optimizer is Adam in gradient-ascent form. No
-autodiff framework is involved anywhere.
+reparameterization a = mu + sqrt(var) * eps. The network works on batches:
+the forward pass takes an (n, obs_dim) stack of observations, and one
+observation is the n = 1 case, so a training epoch samples its n actions
+in one forward pass. Gradients of the weighted log-probability objective
+are computed by explicit reverse-mode differentiation over the whole
+batch with matrix products; the optimizer is Adam in gradient-ascent
+form, applied to all tensors as one flat vector. No autodiff framework is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -93,10 +97,13 @@ def zero_like_grads(params: PolicyParameters) -> dict[str, np.ndarray]:
 
 @dataclass
 class PolicyOutput:
-    """Gaussian head outputs plus cached activations for backprop."""
+    """Gaussian head outputs plus cached activations for backprop.
 
-    mu: float
-    var: float
+    mu and var are floats for one observation and length-n arrays for an
+    (n, obs_dim) stack; the cached activations always have n rows."""
+
+    mu: float | np.ndarray
+    var: float | np.ndarray
     cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -113,45 +120,52 @@ class SampledAction:
 
 def _obs_values(obs) -> np.ndarray:
     values = obs.values if isinstance(obs, Observation) else np.asarray(obs, float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise PolicyError("observation contains non-finite values")
     return values
 
 
-def _softplus(x: float) -> float:
-    # overflow-safe: softplus(x) = max(x, 0) + log1p(exp(-|x|))
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
 def forward(params: PolicyParameters, obs) -> PolicyOutput:
-    """Evaluate mean and variance heads, retaining intermediates."""
+    """Evaluate mean and variance heads, retaining intermediates.
+
+    obs is one observation (an Observation or a length-obs_dim vector) or
+    an (n, obs_dim) array of n of them, evaluated in one pass; one
+    observation is evaluated as a stack of one.
+    """
     o = _obs_values(obs)
-    if o.shape != (params.obs_dim,):
-        raise PolicyError(f"observation length {o.shape} != ({params.obs_dim},)")
+    single = o.ndim == 1
+    rows = o[np.newaxis] if single else o
+    if rows.ndim != 2 or rows.shape[1] != params.obs_dim or not len(rows):
+        raise PolicyError(f"observation shape {o.shape} is neither "
+                          f"({params.obs_dim},) nor (n, {params.obs_dim})")
     t = params.tensors
 
-    mean = o.mean()
-    var_o = o.var()
-    inv_std = 1.0 / math.sqrt(var_o + LN_EPS)
-    xhat = (o - mean) * inv_std
+    mean = rows.mean(axis=1, keepdims=True)
+    var_o = rows.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var_o + LN_EPS)
+    xhat = (rows - mean) * inv_std
     ln = t["ln_gain"] * xhat + t["ln_bias"]
 
-    z1 = t["w1"] @ ln + t["b1"]
+    z1 = ln @ t["w1"].T + t["b1"]
     h1 = np.maximum(z1, 0.0)
-    z2 = t["w2"] @ h1 + t["b2"]
+    z2 = h1 @ t["w2"].T + t["b2"]
     h2 = np.maximum(z2, 0.0)
 
-    mu = float(t["w3_mu"] @ h2 + t["b3_mu"])
-    raw = float(t["w3_var"] @ h2 + t["b3_var"])
-    var = _softplus(raw) + VAR_FLOOR
+    mu = h2 @ t["w3_mu"] + t["b3_mu"]
+    raw = h2 @ t["w3_var"] + t["b3_var"]
+    # overflow-safe softplus: max(x, 0) + log1p(exp(-|x|))
+    var = np.maximum(raw, 0.0) + np.log1p(np.exp(-np.abs(raw))) + VAR_FLOOR
 
     cache = {"xhat": xhat, "ln": ln, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
              "raw": raw}
+    if single:
+        return PolicyOutput(float(mu[0]), float(var[0]), cache)
     return PolicyOutput(mu, var, cache)
 
 
-def gaussian_log_prob(a: float, mu: float, var: float) -> float:
-    return -0.5 * ((a - mu) ** 2 / var + math.log(2.0 * math.pi * var))
+def gaussian_log_prob(a, mu, var):
+    """log N(a; mu, var), for floats or elementwise for arrays."""
+    return -0.5 * ((a - mu) ** 2 / var + np.log(2.0 * np.pi * var))
 
 
 def sample(params: PolicyParameters, obs,
@@ -160,89 +174,112 @@ def sample(params: PolicyParameters, obs,
     out = forward(params, obs)
     eps = float(rng.standard_normal())
     a = out.mu + math.sqrt(out.var) * eps
-    return SampledAction(a, gaussian_log_prob(a, out.mu, out.var), out.var, eps)
+    return SampledAction(a, float(gaussian_log_prob(a, out.mu, out.var)),
+                         out.var, eps)
 
 
 def log_prob(params: PolicyParameters, obs, a: float) -> float:
     out = forward(params, obs)
-    return gaussian_log_prob(a, out.mu, out.var)
+    return float(gaussian_log_prob(a, out.mu, out.var))
 
 
 def grad_weighted_logprob(params: PolicyParameters,
                           batch: list[tuple]) -> dict[str, np.ndarray]:
     """Gradient of (1/n) * sum_j R_j * log pi(a_j | o_j) w.r.t. all tensors.
 
-    batch entries are (obs, action, weight). Raises on a non-finite
-    partial, naming the layer it appeared in.
+    batch entries are (obs, action, weight). The batch runs through one
+    forward pass and is backpropagated with matrix products. Raises on a
+    non-finite partial, naming the layer it appeared in.
     """
     if not batch:
         raise PolicyError("empty gradient batch")
+    observations, actions, weights = zip(*batch)
+    weights = np.array(weights, dtype=float)
+    if not np.isfinite(weights).all():
+        raise PolicyError(f"non-finite weight {weights[~np.isfinite(weights)][0]}")
+    try:
+        rows = np.array([o.values if isinstance(o, Observation) else o
+                         for o in observations], dtype=float)
+    except ValueError as exc:
+        raise PolicyError(f"observations of unequal shape: {exc}") from None
+    if rows.ndim != 2:
+        raise PolicyError(f"batch observations stack to shape {rows.shape}")
+    out = forward(params, rows)
+    c = out.cache
     t = params.tensors
-    grads = zero_like_grads(params)
-    n = len(batch)
 
-    for obs, a, weight in batch:
-        if not math.isfinite(weight):
-            raise PolicyError(f"non-finite weight {weight}")
-        out = forward(params, obs)
-        c = out.cache
-        scale = weight / n
+    scale = weights / len(batch)
+    diff = np.array(actions, dtype=float) - out.mu
+    d_mu = scale * diff / out.var
+    d_var = scale * (diff * diff / (2.0 * out.var ** 2) - 0.5 / out.var)
+    with np.errstate(over="ignore"):  # exp overflow: sigmoid -> 0, exactly
+        d_raw = d_var / (1.0 + np.exp(-c["raw"]))  # softplus' = sigmoid
 
-        diff = a - out.mu
-        d_mu = scale * diff / out.var
-        d_var = scale * (diff * diff / (2.0 * out.var ** 2) - 0.5 / out.var)
-        d_raw = d_var / (1.0 + math.exp(-c["raw"]))  # softplus' = sigmoid
-
-        grads["w3_mu"] += d_mu * c["h2"]
-        grads["b3_mu"] += d_mu
-        grads["w3_var"] += d_raw * c["h2"]
-        grads["b3_var"] += d_raw
-
-        d_h2 = d_mu * t["w3_mu"] + d_raw * t["w3_var"]
-        d_z2 = d_h2 * (c["z2"] > 0.0)
-        grads["w2"] += np.outer(d_z2, c["h1"])
-        grads["b2"] += d_z2
-
-        d_h1 = t["w2"].T @ d_z2
-        d_z1 = d_h1 * (c["z1"] > 0.0)
-        grads["w1"] += np.outer(d_z1, c["ln"])
-        grads["b1"] += d_z1
-
-        d_ln = t["w1"].T @ d_z1
-        grads["ln_gain"] += d_ln * c["xhat"]
-        grads["ln_bias"] += d_ln
-
+    d_z2 = (np.outer(d_mu, t["w3_mu"]) + np.outer(d_raw, t["w3_var"])) * (c["z2"] > 0.0)
+    d_z1 = (d_z2 @ t["w2"]) * (c["z1"] > 0.0)
+    d_ln = d_z1 @ t["w1"]
+    grads = {
+        "ln_gain": (d_ln * c["xhat"]).sum(axis=0),
+        "ln_bias": d_ln.sum(axis=0),
+        "w1": d_z1.T @ c["ln"],
+        "b1": d_z1.sum(axis=0),
+        "w2": d_z2.T @ c["h1"],
+        "b2": d_z2.sum(axis=0),
+        "w3_mu": d_mu @ c["h2"],
+        "b3_mu": np.array(d_mu.sum()),
+        "w3_var": d_raw @ c["h2"],
+        "b3_var": np.array(d_raw.sum()),
+    }
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise PolicyError(f"non-finite gradient in layer {name!r}")
     return grads
+
+
+def _flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
+    return np.concatenate([tensors[name].ravel() for name in PARAM_NAMES])
+
+
+def _unflat(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    out, pos = {}, 0
+    for name in PARAM_NAMES:
+        size = math.prod(shapes[name])
+        out[name] = flat[pos:pos + size].reshape(shapes[name])
+        pos += size
+    return out
 
 
 def adam_step(params: PolicyParameters, grads: dict[str, np.ndarray],
               lr: float, beta1: float = 0.9, beta2: float = 0.999) -> PolicyParameters:
     """Gradient-ascent Adam update (maximizes the objective).
 
-    Returns updated parameters; on any non-finite update the input is left
-    untouched and an error is raised.
+    The ten tensors are updated as one concatenated vector; the update is
+    elementwise, so each entry is what a per-tensor update gives. Returns
+    updated parameters; on any non-finite update the input is left
+    untouched and an error naming the tensor is raised.
     """
-    new = params.copy()
-    new.step_count = params.step_count + 1
-    bc1 = 1.0 - beta1 ** new.step_count
-    bc2 = 1.0 - beta2 ** new.step_count
+    shapes = {name: params.tensors[name].shape for name in PARAM_NAMES}
     for name in PARAM_NAMES:
-        g = grads[name]
-        if g.shape != params.tensors[name].shape:
+        if grads[name].shape != shapes[name]:
             raise PolicyError(f"gradient shape mismatch for {name!r}")
-        m = beta1 * params.adam_m[name] + (1.0 - beta1) * g
-        v = beta2 * params.adam_v[name] + (1.0 - beta2) * g * g
-        with np.errstate(invalid="ignore"):  # non-finite handled just below
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if not np.all(np.isfinite(update)):
-            raise PolicyError(f"non-finite Adam update for {name!r}")
-        new.adam_m[name] = m
-        new.adam_v[name] = v
-        new.tensors[name] = params.tensors[name] + update
-    return new
+    step_count = params.step_count + 1
+    bc1 = 1.0 - beta1 ** step_count
+    bc2 = 1.0 - beta2 ** step_count
+    g = _flat(grads)
+    m = beta1 * _flat(params.adam_m) + (1.0 - beta1) * g
+    v = beta2 * _flat(params.adam_v) + (1.0 - beta2) * g * g
+    with np.errstate(invalid="ignore"):  # non-finite handled just below
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    finite = np.isfinite(update)
+    if not finite.all():
+        first_bad = int(np.argmin(finite))
+        ends = np.cumsum([math.prod(shapes[name]) for name in PARAM_NAMES])
+        name = PARAM_NAMES[int(np.searchsorted(ends, first_bad, side="right"))]
+        raise PolicyError(f"non-finite Adam update for {name!r}")
+    return PolicyParameters(
+        params.obs_dim, params.hidden,
+        _unflat(_flat(params.tensors) + update, shapes),
+        _unflat(m, shapes), _unflat(v, shapes), step_count)
 
 
 # ---------------------------------------------------------------------------

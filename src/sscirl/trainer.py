@@ -1,10 +1,12 @@
 """Episodic policy-gradient training loop against the surrogate plant.
 
-Each iteration: condition the pre-activation measurement into an
-observation window, sample a gain from the policy, clamp it into the safe
-range, and score it by the negated post-activation oscillation energy.
+Each iteration conditions the pre-activation measurement into an
+observation window, samples a gain from the policy, clamps it into the safe
+range, and scores it by the negated post-activation oscillation energy.
 Gain proposals falling into an already-evaluated cache bucket reuse the
-stored reward instead of simulating again. Epochs end with one
+stored reward instead of simulating again. The policy works per epoch:
+the epoch's windows go through one batched forward pass to sample their
+gains, and after scoring, the whole batch takes one gradient and one
 gradient-ascent Adam step on the weighted log-probability objective.
 """
 
@@ -147,35 +149,6 @@ def canonical_observation(scenario: plant.PlantScenario,
 # ---------------------------------------------------------------------------
 # training loop
 
-def run_iteration(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
-                  rng: np.random.Generator, cache: EvalCache,
-                  obs_trace: sigproc.SignalTrace, plant_seed: int,
-                  worst_reward: float | None) -> EpisodeRecord:
-    """One Algorithm-style inner step: observe, sample, clamp, score."""
-    lo, hi = window_region(scenario, config)
-    start = rng.uniform(lo, hi)
-    obs = sigproc.extract_window(obs_trace, start, config.d_obs)
-
-    action = pol.sample(params, obs, rng)
-    applied = clamp(action.a, config.kp_min, config.kp_max)
-
-    cached = False
-    entry = cache.lookup(applied) if config.cache_enabled else None
-    if entry is not None:
-        reward = entry["reward"]
-        cached = True
-    else:
-        result = env.run_episode(applied, plant_seed)
-        reward = episode_reward(result, scenario, config)
-        if reward is None:
-            reward = divergence_penalty(worst_reward)
-        if config.cache_enabled:
-            cache.store(applied, reward)
-
-    return EpisodeRecord(obs, action.a, applied, action.log_prob, reward,
-                         action.var, cached)
-
-
 def divergence_penalty(worst_reward: float | None) -> float:
     """Penalty reward for episodes that diverge before the reward window:
     10x the worst finite reward seen so far, floored at -1e6."""
@@ -207,15 +180,43 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
               obs_trace: sigproc.SignalTrace, epoch: int,
               worst_reward: float | None) -> tuple[pol.PolicyParameters, EpochStats, list[EpisodeRecord]]:
     """n_iter iterations followed by one Adam ascent step on
-    J = (1/n) sum_j R_j log pi(a_j | o_j)."""
+    J = (1/n) sum_j R_j log pi(a_j | o_j).
+
+    Iteration j draws a window start and then a standard-normal eps_j from
+    rng. The n_iter windows go through one batched policy forward pass and
+    act a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
+    safe range and scored by its cache bucket or, on a miss, by a plant
+    episode seeded with episode_seed(seed, epoch, j).
+    """
+    lo, hi = window_region(scenario, config)
+    # iteration by iteration: the window start, then the action noise
+    draws = [(rng.uniform(lo, hi), rng.standard_normal()) for _ in range(config.n_iter)]
+    windows = [sigproc.extract_window(obs_trace, start, config.d_obs) for start, _ in draws]
+    out = pol.forward(params, np.stack([w.values for w in windows]))
+    actions = out.mu + np.sqrt(out.var) * np.array([eps for _, eps in draws])
+    log_probs = pol.gaussian_log_prob(actions, out.mu, out.var)
+
     records = []
     worst = worst_reward
-    for it in range(config.n_iter):
-        rec = run_iteration(params, env, scenario, config, rng, cache,
-                            obs_trace, episode_seed(config.seed, epoch, it), worst)
-        records.append(rec)
-        if worst is None or rec.reward < worst:
-            worst = rec.reward
+    for it, obs in enumerate(windows):
+        action = float(actions[it])
+        applied = clamp(action, config.kp_min, config.kp_max)
+        entry = cache.lookup(applied) if config.cache_enabled else None
+        if entry is not None:
+            reward = entry["reward"]
+        else:
+            # the episode is dropped once scored, before the next one runs
+            reward = episode_reward(
+                env.run_episode(applied, episode_seed(config.seed, epoch, it)),
+                scenario, config)
+            if reward is None:
+                reward = divergence_penalty(worst)
+            if config.cache_enabled:
+                cache.store(applied, reward)
+        records.append(EpisodeRecord(obs, action, applied, float(log_probs[it]),
+                                     reward, float(out.var[it]), entry is not None))
+        if worst is None or reward < worst:
+            worst = reward
 
     rewards = np.array([r.reward for r in records])
     weights = rewards - rewards.mean() if config.baseline_enabled else rewards

@@ -326,6 +326,46 @@ class TestProtocol:
         assert reply["kind"] == "ok"
         assert reply["payload"]["t"] == pytest.approx(SCN.horizon)
 
+    @pytest.mark.parametrize("n_steps", [True, "7", 5.9],
+                             ids=["bool", "string", "non_integral"])
+    def test_step_rejects_non_integer_n_steps(self, conn, n_steps):
+        assert conn.send(id=1, kind="reset", seed=0)["kind"] == "ok"
+        reply = conn.send(id=2, kind="step", n_steps=n_steps)
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert "n_steps" in reply["message"]
+        assert conn.send(id=3, kind="measure")["t0"] == 0.0  # nothing stepped
+
+    @pytest.mark.parametrize("kind", ["set_gain", "run_episode"])
+    @pytest.mark.parametrize("kp", ["2.5", True], ids=["string", "bool"])
+    def test_kp_must_be_a_number(self, conn, kind, kp):
+        reply = conn.send(id=1, kind=kind, kp=kp, seed=0)
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert "kp" in reply["message"]
+
+    def test_integral_numbers_are_served(self, conn):
+        assert conn.send(id=1, kind="reset", seed=0)["kind"] == "ok"
+        assert conn.send(id=2, kind="set_gain", kp=2)["payload"]["active_kp"] == 2.0
+        reply = conn.send(id=3, kind="step", n_steps=50.0)
+        assert reply["kind"] == "ok"
+        assert reply["payload"]["t"] == pytest.approx(50 * SCN.sim_dt)
+        reply = conn.send(id=4, kind="run_episode", kp=2, seed=5, encoding="f64le")
+        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        assert base64.b64decode(reply["samples_b64"]) == local.trace.samples.tobytes()
+
+    def test_benchmark_cosimulation_requests_are_served(self, conn):
+        # the request sequence of the benchmark's remote_stepping workload
+        cfg = trainer.TrainConfig()
+        steps = round(1.0 / (cfg.target_rate * SCN.sim_dt))
+        replies = [conn.send(id=1, kind="reset", scenario={"noise_std": 0.0}, seed=7),
+                   conn.send(id=2, kind="step", n_steps=steps),
+                   conn.send(id=3, kind="measure"),
+                   conn.send(id=4, kind="set_gain", kp=SCN.kp_unstable),
+                   conn.send(id=5, kind="step", n_steps=steps),
+                   conn.send(id=6, kind="measure"),
+                   conn.send(id=7, kind="set_gain", kp=2.375)]
+        assert [r["kind"] for r in replies] == ["ok", "ok", "trace", "ok", "ok", "trace", "ok"]
+        assert replies[5]["t0"] == pytest.approx(2 * steps * SCN.sim_dt)
+
     def test_state_after_divergence_is_last_finite(self, conn):
         overrides = {"zeta_stable": 0.05, "diverge_threshold": 20.0, "noise_std": 0.0}
         scn = replace(SCN, **overrides)

@@ -76,6 +76,18 @@ class TestForward:
             assert out.mu == pytest.approx(mu_ref, abs=1e-12)
             assert out.var == pytest.approx(var_ref, abs=1e-12)
 
+    def test_batch_rows_match_independent_reimplementation(self):
+        rng = np.random.default_rng(30)
+        for seed in range(3):
+            params = init_params(seed=seed)
+            rows = rng.standard_normal((8, 30))
+            out = forward(params, rows)
+            assert out.mu.shape == out.var.shape == (8,)
+            for j, obs in enumerate(rows):
+                mu_ref, var_ref = reference_forward(params, obs)
+                assert out.mu[j] == pytest.approx(mu_ref, abs=1e-12)
+                assert out.var[j] == pytest.approx(var_ref, abs=1e-12)
+
     def test_variance_always_positive(self):
         rng = np.random.default_rng(3)
         for seed in range(10):
@@ -99,6 +111,9 @@ class TestForward:
     def test_wrong_length_rejected(self):
         with pytest.raises(PolicyError):
             forward(init_params(seed=0), np.zeros(29))
+        for shape in ((8, 29), (0, 30), (2, 8, 30)):
+            with pytest.raises(PolicyError):
+                forward(init_params(seed=0), np.zeros(shape))
 
 
 class TestSample:
@@ -171,12 +186,17 @@ class TestLogProb:
             assert log_prob(params, obs, a) == pytest.approx(expected, abs=1e-12)
 
 
-def finite_difference_check(params, obs, a, weight, h=1e-6,
+def finite_difference_check(params, batch, h=1e-6,
                             rel_tol=1e-5, abs_tol=1e-8, coords_per_tensor=None,
                             rng=None):
     """Compare every (or a sampled subset of) analytic partial against a
-    central difference of weight * log_prob."""
-    grads = grad_weighted_logprob(params, [(obs, a, weight)])
+    central difference of (1/n) sum_j weight_j * log_prob(a_j | obs_j),
+    each term from its own one-observation forward pass."""
+    grads = grad_weighted_logprob(params, batch)
+
+    def objective():
+        return sum(w * log_prob(params, obs, a) for obs, a, w in batch) / len(batch)
+
     for name, tensor in params.tensors.items():
         flat = tensor.reshape(-1)
         gflat = grads[name].reshape(-1)
@@ -186,9 +206,9 @@ def finite_difference_check(params, obs, a, weight, h=1e-6,
         for i in idx:
             orig = flat[i]
             flat[i] = orig + h
-            up = weight * log_prob(params, obs, a)
+            up = objective()
             flat[i] = orig - h
-            down = weight * log_prob(params, obs, a)
+            down = objective()
             flat[i] = orig
             numeric = (up - down) / (2 * h)
             analytic = gflat[i]
@@ -210,7 +230,16 @@ class TestGradients:
         rng = np.random.default_rng(17)
         params = init_params(seed=18)
         obs = random_obs(rng)
-        finite_difference_check(params, obs, a=0.8, weight=-2.5,
+        finite_difference_check(params, [(obs, 0.8, -2.5)],
+                                coords_per_tensor=40, rng=rng)
+
+    def test_finite_difference_batch_of_eight(self):
+        # the tolerances of acceptance criterion 2 (1e-5 rel / 1e-8 abs)
+        rng = np.random.default_rng(31)
+        params = init_params(seed=32)
+        batch = [(random_obs(rng), float(rng.normal(scale=2.0)), float(rng.normal()))
+                 for _ in range(8)]
+        finite_difference_check(params, batch, rel_tol=1e-5, abs_tol=1e-8,
                                 coords_per_tensor=40, rng=rng)
 
     def test_batch_is_mean_of_singletons(self):
@@ -237,7 +266,48 @@ class TestGradients:
             grad_weighted_logprob(params, [(obs, 0.0, math.nan)])
 
 
+def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999):
+    """Ascent Adam written tensor by tensor, the form of the equations."""
+    new = params.copy()
+    new.step_count = params.step_count + 1
+    bc1 = 1.0 - beta1 ** new.step_count
+    bc2 = 1.0 - beta2 ** new.step_count
+    for name in pol.PARAM_NAMES:
+        g = grads[name]
+        m = beta1 * params.adam_m[name] + (1.0 - beta1) * g
+        v = beta2 * params.adam_v[name] + (1.0 - beta2) * g * g
+        new.adam_m[name] = m
+        new.adam_v[name] = v
+        new.tensors[name] = params.tensors[name] + lr * (m / bc1) / (
+            np.sqrt(v / bc2) + pol.ADAM_EPS)
+    return new
+
+
 class TestAdam:
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        params = ref = init_params(seed=34)
+        for _ in range(5):
+            grads = {name: rng.standard_normal(t.shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, t in params.tensors.items()}
+            params = adam_step(params, grads, lr=1e-3)
+            ref = reference_adam_step(ref, grads, lr=1e-3)
+            assert params.step_count == ref.step_count
+            for name in pol.PARAM_NAMES:
+                for mine, theirs in ((params.tensors, ref.tensors),
+                                     (params.adam_m, ref.adam_m),
+                                     (params.adam_v, ref.adam_v)):
+                    assert mine[name].shape == theirs[name].shape
+                    assert mine[name].tobytes() == theirs[name].tobytes(), name
+
+    @pytest.mark.parametrize("name", ["ln_gain", "w2", "b3_mu", "b3_var"])
+    def test_nonfinite_update_names_the_tensor(self, name):
+        params = init_params(seed=35)
+        grads = pol.zero_like_grads(params)
+        grads[name].reshape(-1)[-1] = np.nan
+        with pytest.raises(PolicyError, match=repr(name)):
+            adam_step(params, grads, lr=1e-3)
+
     def test_zero_gradient_only_advances_step_count(self):
         params = init_params(seed=21)
         grads = pol.zero_like_grads(params)

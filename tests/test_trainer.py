@@ -11,7 +11,7 @@ from sscirl import plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
                             episode_reward, episode_seed, evaluate, grid_oracle,
-                            run_epoch, run_iteration, train, window_region)
+                            run_epoch, train, window_region)
 
 SCN = plant.PlantScenario()
 QUIET = plant.PlantScenario(noise_std=0.0)
@@ -21,6 +21,16 @@ def small_config(**kw):
     defaults = dict(n_epoch=5, n_iter=4, seed=3)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def pinned_params(cfg, mu):
+    """Policy whose every action is ~mu: mean pinned by the output bias,
+    variance at its floor."""
+    params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=0)
+    params.tensors["b3_mu"] = np.array(mu)
+    params.tensors["w3_mu"][:] = 0.0
+    params.tensors["b3_var"] = np.array(-30.0)
+    return params
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +51,12 @@ class TestCache:
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
         cache.store(2.0, -0.123)
-        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=0)
-        # drive the policy to propose ~2.0 by pinning mu via the bias
-        params.tensors["b3_mu"] = np.array(2.0)
-        params.tensors["w3_mu"][:] = 0.0
-        params.tensors["b3_var"] = np.array(-30.0)  # var ~ floor
+        params = pinned_params(cfg, 2.0)
         rng = np.random.default_rng(0)
-        rec = run_iteration(params, env, QUIET, cfg, rng, cache, obs_trace,
-                            plant_seed=0, worst_reward=None)
-        assert rec.cached
-        assert rec.reward == -0.123
+        _, stats, records = run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace,
+                                      epoch=0, worst_reward=None)
+        assert all(rec.cached and rec.reward == -0.123 for rec in records)
+        assert stats.cache_hit_rate == 1.0
         assert env.episode_count == 0
 
     def test_soundness_same_bucket_same_reward(self, obs_trace):
@@ -62,7 +68,19 @@ class TestCache:
         assert r1 == r2
 
 
-class TestRunIteration:
+class SpyEnv(LocalPlantEnv):
+    """Local plant that records the seed of every episode it runs."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.seeds = []
+
+    def run_episode(self, kp, seed):
+        self.seeds.append(seed)
+        return super().run_episode(kp, seed)
+
+
+class TestRunEpoch:
     def test_reward_ordering_between_gains(self):
         cfg = small_config()
         env = LocalPlantEnv(QUIET)
@@ -71,40 +89,76 @@ class TestRunIteration:
         assert r_good > r_bad
 
     def test_rewards_nonpositive(self, obs_trace):
-        cfg = small_config()
+        cfg = small_config(n_iter=6)
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
         rng = np.random.default_rng(1)
-        for it in range(6):
-            rec = run_iteration(params, env, QUIET, cfg, rng, cache, obs_trace,
-                                plant_seed=it, worst_reward=None)
-            assert rec.reward <= 0.0
+        _, _, records = run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace,
+                                  epoch=0, worst_reward=None)
+        assert len(records) == 6
+        assert all(rec.reward <= 0.0 for rec in records)
 
-    def test_action_drawn_by_policy_sample(self, obs_trace, monkeypatch):
-        # after the window start, the iteration's one draw is pol.sample's
-        cfg = small_config()
+    def test_actions_drawn_through_batched_policy(self, obs_trace):
+        # iteration j draws its window start, then its noise eps_j; the
+        # windows go through one forward pass and a_j = mu_j + sqrt(var_j) eps_j
+        cfg = small_config(n_iter=8)
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
-        drawn = []
-
-        def spy(params, obs, rng):
-            drawn.append(real_sample(params, obs, rng))
-            return drawn[-1]
-
-        real_sample = pol.sample
-        monkeypatch.setattr(pol, "sample", spy)
         rng = np.random.default_rng(4)
-        rec = run_iteration(params, LocalPlantEnv(QUIET), QUIET, cfg, rng, cache,
-                            obs_trace, plant_seed=0, worst_reward=None)
-        assert len(drawn) == 1
-        act = drawn[0]
-        assert (rec.action_raw, rec.log_prob, rec.var) == (act.a, act.log_prob, act.var)
+        _, _, records = run_epoch(params, LocalPlantEnv(QUIET), QUIET, cfg, rng,
+                                  cache, obs_trace, epoch=0, worst_reward=None)
 
         replay = np.random.default_rng(4)
         lo, hi = window_region(QUIET, cfg)
-        obs = sigproc.extract_window(obs_trace, replay.uniform(lo, hi), cfg.d_obs)
-        assert real_sample(params, obs, replay).a == rec.action_raw
+        windows, eps = [], []
+        for _ in range(cfg.n_iter):
+            windows.append(sigproc.extract_window(obs_trace, replay.uniform(lo, hi),
+                                                  cfg.d_obs))
+            eps.append(replay.standard_normal())
+        assert rng.standard_normal() == replay.standard_normal()  # no other draw
+
+        out = pol.forward(params, np.stack([w.values for w in windows]))
+        for j, rec in enumerate(records):
+            assert rec.obs.window_start == windows[j].window_start
+            assert np.array_equal(rec.obs.values, windows[j].values)
+            assert rec.action_raw == out.mu[j] + math.sqrt(out.var[j]) * eps[j]
+            assert rec.var == out.var[j]
+            # the one-observation forward pass gives the same action, to rounding
+            single = pol.forward(params, windows[j])
+            assert rec.action_raw == pytest.approx(
+                single.mu + math.sqrt(single.var) * eps[j], rel=1e-12)
+            assert rec.log_prob == pytest.approx(
+                pol.log_prob(params, windows[j], rec.action_raw), rel=1e-12)
+
+    def test_episode_seeds_computed_only_for_episodes_run(self, obs_trace, monkeypatch):
+        computed = []
+        real_seed = trainer.episode_seed
+
+        def counting(seed, epoch, iteration):
+            computed.append((seed, epoch, iteration))
+            return real_seed(seed, epoch, iteration)
+
+        monkeypatch.setattr(trainer, "episode_seed", counting)
+        # every action in one bucket: iteration 0 runs, the others hit
+        cfg = small_config(n_iter=8)
+        env = SpyEnv(QUIET)
+        _, _, records = run_epoch(pinned_params(cfg, 2.0), env, QUIET, cfg,
+                                  np.random.default_rng(5), EvalCache(cfg.cache_resolution),
+                                  obs_trace, epoch=3, worst_reward=None)
+        assert [rec.cached for rec in records] == [False] + [True] * 7
+        assert computed == [(cfg.seed, 3, 0)]
+        assert env.seeds == [real_seed(cfg.seed, 3, 0)]
+
+        # cache off: every iteration runs with its own seed
+        computed.clear()
+        cfg = small_config(n_iter=8, cache_enabled=False)
+        env = SpyEnv(QUIET)
+        run_epoch(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2), env, QUIET, cfg,
+                  np.random.default_rng(6), EvalCache(cfg.cache_resolution),
+                  obs_trace, epoch=3, worst_reward=None)
+        assert computed == [(cfg.seed, 3, it) for it in range(8)]
+        assert env.seeds == [real_seed(cfg.seed, 3, it) for it in range(8)]
 
     def test_clamp_correctness(self, obs_trace):
         cfg = small_config()
@@ -113,15 +167,17 @@ class TestRunIteration:
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
         params.tensors["b3_mu"] = np.array(-10.0)  # force clamping low
         rng = np.random.default_rng(2)
-        rec = run_iteration(params, env, QUIET, cfg, rng, cache, obs_trace,
-                            plant_seed=0, worst_reward=None)
-        assert rec.action_applied == clamp(rec.action_raw, cfg.kp_min, cfg.kp_max)
-        assert rec.action_applied == cfg.kp_min
+        _, stats, records = run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace,
+                                      epoch=0, worst_reward=None)
+        for rec in records:
+            assert rec.action_applied == clamp(rec.action_raw, cfg.kp_min, cfg.kp_max)
+            assert rec.action_applied == cfg.kp_min
+        assert stats.clamp_rate == 1.0
 
     def test_divergence_penalty_applied(self, obs_trace):
         # a violently unstable plant diverges before the reward window
         hot = plant.PlantScenario(zeta_stable=0.05, noise_std=0.0)
-        cfg = small_config()
+        cfg = small_config(cache_enabled=False)
         env = LocalPlantEnv(hot)
         result = env.run_episode(4.0, 0)
         assert result.diverged
@@ -129,9 +185,15 @@ class TestRunIteration:
         assert divergence_penalty(None) == trainer.DIVERGENCE_PENALTY_FLOOR
         assert divergence_penalty(-2.0) == -20.0
         assert divergence_penalty(-1e9) == trainer.DIVERGENCE_PENALTY_FLOOR
+        # every action clamps to kp_max and diverges; each penalty is 10x
+        # the worst reward so far, which includes the epoch's own penalties
+        params = pinned_params(cfg, 10.0)
+        _, _, records = run_epoch(params, env, hot, cfg, np.random.default_rng(3),
+                                  EvalCache(cfg.cache_resolution), obs_trace,
+                                  epoch=0, worst_reward=-2.0)
+        assert [rec.action_applied for rec in records] == [cfg.kp_max] * 4
+        assert [rec.reward for rec in records] == [-20.0, -200.0, -2000.0, -20000.0]
 
-
-class TestRunEpoch:
     def test_singleton_epoch_matches_manual_adam(self, obs_trace):
         cfg = small_config(n_iter=1)
         env = LocalPlantEnv(QUIET)
