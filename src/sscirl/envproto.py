@@ -3,7 +3,8 @@
 Exposes the plant boundary over a stream socket so an external simulator
 can stand in for the built-in surrogate. One JSON object per line; every
 request carries a monotonically increasing integer `id` echoed in the
-response. Grammar:
+response. An "f64le" trace reply is the one exception: its line is a
+header, and the trace follows it as raw bytes. Grammar:
 
     request  := {"id": N, "kind": KIND, ...}
     KIND     := "reset" {scenario?: {field: value}, seed?: N}
@@ -17,8 +18,9 @@ response. Grammar:
                  "t0": X, "diverged": B}
               | {"id": N, "kind": "error", "code": S, "message": S}
     SAMPLES  := "samples": [X, ...]       encoding "json", and "measure"
-              | "samples_b64": S          encoding "f64le": base64 (RFC 4648)
-                                          of the little-endian float64 bytes
+              | "nbytes": N               encoding "f64le": the line's newline
+                                          is followed by exactly N raw bytes,
+                                          the trace's little-endian float64s
 
 A reset's scenario values are typed by `config.coerce`, as in a config
 file (so "48" is 48.0); an unknown field or a value its field does not
@@ -32,12 +34,13 @@ Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is
 bit-identical to a local one at the same seed either way. A request line
 may hold at most MAX_REQUEST_BYTES (64 KiB) including its newline; a
-longer one gets code "parse" and the connection is closed.
+longer one gets code "parse" and the connection is closed. A server holds
+at most MAX_SESSIONS connections at once; one more gets a single error
+line with code "busy" and is closed.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import socket
@@ -66,6 +69,7 @@ class ServerError(ProtocolError):
 
 DEFAULT_KP_BOUNDS = (0.5, 4.0)
 MAX_REQUEST_BYTES = 64 * 1024
+MAX_SESSIONS = 32
 TRACE_ENCODINGS = ("json", "f64le")
 
 
@@ -91,7 +95,13 @@ class _Session:
         lo, hi = self.kp_bounds
         return _error(rid, "bounds", f"kp {kp} outside [{lo}, {hi}]")
 
-    def handle(self, msg: dict) -> dict:
+    def handle(self, msg: dict) -> tuple[dict, bytes]:
+        """The reply line to one request, and the raw bytes that follow it
+        (empty but for an "f64le" trace)."""
+        reply = self._answer(msg)
+        return reply if isinstance(reply, tuple) else (reply, b"")
+
+    def _answer(self, msg: dict) -> dict | tuple[dict, bytes]:
         if not isinstance(msg, dict) or "kind" not in msg or "id" not in msg:
             return _error(msg.get("id", -1) if isinstance(msg, dict) else -1,
                           "parse", "message must carry id and kind")
@@ -153,16 +163,13 @@ class _Session:
                     return self._bounds_error(rid, kp)
                 result = plant.run_episode(self.scenario, plant.GainAction(kp),
                                            msg.get("seed"))
-                samples = result.trace.samples
-                reply = {"id": rid, "kind": "trace"}
-                if encoding == "f64le":
-                    reply["samples_b64"] = base64.b64encode(
-                        samples.astype("<f8").tobytes()).decode("ascii")
-                else:
-                    reply["samples"] = samples.tolist()
-                reply.update(rate=result.trace.sample_rate, t0=result.trace.t0,
-                             diverged=result.diverged)
-                return reply
+                trace = result.trace
+                reply = {"id": rid, "kind": "trace", "rate": trace.sample_rate,
+                         "t0": trace.t0, "diverged": result.diverged}
+                if encoding == "json":
+                    return {**reply, "samples": trace.samples.tolist()}
+                payload = trace.samples.astype("<f8", copy=False).tobytes()
+                return {**reply, "nbytes": len(payload)}, payload
             return _error(rid, "unknown_kind", f"unknown kind {kind!r}")
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             return _error(rid, "args", str(exc))
@@ -197,7 +204,21 @@ def _error(rid, code, message):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # a trace reply is two writes, header then bytes; with Nagle's algorithm
+    # the last segment of the bytes could wait for the client's delayed ACK
+    disable_nagle_algorithm = True
+
     def handle(self):
+        if not self.server.slots.acquire(blocking=False):
+            self._reply(_error(-1, "busy", f"server already holds its "
+                                           f"{MAX_SESSIONS} sessions"))
+            return
+        try:
+            self._serve()
+        finally:
+            self.server.slots.release()
+
+    def _serve(self):
         session = _Session(self.server.scenario, self.server.kp_bounds)
         while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
             if len(raw) > MAX_REQUEST_BYTES:
@@ -210,18 +231,20 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 msg = json.loads(line)
             except json.JSONDecodeError as exc:
-                reply = _error(-1, "parse", f"bad JSON: {exc}")
+                self._reply(_error(-1, "parse", f"bad JSON: {exc}"))
             else:
-                reply = session.handle(msg)
-            self._reply(reply)
+                self._reply(*session.handle(msg))
 
-    def _reply(self, reply):
+    def _reply(self, reply, payload=b""):
         self.wfile.write((json.dumps(reply) + "\n").encode())
+        if payload:
+            self.wfile.write(payload)
         self.wfile.flush()
 
 
 class EnvServer(socketserver.ThreadingTCPServer):
-    """Serves independent plant sessions, one per connection."""
+    """Serves independent plant sessions, one per connection, at most
+    MAX_SESSIONS at once."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -231,6 +254,7 @@ class EnvServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _Handler)
         self.scenario = scenario
         self.kp_bounds = kp_bounds
+        self.slots = threading.BoundedSemaphore(MAX_SESSIONS)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -250,7 +274,8 @@ class RemoteEnv:
     (connection lost, malformed reply, bad trace payload) is retried once on
     a fresh connection, and a second failure raises. An `error` reply raises
     `ServerError` at once. With a scenario, a trace longer than one horizon
-    is a bad payload.
+    is a bad payload; an "f64le" header announcing one is refused before
+    its bytes are read.
     """
 
     def __init__(self, host: str, port: int,
@@ -272,27 +297,60 @@ class RemoteEnv:
             raise ProtocolError(
                 f"cannot connect to environment server at "
                 f"{self.host}:{self.port}: {exc}") from exc
-        self._fh = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+        self._fh = self._sock.makefile("rwb")
         self._seq = 0
         if self.scenario is not None:
             self.request("reset", scenario=asdict(self.scenario))
 
     def request(self, kind: str, **payload) -> dict:
+        """Send one request and return its reply. A trace that arrives as
+        raw bytes after its header is returned as a float64 array under
+        `samples`, as a JSON trace's list is."""
         self._seq += 1
         msg = {"id": self._seq, "kind": kind, **payload}
-        self._fh.write(json.dumps(msg) + "\n")
+        self._fh.write((json.dumps(msg) + "\n").encode())
         self._fh.flush()
         line = self._fh.readline()
         if not line:
             raise ProtocolError("connection closed by server")
-        reply = json.loads(line)
+        try:
+            reply = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ProtocolError(f"malformed reply line: {exc}") from exc
         if not isinstance(reply, dict):
             raise ProtocolError(f"reply is not a JSON object: {line[:40]!r}")
-        if reply.get("id") != self._seq:
-            raise ProtocolError(f"response id {reply.get('id')} != request {self._seq}")
         if reply.get("kind") == "error":
             raise ServerError(reply.get("code"), reply.get("message"))
+        if reply.get("id") != self._seq:
+            raise ProtocolError(f"response id {reply.get('id')} != request {self._seq}")
+        if "nbytes" in reply:
+            reply["samples"] = self._read_samples(reply)
         return reply
+
+    def _read_samples(self, reply: dict) -> np.ndarray:
+        """The raw little-endian float64 trace that follows a header line,
+        its announced size checked before anything is allocated."""
+        nbytes = reply["nbytes"]
+        if isinstance(nbytes, bool) or not isinstance(nbytes, int) \
+                or nbytes < 0 or nbytes % 8:
+            raise ProtocolError(f"bad trace payload: nbytes {nbytes!r} is not "
+                                f"a whole number of float64 values")
+        self._check_length(nbytes // 8, reply)
+        buf = bytearray(nbytes)
+        if self._fh.readinto(buf) != nbytes:
+            raise ProtocolError("connection closed in the middle of a trace payload")
+        return np.frombuffer(buf, dtype="<f8")
+
+    def _check_length(self, n_samples: int, reply: dict):
+        """With a scenario, a trace may hold at most one horizon of samples
+        at the reply's rate."""
+        if self.scenario is None:
+            return
+        rate = _rate(reply)
+        cap = round(self.scenario.horizon * rate) + 1
+        if n_samples > cap:
+            raise ProtocolError(f"trace of {n_samples} samples exceeds "
+                                f"{cap} (one horizon at {rate} Hz)")
 
     def run_episode(self, kp: float, seed: int | None) -> plant.EpisodeResult:
         last_exc = None
@@ -307,7 +365,7 @@ class RemoteEnv:
                 break
             except ServerError:
                 raise  # a refusal is deterministic; asking again cannot help
-            except (ProtocolError, OSError, json.JSONDecodeError) as exc:
+            except (ProtocolError, OSError) as exc:
                 last_exc = exc
         else:
             raise ProtocolError(f"episode failed after retry: {last_exc}")
@@ -318,28 +376,19 @@ class RemoteEnv:
                                    diverged_at=diverged_at)
 
     def _decode_trace(self, reply: dict) -> SignalTrace:
-        """The reply's trace, from `samples_b64` or a `samples` list (which
-        external simulators that ignore `encoding` send)."""
+        """The reply's trace: the raw bytes after an "f64le" header, or a
+        `samples` list (which external simulators that ignore `encoding`
+        send)."""
+        rate = _rate(reply)
         try:
-            if "samples_b64" in reply:
-                raw = base64.b64decode(reply["samples_b64"], validate=True)
-                samples = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-            else:
-                samples = np.asarray(reply["samples"], dtype=np.float64)
-            rate = float(reply["rate"])
+            samples = np.asarray(reply["samples"], dtype=np.float64)
             t0 = float(reply["t0"])
-        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error too
+            if not math.isfinite(t0):
+                raise ValueError(f"t0 {t0}")
+            self._check_length(samples.size, reply)
+            return SignalTrace(samples, rate, t0)  # 1-D and finite, or TraceError
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"bad trace payload: {exc}") from exc
-        if not 0 < rate < math.inf or not math.isfinite(t0):
-            raise ProtocolError(f"bad trace payload: rate {rate}, t0 {t0}")
-        if self.scenario is not None:
-            cap = round(self.scenario.horizon * rate) + 1
-            if samples.size > cap:
-                raise ProtocolError(f"trace of {samples.size} samples exceeds "
-                                    f"{cap} (one horizon at {rate} Hz)")
-        if samples.ndim != 1 or not np.all(np.isfinite(samples)):
-            raise ProtocolError("trace samples must be a flat list of finite numbers")
-        return SignalTrace(samples, rate, t0)
 
     def close(self):
         for obj in (self._fh, self._sock):
@@ -349,3 +398,12 @@ class RemoteEnv:
             except OSError:
                 pass
         self._fh = self._sock = None
+
+
+def _rate(reply: dict) -> float:
+    """A trace reply's sample rate, a positive finite number."""
+    rate = reply.get("rate")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
+            or not 0 < rate < math.inf:
+        raise ProtocolError(f"bad trace payload: rate {rate!r}")
+    return float(rate)

@@ -110,9 +110,13 @@ def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
     trace = result.trace
     if trace.t0 + trace.duration < window_end - 1e-9:
         return None
-    filtered = sigproc.filtered_trace(trace, config.bandpass_spec,
+    # both filter stages are causal, so filtering only the prefix the window
+    # reads (and two low-rate periods of margin for rounding) is exact
+    prefix = sigproc.segment(trace, trace.t0, window_end + 2.0 / config.target_rate)
+    filtered = sigproc.filtered_trace(prefix, config.bandpass_spec,
                                       config.target_rate, config.filter_stage)
-    post = sigproc.segment(filtered, scenario.act_time, trace.t0 + trace.duration + trace.dt)
+    post = sigproc.segment(filtered, scenario.act_time,
+                           prefix.t0 + prefix.duration + prefix.dt)
     return -sigproc.oscillation_energy(post, 0.0, config.t_reward)
 
 
@@ -190,15 +194,19 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     """
     lo, hi = window_region(scenario, config)
     # iteration by iteration: the window start, then the action noise
-    draws = [(rng.uniform(lo, hi), rng.standard_normal()) for _ in range(config.n_iter)]
-    windows = [sigproc.extract_window(obs_trace, start, config.d_obs) for start, _ in draws]
-    out = pol.forward(params, np.stack([w.values for w in windows]))
-    actions = out.mu + np.sqrt(out.var) * np.array([eps for _, eps in draws])
+    starts, eps = np.array([(rng.uniform(lo, hi), rng.standard_normal())
+                            for _ in range(config.n_iter)]).T
+    i0 = sigproc.window_indices(obs_trace, starts, config.d_obs)
+    windows = obs_trace.samples[i0[:, None] + np.arange(config.d_obs)]
+    window_starts = obs_trace.t0 + i0 / obs_trace.sample_rate
+    out = pol.forward(params, windows)
+    actions = out.mu + np.sqrt(out.var) * eps
     log_probs = pol.gaussian_log_prob(actions, out.mu, out.var)
 
     records = []
     worst = worst_reward
-    for it, obs in enumerate(windows):
+    for it, values in enumerate(windows):
+        obs = sigproc.Observation(values, float(window_starts[it]))
         action = float(actions[it])
         applied = clamp(action, config.kp_min, config.kp_max)
         entry = cache.lookup(applied) if config.cache_enabled else None

@@ -1,8 +1,9 @@
-import base64
 import json
 import socket
 import socketserver
+import sys
 import threading
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscirl import cli, config, plant, sigproc, trainer
+from sscirl import cli, config, envproto, plant, sigproc, trainer
 from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
                              RemoteEnv, ServerError, _Session)
 
@@ -171,16 +172,24 @@ def server():
 
 
 class Conn:
-    """Raw line-protocol client for exercising the wire format directly."""
+    """Raw line-protocol client for exercising the wire format directly.
+    A reply whose header announces `nbytes` gets the raw bytes that follow
+    it under "bytes"."""
 
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=10)
-        self.fh = self.sock.makefile("rw", encoding="utf-8", newline="\n")
+        self.fh = self.sock.makefile("rwb")
 
     def send_raw(self, text):
-        self.fh.write(text + "\n")
+        self.fh.write(text.encode() + b"\n")
         self.fh.flush()
-        return json.loads(self.fh.readline())
+        return self.read_reply()
+
+    def read_reply(self):
+        reply = json.loads(self.fh.readline())
+        if "nbytes" in reply:
+            reply["bytes"] = self.fh.read(reply["nbytes"])
+        return reply
 
     def send(self, **msg):
         return self.send_raw(json.dumps(msg))
@@ -258,7 +267,8 @@ class TestProtocol:
         assert conn.send(id=1, kind="reset", scenario=overrides)["kind"] == "ok"
         reply = conn.send(id=2, kind="run_episode", kp=kp, seed=5, encoding="f64le")
         assert reply["kind"] == "trace" and "samples" not in reply
-        remote = np.frombuffer(base64.b64decode(reply["samples_b64"]), dtype="<f8")
+        assert reply["nbytes"] == len(reply["bytes"])
+        remote = np.frombuffer(reply["bytes"], dtype="<f8")
         assert remote.tobytes() == local.trace.samples.astype("<f8").tobytes()
         assert reply["diverged"] == local.diverged == (overrides == DIVERGING)
         # a diverged trace is truncated, the others span the horizon
@@ -277,10 +287,10 @@ class TestProtocol:
     def test_request_line_over_cap_closes_connection(self, conn):
         # one byte over the cap, and no newline: the server stops reading
         conn.sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
-        reply = json.loads(conn.fh.readline())
+        reply = conn.read_reply()
         assert reply["kind"] == "error" and reply["code"] == "parse"
         assert f"exceeds {MAX_REQUEST_BYTES} bytes" in reply["message"]
-        assert conn.fh.readline() == ""
+        assert conn.fh.readline() == b""
 
     def test_unknown_kind_keeps_connection(self, conn):
         reply = conn.send(id=1, kind="bogus")
@@ -350,7 +360,7 @@ class TestProtocol:
         assert reply["payload"]["t"] == pytest.approx(50 * SCN.sim_dt)
         reply = conn.send(id=4, kind="run_episode", kp=2, seed=5, encoding="f64le")
         local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
-        assert base64.b64decode(reply["samples_b64"]) == local.trace.samples.tobytes()
+        assert reply["bytes"] == local.trace.samples.tobytes()
 
     def test_benchmark_cosimulation_requests_are_served(self, conn):
         # the request sequence of the benchmark's remote_stepping workload
@@ -421,7 +431,76 @@ class TestProtocol:
         reply = conn.send(id=1, kind="reset", scenario={"horizon": 8.0, "sim_dt": 4e-4})
         assert reply["kind"] == "ok"
         reply = conn.send(id=2, kind="run_episode", kp=2.0, seed=5, encoding="f64le")
-        assert len(base64.b64decode(reply["samples_b64"])) == 8 * 20000
+        assert reply["nbytes"] == len(reply["bytes"]) == 8 * 20000
+
+    def test_sessions_capped(self, monkeypatch):
+        # at the cap every session is served; one more gets `busy` and is
+        # closed, and the sessions already open keep going
+        monkeypatch.setattr(envproto, "MAX_SESSIONS", 2)
+        srv = EnvServer(SCN, port=0)
+        srv.serve_background()
+        conns = [Conn(srv.address) for _ in range(2)]
+        try:
+            for c in conns:  # a reply means the session holds its slot
+                assert c.send(id=1, kind="reset", seed=0)["kind"] == "ok"
+            extra = Conn(srv.address)
+            conns.append(extra)
+            reply = extra.read_reply()
+            assert reply == {"id": -1, "kind": "error", "code": "busy",
+                             "message": "server already holds its 2 sessions"}
+            assert extra.fh.readline() == b""
+            for c in conns[:2]:
+                assert c.send(id=2, kind="measure")["kind"] == "trace"
+            with pytest.raises(ServerError, match=r"\[busy\]"):
+                RemoteEnv(*srv.address, scenario=SCN)
+            # a closed session frees its slot, once the server sees the close
+            conns.pop(0).close()
+            deadline = time.monotonic() + 10
+            while True:
+                again = Conn(srv.address)
+                conns.append(again)
+                reply = again.send(id=1, kind="reset")
+                if reply["kind"] == "ok":
+                    break
+                assert reply["code"] == "busy" and time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            for c in conns:
+                c.close()
+            srv.shutdown()
+            srv.server_close()
+
+    def test_session_cap_holds_under_concurrent_connects(self, monkeypatch):
+        # many clients connect at once, with frequent thread switches: the
+        # server admits exactly the cap, and refuses the rest
+        monkeypatch.setattr(envproto, "MAX_SESSIONS", 3)
+        srv = EnvServer(SCN, port=0)
+        srv.serve_background()
+        n = 12
+        start, kinds, conns = threading.Barrier(n), [], []
+
+        def client():
+            start.wait(timeout=10)
+            c = Conn(srv.address)
+            conns.append(c)
+            kinds.append(c.send(id=1, kind="reset")["kind"])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(kinds) == ["error"] * (n - 3) + ["ok"] * 3
+        finally:
+            sys.setswitchinterval(switch)
+            for c in conns:
+                c.close()
+            srv.shutdown()
+            srv.server_close()
 
 
 JSON = st.recursive(
@@ -451,9 +530,10 @@ def test_session_handle_never_raises(requests):
     session = _Session(SCN)
     for rid, (numbered, req) in enumerate(requests, start=1):
         msg = {**req, "id": rid} if numbered else req
-        reply = session.handle(msg)
-        assert isinstance(reply, dict)
+        reply, payload = session.handle(msg)
+        assert isinstance(reply, dict) and isinstance(payload, bytes)
         assert reply["kind"] in ("ok", "trace", "error")
+        assert reply.get("nbytes", 0) == len(payload)
         json.dumps(reply)
 
 
@@ -526,19 +606,26 @@ class _StubHandler(socketserver.StreamRequestHandler):
             else:
                 line = json.dumps({"id": msg["id"], **canned})
             self.wfile.write((line + "\n").encode())
+            if msg["kind"] == "run_episode":
+                self.wfile.write(self.server.tail)
+                if self.server.hangup:
+                    return
 
 
 class StubSimulator(socketserver.ThreadingTCPServer):
     """An external simulator that acknowledges every request and answers
-    each `run_episode` with one canned reply (fields, or a raw line),
-    recording what it receives."""
+    each `run_episode` with one canned reply (fields, or a raw line) and
+    the raw bytes `tail` after it, then hangs up if told to, recording
+    what it receives."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, canned):
+    def __init__(self, canned, tail=b"", hangup=False):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.canned = canned
+        self.tail = tail
+        self.hangup = hangup
         self.connections = 0
         self.requests = []
         threading.Thread(target=self.serve_forever, daemon=True).start()
@@ -548,8 +635,8 @@ class StubSimulator(socketserver.ThreadingTCPServer):
 def stub():
     servers = []
 
-    def start(line=None, **canned):
-        servers.append(StubSimulator(canned if line is None else line))
+    def start(line=None, tail=b"", hangup=False, **canned):
+        servers.append(StubSimulator(canned if line is None else line, tail, hangup))
         return servers[-1]
 
     yield start
@@ -559,7 +646,9 @@ def stub():
 
 
 def f64le(samples):
-    return base64.b64encode(np.asarray(samples, dtype="<f8").tobytes()).decode()
+    """The header field and trailing bytes of an "f64le" trace reply."""
+    raw = np.asarray(samples, dtype="<f8").tobytes()
+    return {"nbytes": len(raw), "tail": raw}
 
 
 TRACE = {"kind": "trace", "rate": SCN.sample_rate, "t0": 0.0, "diverged": False}
@@ -581,7 +670,7 @@ class TestRemoteEnvPayloads:
         assert srv.connections == 1
 
     def test_decoded_samples_are_writable_float64(self, stub):
-        srv = stub(**TRACE, samples_b64=f64le([1.0, 2.0, 3.0]))
+        srv = stub(**TRACE, **f64le([1.0, 2.0, 3.0]))
         env = RemoteEnv(*srv.server_address, scenario=SCN)
         try:
             samples = env.run_episode(2.0, 5).trace.samples
@@ -590,27 +679,49 @@ class TestRemoteEnvPayloads:
         assert samples.dtype == np.float64 and samples.flags.writeable
         assert samples.tolist() == [1.0, 2.0, 3.0]
 
-    @pytest.mark.parametrize("payload", [
-        {"id": 99},
-        {"samples_b64": "not base64!"},
-        {"samples_b64": base64.b64encode(bytes(12)).decode()},
-        {"samples_b64": f64le(np.zeros(N_TOTAL + 2))},
-        {"samples_b64": f64le([1.0, float("nan"), 1.0])},
-        {"samples": [1.0, float("inf"), 1.0]},
-        {"samples": [1.0, "x"]},
-        {},
-    ], ids=["id_mismatch", "bad_base64", "partial_float", "over_horizon", "nan_f64le",
-            "inf_json", "not_numbers", "no_samples"])
-    def test_bad_payload_retried_then_raises(self, stub, payload):
-        srv = stub(**TRACE, **payload)
+    def test_frames_stay_aligned_across_episodes(self, stub):
+        srv = stub(**TRACE, **f64le([1.0, 2.0, 3.0]))
         env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            for _ in range(3):
+                assert env.run_episode(2.0, 5).trace.samples.tolist() == [1.0, 2.0, 3.0]
+        finally:
+            env.close()
+        assert srv.connections == 1
+
+    # A header whose nbytes is refused is answered before its bytes are
+    # read, so these stubs send none: the match proves the refusal.
+    @pytest.mark.parametrize("payload, match", [
+        ({"id": 99}, "response id 99"),
+        ({"nbytes": "24", "tail": bytes(24)}, "nbytes '24'"),
+        ({"nbytes": True}, "nbytes True"),
+        ({"nbytes": 24.0}, "nbytes 24.0"),
+        ({"nbytes": -8}, "nbytes -8"),
+        ({"nbytes": 12}, "nbytes 12"),
+        ({"nbytes": 8 * (N_TOTAL + 2)}, f"{N_TOTAL + 2} samples exceeds"),
+        ({"nbytes": 2**62}, "exceeds"),
+        ({"nbytes": 80, "tail": bytes(40), "hangup": True}, "middle of a trace"),
+        ({**f64le([1.0, float("nan"), 1.0])}, "non-finite"),
+        ({**f64le([1.0, 2.0]), "rate": "5000"}, "rate '5000'"),
+        ({"samples": [1.0, float("inf"), 1.0]}, "non-finite"),
+        ({"samples": [1.0, "x"]}, "bad trace payload"),
+        ({}, "bad trace payload"),
+    ], ids=["id_mismatch", "nbytes_string", "nbytes_bool", "nbytes_float",
+            "nbytes_negative", "partial_float", "over_horizon", "huge_nbytes",
+            "short_read", "nan_f64le", "rate_string", "inf_json", "not_numbers",
+            "no_samples"])
+    def test_bad_payload_retried_then_raises(self, stub, payload, match):
+        srv = stub(**{**TRACE, **payload})
+        env = RemoteEnv(*srv.server_address, scenario=SCN, timeout=10)
         try:
             with pytest.raises(ProtocolError, match="after retry") as err:
                 env.run_episode(2.0, 5)
         finally:
             env.close()
         assert not isinstance(err.value, ServerError)
-        # a bad payload is a transport failure: one retry on a new connection
+        assert match in str(err.value)
+        # a bad payload is a transport failure: the framing is lost, so the
+        # one retry runs on a new connection
         assert srv.connections == 2
         assert env.episode_count == 0
 
@@ -625,7 +736,7 @@ class TestRemoteEnvPayloads:
         assert srv.connections == 2
 
     def test_one_horizon_accepted(self, stub):
-        srv = stub(**TRACE, samples_b64=f64le(np.zeros(N_TOTAL + 1)))
+        srv = stub(**TRACE, **f64le(np.zeros(N_TOTAL + 1)))
         env = RemoteEnv(*srv.server_address, scenario=SCN)
         try:
             assert len(env.run_episode(2.0, 5).trace) == N_TOTAL + 1

@@ -134,6 +134,18 @@ class TestExtractWindow:
         obs = extract_window(self.make_trace(), 0.015, 5)
         assert obs.values[0] == 2  # first sample index with t >= 0.015
 
+    def test_batched_indices_match_extract_window(self):
+        trace = SignalTrace(np.arange(1000, dtype=float), 100.0, t0=0.37)
+        starts = np.random.default_rng(0).uniform(0.0, 10.07, 200)
+        starts[:3] = (0.37, 0.375, 10.07)  # first sample, between samples, last window
+        i0 = sigproc.window_indices(trace, starts, 30)
+        for start, i in zip(starts, i0):
+            obs = extract_window(trace, start, 30)
+            assert obs.values[0] == trace.samples[i]
+            assert obs.window_start == trace.t0 + i / trace.sample_rate
+        with pytest.raises(TraceError, match="window exceeds trace"):
+            sigproc.window_indices(trace, [1.0, 10.08], 30)
+
 
 class TestOscillationEnergy:
     def test_zero_signal(self):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,27 @@ class SpyEnv(LocalPlantEnv):
     def run_episode(self, kp, seed):
         self.seeds.append(seed)
         return super().run_episode(kp, seed)
+
+
+class TestReward:
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("kp", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
+    def test_prefix_reward_equals_full_trace_reward(self, stage, kp, act_time):
+        # the reward filters only the prefix its window reads; both filter
+        # stages are causal, so that must equal filtering the whole trace
+        scn = replace(SCN, act_time=act_time)
+        cfg = TrainConfig(filter_stage=stage)
+        result = plant.run_episode(scn, plant.GainAction(kp), seed=3)
+        trace = result.trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            full = sigproc.filtered_trace(trace, cfg.bandpass_spec, cfg.target_rate,
+                                          stage)
+            post = sigproc.segment(full, scn.act_time,
+                                   trace.t0 + trace.duration + trace.dt)
+            expected = -sigproc.oscillation_energy(post, 0.0, cfg.t_reward)
+            assert episode_reward(result, scn, cfg) == expected
 
 
 class TestRunEpoch:
