@@ -22,6 +22,12 @@ header, and the trace follows it as raw bytes. Grammar:
                                           is followed by exactly N raw bytes,
                                           the trace's little-endian float64s
 
+A client may send further requests before the earlier replies arrive;
+the server answers one request at a time, so replies come in request
+order. `RemoteEnv` keeps at most two `run_episode` requests in flight,
+and after an `error` reply reads and drops the reply still in flight, so
+the connection stays in step.
+
 A reset's scenario values are typed by `config.coerce`, as in a config
 file (so "48" is 48.0); an unknown field or a value its field does not
 take gets code "args" naming the field. A `kp` must be a JSON number and
@@ -270,12 +276,14 @@ class RemoteEnv:
     """Client adapter presenting the trainer's environment interface.
 
     Speaks the line protocol against a served plant (or any external
-    simulator implementing it). An episode request that fails in transport
-    (connection lost, malformed reply, bad trace payload) is retried once on
-    a fresh connection, and a second failure raises. An `error` reply raises
-    `ServerError` at once. With a scenario, a trace longer than one horizon
-    is a bad payload; an "f64le" header announcing one is refused before
-    its bytes are read.
+    simulator implementing it). `run_episodes` pipelines a batch of episode
+    requests on one connection, keeping at most two in flight, and
+    `run_episode` is a batch of one. An episode request that fails in
+    transport (connection lost, malformed reply, bad trace payload) is
+    retried once on a fresh connection, and a second failure raises. An
+    `error` reply raises `ServerError` at once. With a scenario, a trace
+    longer than one horizon is a bad payload; an "f64le" header announcing
+    one is refused before its bytes are read.
     """
 
     def __init__(self, host: str, port: int,
@@ -297,6 +305,8 @@ class RemoteEnv:
             raise ProtocolError(
                 f"cannot connect to environment server at "
                 f"{self.host}:{self.port}: {exc}") from exc
+        # a pipelined request must not wait for the ACK of the one before it
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._fh = self._sock.makefile("rwb")
         self._seq = 0
         if self.scenario is not None:
@@ -305,11 +315,20 @@ class RemoteEnv:
     def request(self, kind: str, **payload) -> dict:
         """Send one request and return its reply. A trace that arrives as
         raw bytes after its header is returned as a float64 array under
-        `samples`, as a JSON trace's list is."""
+        `samples`, as a JSON trace's list is. Not to be called while a
+        `run_episodes` batch is unfinished."""
+        return self._receive(self._send(kind, **payload))
+
+    def _send(self, kind: str, **payload) -> int:
+        """Write one request line; return its id."""
         self._seq += 1
         msg = {"id": self._seq, "kind": kind, **payload}
         self._fh.write((json.dumps(msg) + "\n").encode())
         self._fh.flush()
+        return self._seq
+
+    def _receive(self, rid: int) -> dict:
+        """Read the reply to request `rid`, the next one on the connection."""
         line = self._fh.readline()
         if not line:
             raise ProtocolError("connection closed by server")
@@ -321,8 +340,8 @@ class RemoteEnv:
             raise ProtocolError(f"reply is not a JSON object: {line[:40]!r}")
         if reply.get("kind") == "error":
             raise ServerError(reply.get("code"), reply.get("message"))
-        if reply.get("id") != self._seq:
-            raise ProtocolError(f"response id {reply.get('id')} != request {self._seq}")
+        if reply.get("id") != rid:
+            raise ProtocolError(f"response id {reply.get('id')} != request {rid}")
         if "nbytes" in reply:
             reply["samples"] = self._read_samples(reply)
         return reply
@@ -353,20 +372,50 @@ class RemoteEnv:
                                 f"{cap} (one horizon at {rate} Hz)")
 
     def run_episode(self, kp: float, seed: int | None) -> plant.EpisodeResult:
+        [result] = self.run_episodes([(kp, seed)])
+        return result
+
+    def run_episodes(self, jobs):
+        """Yield the episode of each (kp, seed) job, in job order.
+
+        The request for job j+1 is sent before the reply to job j is read,
+        so the server simulates the next episode while the caller scores
+        this one; at most two requests are in flight. A transport failure
+        resumes the batch from the failed job on a fresh connection, once
+        per job. After an `error` reply, and when the caller stops early,
+        the reply still in flight is read and dropped, so the connection
+        stays in step (or is closed, if that read fails)."""
+        jobs = list(jobs)
+        in_flight: list[int] = []  # request ids, oldest first
+        try:
+            for j in range(len(jobs)):
+                yield self._deliver(jobs, j, in_flight)
+        finally:
+            self._drain(in_flight)
+
+    def _deliver(self, jobs, j, in_flight) -> plant.EpisodeResult:
+        """Job j's episode: its request and the next job's on the wire,
+        then its reply read and decoded, retried once on a fresh
+        connection."""
         last_exc = None
-        for attempt in range(2):
+        for _ in range(2):
             try:
-                if attempt:
-                    self.close()
+                if self._fh is None:
                     self._connect()
-                reply = self.request("run_episode", kp=float(kp), encoding="f64le",
-                                     **({"seed": int(seed)} if seed is not None else {}))
+                while len(in_flight) < 2 and j + len(in_flight) < len(jobs):
+                    kp, seed = jobs[j + len(in_flight)]
+                    in_flight.append(self._send(
+                        "run_episode", kp=float(kp), encoding="f64le",
+                        **({"seed": int(seed)} if seed is not None else {})))
+                reply = self._receive(in_flight.pop(0))
                 trace = self._decode_trace(reply)
                 break
             except ServerError:
                 raise  # a refusal is deterministic; asking again cannot help
             except (ProtocolError, OSError) as exc:
                 last_exc = exc
+                in_flight.clear()
+                self.close()  # the framing is lost
         else:
             raise ProtocolError(f"episode failed after retry: {last_exc}")
         self.episode_count += 1
@@ -374,6 +423,18 @@ class RemoteEnv:
         diverged_at = trace.t0 + len(trace) * trace.dt if diverged else None
         return plant.EpisodeResult(trace=trace, diverged=diverged,
                                    diverged_at=diverged_at)
+
+    def _drain(self, in_flight: list[int]):
+        """Read and drop the replies still in flight; close the connection
+        if one cannot be read."""
+        while in_flight:
+            try:
+                self._receive(in_flight.pop(0))
+            except ServerError:
+                pass
+            except (ProtocolError, OSError):
+                in_flight.clear()
+                self.close()
 
     def _decode_trace(self, reply: dict) -> SignalTrace:
         """The reply's trace: the raw bytes after an "f64le" header, or a

@@ -59,15 +59,25 @@ class EvalCache:
             entry["hits"] += 1
         return entry
 
-    def store(self, kp: float, reward: float) -> None:
-        self._entries.setdefault(self.bucket(kp), {"reward": reward, "hits": 0})
+    def store(self, kp: float, reward: float | None) -> dict:
+        """The bucket's entry, created holding `reward` when the bucket is
+        empty. A reward of None reserves the bucket for one still to come."""
+        return self._entries.setdefault(self.bucket(kp), {"reward": reward, "hits": 0})
+
+    def drop_reserved(self) -> None:
+        """Forget the buckets still waiting for their reward."""
+        self._entries = {b: e for b, e in self._entries.items()
+                         if e["reward"] is not None}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def total_hits(self) -> int:
-        return sum(e["hits"] for e in self._entries.values())
+
+def each_episode(env, jobs):
+    """The episode of each (kp, seed) job from env.run_episode, run one at a
+    time as it is pulled, in job order."""
+    for kp, seed in jobs:
+        yield env.run_episode(kp, seed)
 
 
 class LocalPlantEnv:
@@ -80,6 +90,10 @@ class LocalPlantEnv:
     def run_episode(self, kp: float, seed: int | None) -> plant.EpisodeResult:
         self.episode_count += 1
         return plant.run_episode(self.scenario, plant.GainAction(kp), seed)
+
+    def run_episodes(self, jobs):
+        # through run_episode, so a subclass that overrides it sees every job
+        return each_episode(self, jobs)
 
     def close(self):
         pass
@@ -190,7 +204,9 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     rng. The n_iter windows go through one batched policy forward pass and
     act a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
     safe range and scored by its cache bucket or, on a miss, by a plant
-    episode seeded with episode_seed(seed, epoch, j).
+    episode seeded with episode_seed(seed, epoch, j). The epoch's misses go
+    to the environment as one batch, in iteration order, so a remote
+    simulator can run the next episode while this one is scored.
     """
     lo, hi = window_region(scenario, config)
     # iteration by iteration: the window start, then the action noise
@@ -203,26 +219,45 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     actions = out.mu + np.sqrt(out.var) * eps
     log_probs = pol.gaussian_log_prob(actions, out.mu, out.var)
 
+    # plan: a miss reserves its bucket, so later iterations in it hit
+    applied = [clamp(float(a), config.kp_min, config.kp_max) for a in actions]
+    hits, jobs, reserved = [], [], []
+    for it, kp in enumerate(applied):
+        entry = cache.lookup(kp) if config.cache_enabled else None
+        hits.append(entry)
+        if entry is None:
+            jobs.append((kp, episode_seed(config.seed, epoch, it)))
+            reserved.append(cache.store(kp, None) if config.cache_enabled else None)
+
+    # score: map drops each episode once scored, before the next is pulled
+    run_episodes = getattr(env, "run_episodes", None)
+    try:
+        scores = list(map(lambda result: episode_reward(result, scenario, config),
+                          run_episodes(jobs) if run_episodes is not None
+                          else each_episode(env, jobs)))
+    except BaseException:
+        cache.drop_reserved()
+        raise
+
+    # assemble, in iteration order: a divergence penalty depends on the
+    # worst reward before it
     records = []
     worst = worst_reward
+    fresh = zip(scores, reserved)
     for it, values in enumerate(windows):
         obs = sigproc.Observation(values, float(window_starts[it]))
-        action = float(actions[it])
-        applied = clamp(action, config.kp_min, config.kp_max)
-        entry = cache.lookup(applied) if config.cache_enabled else None
+        entry = hits[it]
         if entry is not None:
             reward = entry["reward"]
         else:
-            # the episode is dropped once scored, before the next one runs
-            reward = episode_reward(
-                env.run_episode(applied, episode_seed(config.seed, epoch, it)),
-                scenario, config)
+            reward, slot = next(fresh)
             if reward is None:
                 reward = divergence_penalty(worst)
-            if config.cache_enabled:
-                cache.store(applied, reward)
-        records.append(EpisodeRecord(obs, action, applied, float(log_probs[it]),
-                                     reward, float(out.var[it]), entry is not None))
+            if slot is not None:
+                slot["reward"] = reward
+        records.append(EpisodeRecord(obs, float(actions[it]), applied[it],
+                                     float(log_probs[it]), reward,
+                                     float(out.var[it]), entry is not None))
         if worst is None or reward < worst:
             worst = reward
 
@@ -264,10 +299,13 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     run_dir (optional) receives training_log.csv, the resolved config
     snapshot, and best.ckpt (the latest of the epochs tied at the top mean
     reward) and last.ckpt, both written once when the run ends, provided an
-    epoch finished. env defaults to the in-process plant; any
-    object with run_episode(kp, seed) -> EpisodeResult works (e.g. the
-    remote protocol adapter). The pair is checked by config.validate before
-    anything runs or is written.
+    epoch finished. env defaults to the in-process plant; any object with
+    run_episode(kp, seed) -> EpisodeResult works (e.g. the remote protocol
+    adapter). It may also have run_episodes(jobs), taking a list of
+    (kp, seed) and yielding each job's EpisodeResult in order; each epoch's
+    plant episodes then go to it as one batch, else run_episode runs them
+    one by one. The pair is checked by config.validate before anything runs
+    or is written.
     """
     validate(scenario, config)
     own_env = env is None

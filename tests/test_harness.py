@@ -18,6 +18,10 @@ from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
 SCN = plant.PlantScenario()
 # reaches the divergence bound soon after the gain is mistuned
 DIVERGING = {"zeta_stable": 0.05, "diverge_threshold": 20.0}
+# mistuned late and unstable above kp 1.0: at kp 2 an episode diverges
+# before its reward window ends, at kp 1.5 only after it
+MIXED = replace(SCN, kp_stable=0.5, kp_crit=1.0, mistune_time=4.5,
+                diverge_threshold=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +166,17 @@ class TestEvaluateAndOracle:
 # ---------------------------------------------------------------------------
 # line protocol
 
+def serve(srv):
+    """Serve srv from a daemon thread that checks for shutdown every 50 ms,
+    so a teardown does not wait out serve_forever's default half second."""
+    threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+
+
 @pytest.fixture(scope="module")
 def server():
     srv = EnvServer(SCN, port=0)
-    srv.serve_background()
+    serve(srv)
     yield srv
     srv.shutdown()
     srv.server_close()
@@ -237,7 +248,7 @@ class TestProtocol:
         # the trainer's pre-activation trace runs at kp_unstable, which may
         # lie outside the server's bounds
         srv = EnvServer(SCN, port=0, kp_bounds=(0.5, 3.5))
-        srv.serve_background()
+        serve(srv)
         c = Conn(srv.address)
         try:
             reply = c.send(id=1, kind="run_episode", kp=SCN.kp_unstable, seed=0)
@@ -438,7 +449,7 @@ class TestProtocol:
         # closed, and the sessions already open keep going
         monkeypatch.setattr(envproto, "MAX_SESSIONS", 2)
         srv = EnvServer(SCN, port=0)
-        srv.serve_background()
+        serve(srv)
         conns = [Conn(srv.address) for _ in range(2)]
         try:
             for c in conns:  # a reply means the session holds its slot
@@ -475,7 +486,7 @@ class TestProtocol:
         # server admits exactly the cap, and refuses the rest
         monkeypatch.setattr(envproto, "MAX_SESSIONS", 3)
         srv = EnvServer(SCN, port=0)
-        srv.serve_background()
+        serve(srv)
         n = 12
         start, kinds, conns = threading.Barrier(n), [], []
 
@@ -588,55 +599,134 @@ class TestRemoteEnv:
         assert (d_local / "training_log.csv").read_bytes() == \
                (d_remote / "training_log.csv").read_bytes()
 
+    @pytest.mark.parametrize("scn, seed", [(SCN, 11), (MIXED, 0)],
+                             ids=["cache_off", "diverging_in_batch"])
+    def test_remote_cache_off_log_matches_local(self, server, tmp_path, scn, seed):
+        # every iteration is a remote episode; with MIXED an epoch's batch
+        # holds episodes that diverge before the reward window between
+        # finite ones, so its penalties depend on the order of assembly
+        cfg = trainer.TrainConfig(n_epoch=3, n_iter=8, seed=seed, cache_enabled=False)
+        unscored = []
+
+        class Scoring(trainer.LocalPlantEnv):
+            def run_episode(self, kp, seed):
+                result = super().run_episode(kp, seed)
+                unscored.append(trainer.episode_reward(result, scn, cfg) is None)
+                return result
+
+        d_local, d_remote = tmp_path / "local", tmp_path / "remote"
+        trainer.train(scn, cfg, run_dir=d_local, env=Scoring(scn))
+        env = RemoteEnv(*server.address, scenario=scn)
+        try:
+            trainer.train(scn, cfg, run_dir=d_remote, env=env)
+        finally:
+            env.close()
+        assert env.episode_count == 1 + cfg.n_epoch * cfg.n_iter
+        assert (d_local / "training_log.csv").read_bytes() == \
+               (d_remote / "training_log.csv").read_bytes()
+        if scn is MIXED:
+            batches = [unscored[1 + e * cfg.n_iter:1 + (e + 1) * cfg.n_iter]
+                       for e in range(cfg.n_epoch)]
+            assert any(True in b and not b[0] and not b[-1] for b in batches)
+
+    def test_error_reply_drains_the_reply_in_flight(self, server):
+        # the second request is on the wire when the first is refused; its
+        # reply is read and dropped, so the next episode keeps the connection
+        env = RemoteEnv(*server.address, scenario=SCN)
+        try:
+            sock = env._sock
+            with pytest.raises(ServerError, match=r"\[bounds\]"):
+                list(env.run_episodes([(9.0, 1), (2.0, 5)]))
+            assert env.episode_count == 0
+            result = env.run_episode(2.0, 6)
+            assert env._sock is sock
+        finally:
+            env.close()
+        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=6)
+        assert np.array_equal(result.trace.samples, local.trace.samples)
+        assert env.episode_count == 1
+
+    def test_consumer_stopping_early_leaves_env_usable(self, server):
+        env = RemoteEnv(*server.address, scenario=SCN)
+        try:
+            sock = env._sock
+            results = env.run_episodes([(2.0, 1), (2.0, 2), (2.0, 3)])
+            first = next(results)
+            results.close()
+            assert env.episode_count == 1
+            again = env.run_episode(2.5, 4)
+            assert env._sock is sock
+        finally:
+            env.close()
+        for result, kp, seed in ((first, 2.0, 1), (again, 2.5, 4)):
+            local = plant.run_episode(SCN, plant.GainAction(kp), seed=seed)
+            assert np.array_equal(result.trace.samples, local.trace.samples)
+        assert env.episode_count == 2
+
 
 # ---------------------------------------------------------------------------
 # the client against canned replies
 
 class _StubHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        self.server.connections += 1
+        srv = self.server
+        srv.connections += 1
+        held = b""  # a reply written only once the next request has arrived
         for raw in self.rfile:
+            self.wfile.write(held)
+            held = b""
             msg = json.loads(raw)
-            self.server.requests.append(msg)
-            canned = self.server.canned
+            srv.requests.append(msg)
             if msg["kind"] != "run_episode":
                 line = json.dumps({"id": msg["id"], "kind": "ok", "payload": {}})
-            elif isinstance(canned, str):
-                line = canned
+                self.wfile.write((line + "\n").encode())
+                continue
+            line = srv.canned if isinstance(srv.canned, str) \
+                else json.dumps({"id": msg["id"], **srv.canned})
+            reply = (line + "\n").encode() + srv.tail
+            if srv.cut is not None and msg.get("seed") == srv.cut[0]:
+                self.wfile.write(reply[:srv.cut[1](len(line) + 1)])
+                return
+            if srv.hold:
+                srv.hold -= 1
+                held = reply
             else:
-                line = json.dumps({"id": msg["id"], **canned})
-            self.wfile.write((line + "\n").encode())
-            if msg["kind"] == "run_episode":
-                self.wfile.write(self.server.tail)
-                if self.server.hangup:
-                    return
+                self.wfile.write(reply)
+            if srv.hangup:
+                return
 
 
 class StubSimulator(socketserver.ThreadingTCPServer):
     """An external simulator that acknowledges every request and answers
     each `run_episode` with one canned reply (fields, or a raw line) and
     the raw bytes `tail` after it, then hangs up if told to, recording
-    what it receives."""
+    what it receives. It holds back its first `hold` episode replies until
+    the next request arrives. `cut` = (seed, offset) answers an episode
+    request with that seed by the first offset(header line length) bytes
+    of its reply, then hangs up."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, canned, tail=b"", hangup=False):
+    def __init__(self, canned, tail=b"", hangup=False, hold=0, cut=None):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.canned = canned
         self.tail = tail
         self.hangup = hangup
+        self.hold = hold
+        self.cut = cut
         self.connections = 0
         self.requests = []
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        serve(self)
 
 
 @pytest.fixture
 def stub():
     servers = []
 
-    def start(line=None, tail=b"", hangup=False, **canned):
-        servers.append(StubSimulator(canned if line is None else line, tail, hangup))
+    def start(line=None, tail=b"", hangup=False, hold=0, cut=None, **canned):
+        servers.append(StubSimulator(canned if line is None else line, tail, hangup,
+                                     hold, cut))
         return servers[-1]
 
     yield start
@@ -754,3 +844,62 @@ class TestRemoteEnvPayloads:
         assert err.value.code == "bounds"
         assert srv.connections == 1
         assert [m["kind"] for m in srv.requests] == ["reset", "run_episode"]
+
+    def test_next_request_sent_before_reply_read(self, stub):
+        # the stub writes each of its first two episode replies only once
+        # the next request has arrived: a client that waited for a reply
+        # before sending on would time out
+        srv = stub(**TRACE, **f64le([1.0, 2.0]), hold=2)
+        env = RemoteEnv(*srv.server_address, scenario=SCN, timeout=5)
+        in_flight, most = set(), []
+        send, receive = env._send, env._receive
+
+        def counting_send(kind, **payload):
+            rid = send(kind, **payload)
+            in_flight.add(rid)
+            most.append(len(in_flight))
+            return rid
+
+        def counting_receive(rid):
+            in_flight.discard(rid)
+            return receive(rid)
+
+        env._send, env._receive = counting_send, counting_receive
+        try:
+            results = list(env.run_episodes([(2.0, 1), (2.0, 2), (2.0, 3)]))
+        finally:
+            env.close()
+        assert [r.trace.samples.tolist() for r in results] == [[1.0, 2.0]] * 3
+        assert [m.get("seed") for m in srv.requests] == [None, 1, 2, 3]
+        assert srv.connections == 1 and env.episode_count == 3
+        assert max(most) == 2
+
+    @pytest.mark.parametrize("cut", [
+        lambda n: n // 2, lambda n: n - 1, lambda n: n,
+        lambda n: n + 16, lambda n: n + 21],
+        ids=["in_header", "before_newline", "after_newline", "payload_aligned",
+             "payload_unaligned"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["first_reply", "second_reply"])
+    def test_cut_reply_resumes_then_raises(self, stub, cut, which):
+        # every reply to the job with the cut seed stops at the offset and
+        # the stub hangs up: the batch resumes from that job on a fresh
+        # connection, which is cut again
+        seeds = (1, 2)
+        srv = stub(**TRACE, **f64le(np.arange(8.0)), cut=(seeds[which], cut))
+        timeout = 5.0
+        env = RemoteEnv(*srv.server_address, scenario=SCN, timeout=timeout)
+        start = time.monotonic()
+        try:
+            results = env.run_episodes([(2.0, seed) for seed in seeds])
+            if which:
+                assert next(results).trace.samples.tolist() == list(range(8))
+            with pytest.raises(ProtocolError, match="after retry") as err:
+                next(results)
+        finally:
+            env.close()
+        assert time.monotonic() - start < timeout
+        assert not isinstance(err.value, ServerError)
+        assert srv.connections == 2
+        served = [m["seed"] for m in srv.requests if m["kind"] == "run_episode"]
+        assert served.count(seeds[which]) == 2
+        assert env.episode_count == which

@@ -251,6 +251,85 @@ class TestRunEpoch:
                                   params.tensors[name])
 
 
+class BatchSpyEnv(LocalPlantEnv):
+    """Local plant that records every batch of jobs it is given."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.batches = []
+
+    def run_episodes(self, jobs):
+        self.batches.append(list(jobs))
+        return super().run_episodes(jobs)
+
+
+class OneByOneEnv:
+    """An environment with run_episode only."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+
+    def run_episode(self, kp, seed):
+        return plant.run_episode(self.scenario, plant.GainAction(kp), seed)
+
+
+class TestEpisodeBatches:
+    def test_each_epoch_batches_its_misses_in_iteration_order(self, monkeypatch):
+        epochs = []
+        real = trainer.run_epoch
+
+        def recording(*args):
+            params, stats, records = real(*args)
+            epochs.append(records)
+            return params, stats, records
+
+        monkeypatch.setattr(trainer, "run_epoch", recording)
+        cfg = small_config(n_epoch=4, n_iter=8)
+        env = BatchSpyEnv(SCN)
+        train(SCN, cfg, env=env)
+        assert len(env.batches) == cfg.n_epoch  # the pre-trace is one run_episode
+        for epoch, (batch, records) in enumerate(zip(env.batches, epochs)):
+            assert batch == [(rec.action_applied, episode_seed(cfg.seed, epoch, it))
+                             for it, rec in enumerate(records) if not rec.cached]
+        assert sum(map(len, env.batches)) + 1 == env.episode_count
+        # a bucket first missed in an epoch serves that epoch's later hits
+        assert any(rec.cached for rec in epochs[0])
+
+    def test_local_batch_runs_lazily_through_run_episode(self):
+        env = SpyEnv(QUIET)
+        results = env.run_episodes([(2.0, 1), (3.0, 2)])
+        assert env.seeds == []
+        next(results)
+        assert env.seeds == [1]
+        next(results)
+        assert env.seeds == [1, 2] and env.episode_count == 2
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_env_without_run_episodes_gives_same_log(self, tmp_path, cache):
+        cfg = small_config(cache_enabled=cache)
+        train(SCN, cfg, run_dir=tmp_path / "local")
+        train(SCN, cfg, run_dir=tmp_path / "one", env=OneByOneEnv(SCN))
+        assert (tmp_path / "local" / "training_log.csv").read_bytes() == \
+               (tmp_path / "one" / "training_log.csv").read_bytes()
+
+    def test_failed_batch_leaves_no_reserved_bucket(self, obs_trace):
+        class Failing(LocalPlantEnv):
+            def run_episode(self, kp, seed):
+                if self.episode_count:
+                    raise RuntimeError("simulator lost")
+                return super().run_episode(kp, seed)
+
+        cfg = small_config(n_iter=8)
+        cache = EvalCache(cfg.cache_resolution)
+        cache.store(100.0, -1.0)
+        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
+        params.tensors["b3_mu"] = np.array(2.0)  # actions spread over buckets
+        with pytest.raises(RuntimeError, match="simulator lost"):
+            run_epoch(params, Failing(QUIET), QUIET, cfg, np.random.default_rng(6),
+                      cache, obs_trace, epoch=0, worst_reward=None)
+        assert len(cache) == 1 and cache.lookup(100.0)["reward"] == -1.0
+
+
 class TestTrain:
     def test_deterministic_log(self, tmp_path):
         cfg = small_config()
