@@ -1,22 +1,25 @@
 """Gaussian MLP policy with hand-derived gradients.
 
 Architecture: LayerNorm on the input, two ReLU hidden layers, a linear
-mean head and a Softplus variance head. Sampling uses the
-reparameterization a = mu + sqrt(var) * eps. The network works on batches:
-the forward pass takes an (n, obs_dim) stack of observations, and one
-observation is the n = 1 case, so a training epoch samples its n actions
-in one forward pass. Gradients of the weighted log-probability objective
-are computed by explicit reverse-mode differentiation over the whole
-batch with matrix products; the optimizer is Adam in gradient-ascent
-form, applied to all tensors as one flat vector. No autodiff framework is
-involved anywhere.
+mean head and a Softplus variance head. The learnable tensors live in one
+flat vector, theta; each tensor is a named view into it, and Adam's
+moments are flat vectors of the same layout. The network works on
+batches: forward takes an (n, obs_dim) stack of observations (one
+observation is the n = 1 case) and caches its activations, so a training
+epoch draws its n actions (a = mu + sqrt(var) * eps) from one forward pass
+and backward differentiates the weighted log-probability objective from
+that same pass, by explicit reverse-mode matrix products into a flat
+gradient. Adam in gradient-ascent form then updates theta elementwise.
+No autodiff framework is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,24 +44,30 @@ class CheckpointError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PolicyParameters:
-    """All learnable tensors plus Adam moment accumulators."""
+    """All learnable tensors as one flat vector theta, with Adam's first
+    and second moments m and v laid out the same way.
+
+    tensors maps each name of PARAM_NAMES to its view into theta. The
+    mapping is read-only, so rebinding a name raises TypeError, while a
+    write into a view (tensors["b3_mu"][...] = x) changes theta."""
 
     obs_dim: int
     hidden: int
-    tensors: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
+    tensors: Mapping[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tensors", MappingProxyType(
+            _views(self.theta, self.obs_dim, self.hidden)))
 
     def copy(self) -> "PolicyParameters":
-        return PolicyParameters(
-            self.obs_dim, self.hidden,
-            {k: v.copy() for k, v in self.tensors.items()},
-            {k: v.copy() for k, v in self.adam_m.items()},
-            {k: v.copy() for k, v in self.adam_v.items()},
-            self.step_count)
+        return PolicyParameters(self.obs_dim, self.hidden, self.theta.copy(),
+                                self.m.copy(), self.v.copy(), self.step_count)
 
 
 def _shapes(obs_dim: int, hidden: int) -> dict[str, tuple]:
@@ -71,28 +80,39 @@ def _shapes(obs_dim: int, hidden: int) -> dict[str, tuple]:
     }
 
 
+def _views(flat: np.ndarray, obs_dim: int, hidden: int) -> dict[str, np.ndarray]:
+    """Each tensor of PARAM_NAMES as a view into flat, in that order."""
+    shapes = _shapes(obs_dim, hidden)
+    out, pos = {}, 0
+    for name in PARAM_NAMES:
+        size = math.prod(shapes[name])
+        out[name] = flat[pos:pos + size].reshape(shapes[name])
+        pos += size
+    return out
+
+
+def _tensor_at(params: PolicyParameters, index: int) -> str:
+    """Name of the tensor holding entry index of the flat vector."""
+    ends = np.cumsum([t.size for t in params.tensors.values()])
+    return PARAM_NAMES[int(np.searchsorted(ends, index, side="right"))]
+
+
 def init_params(obs_dim: int = 30, hidden: int = 64,
                 seed: int | None = None) -> PolicyParameters:
     """Glorot-uniform weights, zero biases, identity LayerNorm affine."""
     rng = np.random.default_rng(seed)
-    shapes = _shapes(obs_dim, hidden)
-    tensors = {}
-    for name, shape in shapes.items():
+    size = sum(math.prod(s) for s in _shapes(obs_dim, hidden).values())
+    params = PolicyParameters(obs_dim, hidden, np.zeros(size), np.zeros(size),
+                              np.zeros(size), 0)
+    for name, tensor in params.tensors.items():
         if name.startswith("w"):
-            fan_out = shape[0] if len(shape) == 2 else 1
-            fan_in = shape[-1]
+            fan_out = tensor.shape[0] if tensor.ndim == 2 else 1
+            fan_in = tensor.shape[-1]
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-bound, bound, size=shape)
+            tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
         elif name == "ln_gain":
-            tensors[name] = np.ones(shape)
-        else:
-            tensors[name] = np.zeros(shape)
-    zeros = lambda: {n: np.zeros(s) for n, s in shapes.items()}
-    return PolicyParameters(obs_dim, hidden, tensors, zeros(), zeros(), 0)
-
-
-def zero_like_grads(params: PolicyParameters) -> dict[str, np.ndarray]:
-    return {n: np.zeros_like(t) for n, t in params.tensors.items()}
+            tensor[...] = 1.0
+    return params
 
 
 @dataclass
@@ -105,17 +125,6 @@ class PolicyOutput:
     mu: float | np.ndarray
     var: float | np.ndarray
     cache: dict = field(default_factory=dict, repr=False)
-
-
-@dataclass
-class SampledAction:
-    """Pre-clamp action sample with its log-probability, the policy's
-    variance and the stored noise."""
-
-    a: float
-    log_prob: float
-    var: float
-    epsilon: float
 
 
 def _obs_values(obs) -> np.ndarray:
@@ -168,48 +177,33 @@ def gaussian_log_prob(a, mu, var):
     return -0.5 * ((a - mu) ** 2 / var + np.log(2.0 * np.pi * var))
 
 
-def sample(params: PolicyParameters, obs,
-           rng: np.random.Generator) -> SampledAction:
-    """Draw a ~ N(mu, var) via the reparameterization trick."""
-    out = forward(params, obs)
-    eps = float(rng.standard_normal())
-    a = out.mu + math.sqrt(out.var) * eps
-    return SampledAction(a, float(gaussian_log_prob(a, out.mu, out.var)),
-                         out.var, eps)
-
-
 def log_prob(params: PolicyParameters, obs, a: float) -> float:
     out = forward(params, obs)
     return float(gaussian_log_prob(a, out.mu, out.var))
 
 
-def grad_weighted_logprob(params: PolicyParameters,
-                          batch: list[tuple]) -> dict[str, np.ndarray]:
-    """Gradient of (1/n) * sum_j R_j * log pi(a_j | o_j) w.r.t. all tensors.
+def backward(params: PolicyParameters, out: PolicyOutput, actions,
+             weights) -> np.ndarray:
+    """Gradient of (1/n) * sum_j w_j * log N(a_j; mu_j, var_j) w.r.t. theta.
 
-    batch entries are (obs, action, weight). The batch runs through one
-    forward pass and is backpropagated with matrix products. Raises on a
-    non-finite partial, naming the layer it appeared in.
+    out is forward(params, ...) over n observations; its cache holds every
+    activation the backward pass reads. actions and weights have one entry
+    per row. The batch is backpropagated with matrix products into one flat
+    vector laid out as theta. Raises on a non-finite partial, naming the
+    layer it appeared in.
     """
-    if not batch:
-        raise PolicyError("empty gradient batch")
-    observations, actions, weights = zip(*batch)
-    weights = np.array(weights, dtype=float)
+    c = out.cache
+    actions = np.asarray(actions, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if not actions.shape == weights.shape == (len(c["h2"]),):
+        raise PolicyError(f"{actions.shape} actions and {weights.shape} weights "
+                          f"for {len(c['h2'])} rows")
     if not np.isfinite(weights).all():
         raise PolicyError(f"non-finite weight {weights[~np.isfinite(weights)][0]}")
-    try:
-        rows = np.array([o.values if isinstance(o, Observation) else o
-                         for o in observations], dtype=float)
-    except ValueError as exc:
-        raise PolicyError(f"observations of unequal shape: {exc}") from None
-    if rows.ndim != 2:
-        raise PolicyError(f"batch observations stack to shape {rows.shape}")
-    out = forward(params, rows)
-    c = out.cache
     t = params.tensors
 
-    scale = weights / len(batch)
-    diff = np.array(actions, dtype=float) - out.mu
+    scale = weights / len(weights)
+    diff = actions - out.mu
     d_mu = scale * diff / out.var
     d_var = scale * (diff * diff / (2.0 * out.var ** 2) - 0.5 / out.var)
     with np.errstate(over="ignore"):  # exp overflow: sigmoid -> 0, exactly
@@ -218,77 +212,79 @@ def grad_weighted_logprob(params: PolicyParameters,
     d_z2 = (np.outer(d_mu, t["w3_mu"]) + np.outer(d_raw, t["w3_var"])) * (c["z2"] > 0.0)
     d_z1 = (d_z2 @ t["w2"]) * (c["z1"] > 0.0)
     d_ln = d_z1 @ t["w1"]
-    grads = {
-        "ln_gain": (d_ln * c["xhat"]).sum(axis=0),
-        "ln_bias": d_ln.sum(axis=0),
-        "w1": d_z1.T @ c["ln"],
-        "b1": d_z1.sum(axis=0),
-        "w2": d_z2.T @ c["h1"],
-        "b2": d_z2.sum(axis=0),
-        "w3_mu": d_mu @ c["h2"],
-        "b3_mu": np.array(d_mu.sum()),
-        "w3_var": d_raw @ c["h2"],
-        "b3_var": np.array(d_raw.sum()),
-    }
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise PolicyError(f"non-finite gradient in layer {name!r}")
-    return grads
+    grad = np.empty_like(params.theta)
+    g = _views(grad, params.obs_dim, params.hidden)
+    g["ln_gain"][...] = (d_ln * c["xhat"]).sum(axis=0)
+    g["ln_bias"][...] = d_ln.sum(axis=0)
+    g["w1"][...] = d_z1.T @ c["ln"]
+    g["b1"][...] = d_z1.sum(axis=0)
+    g["w2"][...] = d_z2.T @ c["h1"]
+    g["b2"][...] = d_z2.sum(axis=0)
+    g["w3_mu"][...] = d_mu @ c["h2"]
+    g["b3_mu"][...] = d_mu.sum()
+    g["w3_var"][...] = d_raw @ c["h2"]
+    g["b3_var"][...] = d_raw.sum()
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise PolicyError("non-finite gradient in layer "
+                          f"{_tensor_at(params, int(np.argmin(finite)))!r}")
+    return grad
 
 
-def _flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([tensors[name].ravel() for name in PARAM_NAMES])
+def grad_weighted_logprob(params: PolicyParameters,
+                          batch: list[tuple]) -> dict[str, np.ndarray]:
+    """backward over a list of (obs, action, weight) entries, run through
+    one forward pass; returns the gradient as named views into it."""
+    if not batch:
+        raise PolicyError("empty gradient batch")
+    observations, actions, weights = zip(*batch)
+    try:
+        rows = np.array([o.values if isinstance(o, Observation) else o
+                         for o in observations], dtype=float)
+    except ValueError as exc:
+        raise PolicyError(f"observations of unequal shape: {exc}") from None
+    if rows.ndim != 2:
+        raise PolicyError(f"batch observations stack to shape {rows.shape}")
+    grad = backward(params, forward(params, rows), actions, weights)
+    return _views(grad, params.obs_dim, params.hidden)
 
 
-def _unflat(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    out, pos = {}, 0
-    for name in PARAM_NAMES:
-        size = math.prod(shapes[name])
-        out[name] = flat[pos:pos + size].reshape(shapes[name])
-        pos += size
-    return out
-
-
-def adam_step(params: PolicyParameters, grads: dict[str, np.ndarray],
-              lr: float, beta1: float = 0.9, beta2: float = 0.999) -> PolicyParameters:
+def adam_step(params: PolicyParameters, grad: np.ndarray, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999) -> PolicyParameters:
     """Gradient-ascent Adam update (maximizes the objective).
 
-    The ten tensors are updated as one concatenated vector; the update is
-    elementwise, so each entry is what a per-tensor update gives. Returns
-    updated parameters; on any non-finite update the input is left
-    untouched and an error naming the tensor is raised.
+    grad is flat, laid out as theta; the update is elementwise, so each
+    entry is what a per-tensor update gives. Returns new parameters; on any
+    non-finite update the input is left untouched and an error naming the
+    tensor is raised.
     """
-    shapes = {name: params.tensors[name].shape for name in PARAM_NAMES}
-    for name in PARAM_NAMES:
-        if grads[name].shape != shapes[name]:
-            raise PolicyError(f"gradient shape mismatch for {name!r}")
+    if np.shape(grad) != params.theta.shape:
+        raise PolicyError(f"gradient shape {np.shape(grad)} is not "
+                          f"{params.theta.shape}")
     step_count = params.step_count + 1
     bc1 = 1.0 - beta1 ** step_count
     bc2 = 1.0 - beta2 ** step_count
-    g = _flat(grads)
-    m = beta1 * _flat(params.adam_m) + (1.0 - beta1) * g
-    v = beta2 * _flat(params.adam_v) + (1.0 - beta2) * g * g
+    m = beta1 * params.m + (1.0 - beta1) * grad
+    v = beta2 * params.v + (1.0 - beta2) * grad * grad
     with np.errstate(invalid="ignore"):  # non-finite handled just below
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     finite = np.isfinite(update)
     if not finite.all():
-        first_bad = int(np.argmin(finite))
-        ends = np.cumsum([math.prod(shapes[name]) for name in PARAM_NAMES])
-        name = PARAM_NAMES[int(np.searchsorted(ends, first_bad, side="right"))]
-        raise PolicyError(f"non-finite Adam update for {name!r}")
-    return PolicyParameters(
-        params.obs_dim, params.hidden,
-        _unflat(_flat(params.tensors) + update, shapes),
-        _unflat(m, shapes), _unflat(v, shapes), step_count)
+        raise PolicyError("non-finite Adam update for "
+                          f"{_tensor_at(params, int(np.argmin(finite)))!r}")
+    return PolicyParameters(params.obs_dim, params.hidden, params.theta + update,
+                            m, v, step_count)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints: versioned binary, little-endian, trailing checksum
 
 def _checkpoint_tensors(params: PolicyParameters) -> list[tuple[str, np.ndarray]]:
-    items = [(n, params.tensors[n]) for n in PARAM_NAMES]
-    items += [(f"adam_m.{n}", params.adam_m[n]) for n in PARAM_NAMES]
-    items += [(f"adam_v.{n}", params.adam_v[n]) for n in PARAM_NAMES]
+    items = []
+    for prefix, flat in (("", params.theta), ("adam_m.", params.m),
+                         ("adam_v.", params.v)):
+        views = _views(flat, params.obs_dim, params.hidden)
+        items += [(prefix + n, views[n]) for n in PARAM_NAMES]
     items.append(("step_count", np.array(float(params.step_count))))
     return items
 
@@ -351,7 +347,7 @@ def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParamete
             fail(f"truncated values for {name!r}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
         pos += 8 * count
-        found[name] = arr.copy()
+        found[name] = arr
 
     (stored_sum,) = struct.unpack_from("<Q", blob, body_end)
     if _checksum(found.values()) != stored_sum:
@@ -368,9 +364,6 @@ def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParamete
     if "step_count" not in found:
         fail("missing step_count")
 
-    return PolicyParameters(
-        obs_dim, hidden,
-        {n: found[n] for n in PARAM_NAMES},
-        {n: found[f"adam_m.{n}"] for n in PARAM_NAMES},
-        {n: found[f"adam_v.{n}"] for n in PARAM_NAMES},
-        int(found["step_count"]))
+    theta, m, v = (np.concatenate([found[prefix + n].ravel() for n in PARAM_NAMES])
+                   for prefix in ("", "adam_m.", "adam_v."))
+    return PolicyParameters(obs_dim, hidden, theta, m, v, int(found["step_count"]))

@@ -6,8 +6,9 @@ range, and scores it by the negated post-activation oscillation energy.
 Gain proposals falling into an already-evaluated cache bucket reuse the
 stored reward instead of simulating again. The policy works per epoch:
 the epoch's windows go through one batched forward pass to sample their
-gains, and after scoring, the whole batch takes one gradient and one
-gradient-ascent Adam step on the weighted log-probability objective.
+gains, and after scoring, the whole batch takes one gradient of the
+weighted log-probability objective, backpropagated through that same
+pass, and one gradient-ascent Adam step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ DIVERGENCE_PENALTY_FLOOR = -1e6
 
 @dataclass
 class EpisodeRecord:
-    obs: sigproc.Observation
+    window_start: float
     action_raw: float
     action_applied: float
     log_prob: float
@@ -198,7 +199,8 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
               obs_trace: sigproc.SignalTrace, epoch: int,
               worst_reward: float | None) -> tuple[pol.PolicyParameters, EpochStats, list[EpisodeRecord]]:
     """n_iter iterations followed by one Adam ascent step on
-    J = (1/n) sum_j R_j log pi(a_j | o_j).
+    J = (1/n) sum_j R_j log pi(a_j | o_j), backpropagated from the forward
+    pass that drew the actions.
 
     Iteration j draws a window start and then a standard-normal eps_j from
     rng. The n_iter windows go through one batched policy forward pass and
@@ -244,9 +246,7 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     records = []
     worst = worst_reward
     fresh = zip(scores, reserved)
-    for it, values in enumerate(windows):
-        obs = sigproc.Observation(values, float(window_starts[it]))
-        entry = hits[it]
+    for it, entry in enumerate(hits):
         if entry is not None:
             reward = entry["reward"]
         else:
@@ -255,17 +255,16 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
                 reward = divergence_penalty(worst)
             if slot is not None:
                 slot["reward"] = reward
-        records.append(EpisodeRecord(obs, float(actions[it]), applied[it],
-                                     float(log_probs[it]), reward,
+        records.append(EpisodeRecord(float(window_starts[it]), float(actions[it]),
+                                     applied[it], float(log_probs[it]), reward,
                                      float(out.var[it]), entry is not None))
         if worst is None or reward < worst:
             worst = reward
 
     rewards = np.array([r.reward for r in records])
     weights = rewards - rewards.mean() if config.baseline_enabled else rewards
-    batch = [(r.obs, r.action_raw, w) for r, w in zip(records, weights)]
-    grads = pol.grad_weighted_logprob(params, batch)
-    new_params = pol.adam_step(params, grads, config.lr)
+    new_params = pol.adam_step(params, pol.backward(params, out, actions, weights),
+                               config.lr)
 
     n = len(records)
     stats = EpochStats(
@@ -338,11 +337,9 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
 
     try:
         for epoch in range(config.n_epoch):
-            params, stats, records = run_epoch(
+            params, stats, _ = run_epoch(
                 params, env, scenario, config, rng, cache, obs_trace, epoch, worst)
-            for rec in records:
-                if worst is None or rec.reward < worst:
-                    worst = rec.reward
+            worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
             stats_rows.append(stats)
             if log_fh is not None:
                 log_fh.write(stats.csv_row() + "\n")

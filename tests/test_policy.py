@@ -1,19 +1,28 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from sscirl import policy as pol
-from sscirl.policy import (CheckpointError, PolicyError, adam_step, forward,
-                           grad_weighted_logprob, init_params, load_checkpoint,
-                           log_prob, sample, save_checkpoint)
+from sscirl.policy import (CheckpointError, PolicyError, adam_step, backward,
+                           forward, grad_weighted_logprob, init_params,
+                           load_checkpoint, log_prob, save_checkpoint)
 
 
 def zeroed_params(obs_dim=30, hidden=64):
     params = init_params(obs_dim, hidden, seed=0)
-    for name in params.tensors:
-        params.tensors[name] = np.zeros_like(params.tensors[name])
+    params.theta[:] = 0.0
     return params
+
+
+def flat(tensors):
+    """Named tensors concatenated in PARAM_NAMES order: the layout of theta."""
+    return np.concatenate([np.ravel(tensors[name]) for name in pol.PARAM_NAMES])
+
+
+def zero_grads(params):
+    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
 def random_obs(rng, n=30):
@@ -39,14 +48,35 @@ def reference_forward(params, obs):
     return mu, var
 
 
-class FixedNoise:
-    """rng stand-in that returns a prescribed standard-normal draw."""
+class TestParameters:
+    def test_tensors_cannot_be_rebound(self):
+        params = init_params(seed=0)
+        with pytest.raises(TypeError):
+            params.tensors["b3_mu"] = np.array(4.0)
+        with pytest.raises(AttributeError):
+            params.theta = np.zeros_like(params.theta)
 
-    def __init__(self, value):
-        self.value = value
+    def test_write_through_a_view_changes_theta(self):
+        params = zeroed_params()
+        params.tensors["b3_mu"][...] = 4.0
+        params.tensors["w1"][2, 3] = 7.0
+        assert sorted(params.theta[params.theta != 0.0]) == [4.0, 7.0]
+        assert np.array_equal(params.theta, flat(params.tensors))
+        assert all(np.shares_memory(t, params.theta) for t in params.tensors.values())
+        assert forward(params, np.arange(30.0)).mu == 4.0
 
-    def standard_normal(self):
-        return self.value
+    def test_copy_is_independent(self):
+        params = init_params(seed=0)
+        before = [a.copy() for a in (params.theta, params.m, params.v)]
+        twin = params.copy()
+        twin.tensors["w2"][...] += 1.0
+        np.atleast_1d(twin.tensors["b3_var"]).ravel()[0] = 5.0
+        twin.m[:] = 1.0
+        twin.v[:] = 1.0
+        for mine, old in zip((params.theta, params.m, params.v), before):
+            assert np.array_equal(mine, old)
+        assert np.array_equal(twin.theta, flat(twin.tensors))
+        assert not np.shares_memory(twin.theta, params.theta)
 
 
 class TestForward:
@@ -93,7 +123,7 @@ class TestForward:
         for seed in range(10):
             params = init_params(seed=seed)
             # push the variance head hard negative
-            params.tensors["b3_var"] = np.array(-50.0)
+            params.tensors["b3_var"][...] = -50.0
             assert forward(params, random_obs(rng)).var > 0
 
     def test_constant_observation_is_not_an_error(self):
@@ -114,48 +144,6 @@ class TestForward:
         for shape in ((8, 29), (0, 30), (2, 8, 30)):
             with pytest.raises(PolicyError):
                 forward(init_params(seed=0), np.zeros(shape))
-
-
-class TestSample:
-    def test_zero_noise_gives_mode(self):
-        params = init_params(seed=4)
-        obs = random_obs(np.random.default_rng(5))
-        out = forward(params, obs)
-        act = sample(params, obs, FixedNoise(0.0))
-        assert act.a == out.mu
-        assert act.log_prob == pytest.approx(-0.5 * math.log(2 * math.pi * out.var))
-
-    def test_carries_the_policy_variance(self):
-        params = init_params(seed=4)
-        obs = random_obs(np.random.default_rng(5))
-        act = sample(params, obs, np.random.default_rng(0))
-        assert act.var == forward(params, obs).var
-
-    def test_unit_noise_one_sigma(self):
-        params = init_params(seed=4)
-        obs = random_obs(np.random.default_rng(5))
-        out = forward(params, obs)
-        act = sample(params, obs, FixedNoise(1.0))
-        assert act.a == pytest.approx(out.mu + math.sqrt(out.var))
-
-    def test_reconstruction_identity(self):
-        params = init_params(seed=6)
-        obs = random_obs(np.random.default_rng(7))
-        rng = np.random.default_rng(8)
-        out = forward(params, obs)
-        for _ in range(20):
-            act = sample(params, obs, rng)
-            assert act.a == out.mu + math.sqrt(out.var) * act.epsilon
-
-    def test_monte_carlo_moments(self):
-        params = init_params(seed=9)
-        obs = random_obs(np.random.default_rng(10))
-        out = forward(params, obs)
-        rng = np.random.default_rng(11)
-        n = 100_000
-        draws = np.array([sample(params, obs, rng).a for _ in range(n)])
-        assert abs(draws.mean() - out.mu) < 3 * math.sqrt(out.var / n)
-        assert draws.var() == pytest.approx(out.var, rel=0.05)
 
 
 class TestLogProb:
@@ -259,6 +247,22 @@ class TestGradients:
         with pytest.raises(PolicyError):
             grad_weighted_logprob(init_params(seed=0), [])
 
+    def test_backward_of_the_forward_pass(self):
+        # backward reads the activations of the pass that drew the actions
+        rng = np.random.default_rng(36)
+        params = init_params(seed=37)
+        rows = rng.standard_normal((5, 30))
+        actions, weights = rng.normal(size=5), rng.normal(size=5)
+        out = forward(params, rows)
+        grad = backward(params, out, actions, weights)
+        named = grad_weighted_logprob(params, list(zip(rows, actions, weights)))
+        assert grad.shape == params.theta.shape
+        assert np.array_equal(grad, flat(named))
+        for a, w in ((actions, weights[:4]), (actions[:1], weights),
+                     (actions[:4], weights[:4])):
+            with pytest.raises(PolicyError, match="rows"):
+                backward(params, out, a, w)
+
     def test_nonfinite_weight_rejected(self):
         params = init_params(seed=0)
         obs = random_obs(np.random.default_rng(0))
@@ -266,100 +270,118 @@ class TestGradients:
             grad_weighted_logprob(params, [(obs, 0.0, math.nan)])
 
 
-def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999):
-    """Ascent Adam written tensor by tensor, the form of the equations."""
-    new = params.copy()
-    new.step_count = params.step_count + 1
-    bc1 = 1.0 - beta1 ** new.step_count
-    bc2 = 1.0 - beta2 ** new.step_count
+def reference_adam_step(state, grads, lr, beta1=0.9, beta2=0.999):
+    """Ascent Adam written tensor by tensor, the form of the equations.
+    state is (step_count, {name: (tensor, m, v)})."""
+    step_count, tensors = state
+    step_count += 1
+    bc1 = 1.0 - beta1 ** step_count
+    bc2 = 1.0 - beta2 ** step_count
+    new = {}
     for name in pol.PARAM_NAMES:
+        tensor, m, v = tensors[name]
         g = grads[name]
-        m = beta1 * params.adam_m[name] + (1.0 - beta1) * g
-        v = beta2 * params.adam_v[name] + (1.0 - beta2) * g * g
-        new.adam_m[name] = m
-        new.adam_v[name] = v
-        new.tensors[name] = params.tensors[name] + lr * (m / bc1) / (
-            np.sqrt(v / bc2) + pol.ADAM_EPS)
-    return new
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        new[name] = (tensor + lr * (m / bc1) / (np.sqrt(v / bc2) + pol.ADAM_EPS), m, v)
+    return step_count, new
 
 
 class TestAdam:
     def test_matches_per_tensor_reference_bit_for_bit(self):
         rng = np.random.default_rng(33)
-        params = ref = init_params(seed=34)
+        params = init_params(seed=34)
+        ref = (0, {name: (t.copy(), np.zeros_like(t), np.zeros_like(t))
+                   for name, t in params.tensors.items()})
         for _ in range(5):
             grads = {name: rng.standard_normal(t.shape) * 10.0 ** rng.integers(-6, 3)
                      for name, t in params.tensors.items()}
-            params = adam_step(params, grads, lr=1e-3)
+            params = adam_step(params, flat(grads), lr=1e-3)
             ref = reference_adam_step(ref, grads, lr=1e-3)
-            assert params.step_count == ref.step_count
-            for name in pol.PARAM_NAMES:
-                for mine, theirs in ((params.tensors, ref.tensors),
-                                     (params.adam_m, ref.adam_m),
-                                     (params.adam_v, ref.adam_v)):
-                    assert mine[name].shape == theirs[name].shape
-                    assert mine[name].tobytes() == theirs[name].tobytes(), name
+            assert params.step_count == ref[0]
+            for i, mine in enumerate((params.theta, params.m, params.v)):
+                theirs = flat({name: parts[i] for name, parts in ref[1].items()})
+                assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("name", ["ln_gain", "w2", "b3_mu", "b3_var"])
     def test_nonfinite_update_names_the_tensor(self, name):
         params = init_params(seed=35)
-        grads = pol.zero_like_grads(params)
+        grads = zero_grads(params)
         grads[name].reshape(-1)[-1] = np.nan
         with pytest.raises(PolicyError, match=repr(name)):
-            adam_step(params, grads, lr=1e-3)
+            adam_step(params, flat(grads), lr=1e-3)
+
+    def test_gradient_must_be_laid_out_as_theta(self):
+        params = init_params(seed=35)
+        for grad in (np.zeros(params.theta.size - 1), zero_grads(params),
+                     np.zeros((1, params.theta.size))):
+            with pytest.raises(PolicyError, match="gradient shape"):
+                adam_step(params, grad, lr=1e-3)
 
     def test_zero_gradient_only_advances_step_count(self):
         params = init_params(seed=21)
-        grads = pol.zero_like_grads(params)
-        out = adam_step(params, grads, lr=1e-3)
+        out = adam_step(params, np.zeros_like(params.theta), lr=1e-3)
         assert out.step_count == params.step_count + 1
-        for name in params.tensors:
-            assert np.array_equal(out.tensors[name], params.tensors[name])
+        assert np.array_equal(out.theta, params.theta)
 
     def test_first_step_magnitude_is_lr(self):
         # bias-corrected first step: |delta| = lr * |g| / (|g| + eps') ~ lr
         params = zeroed_params()
-        grads = pol.zero_like_grads(params)
+        grads = zero_grads(params)
         grads["b3_mu"] = np.array(0.37)
-        out = adam_step(params, grads, lr=1e-3)
+        out = adam_step(params, flat(grads), lr=1e-3)
         delta = float(out.tensors["b3_mu"]) - float(params.tensors["b3_mu"])
         assert delta == pytest.approx(1e-3, rel=1e-6)
         assert math.copysign(1.0, delta) == math.copysign(1.0, 0.37)
 
     def test_repeated_gradient_moves_monotonically(self):
         params = zeroed_params()
-        grads = pol.zero_like_grads(params)
+        grads = zero_grads(params)
         grads["b3_mu"] = np.array(-1.2)
         values = [float(params.tensors["b3_mu"])]
         for _ in range(5):
-            params = adam_step(params, grads, lr=1e-2)
+            params = adam_step(params, flat(grads), lr=1e-2)
             values.append(float(params.tensors["b3_mu"]))
         assert all(a > b for a, b in zip(values, values[1:]))  # ascent along g<0
 
     def test_rejects_nonfinite_update_leaving_params_unchanged(self):
         params = init_params(seed=22)
-        before = {k: v.copy() for k, v in params.tensors.items()}
-        grads = pol.zero_like_grads(params)
+        before = [a.copy() for a in (params.theta, params.m, params.v)]
+        grads = zero_grads(params)
         grads["w1"][0, 0] = np.inf
         with pytest.raises(PolicyError):
-            adam_step(params, grads, lr=1e-3)
-        for name, tensor in params.tensors.items():
-            assert np.array_equal(tensor, before[name])
+            adam_step(params, flat(grads), lr=1e-3)
+        for mine, old in zip((params.theta, params.m, params.v), before):
+            assert np.array_equal(mine, old)
+
+
+# sha256 of the checkpoint files, pinned when the tensors were still stored
+# as separate arrays: the on-disk format must not move
+INIT_CKPT_SHA256 = "f663da5f560c61170b218381a22aff687706a4f5a1f0646579c8ab269528344c"
+STEP_CKPT_SHA256 = "3352ca549087760aa093541c29539d3893ee49790626d9298fdb30da6b91172b"
 
 
 class TestCheckpoints:
+    def test_bytes_pinned(self, tmp_path):
+        params = init_params(seed=0)
+        save_checkpoint(params, tmp_path / "init.ckpt")
+        stepped = adam_step(params, np.full_like(params.theta, 0.01), lr=1e-3)
+        save_checkpoint(stepped, tmp_path / "step.ckpt")
+        for name, expected in (("init.ckpt", INIT_CKPT_SHA256),
+                               ("step.ckpt", STEP_CKPT_SHA256)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
+
     def test_roundtrip_bit_exact(self, tmp_path):
         params = init_params(seed=23)
-        params = adam_step(params, {n: np.full_like(t, 0.01)
-                                    for n, t in params.tensors.items()}, 1e-3)
+        params = adam_step(params, np.full_like(params.theta, 0.01), 1e-3)
         path = tmp_path / "p.ckpt"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         assert back.step_count == params.step_count
-        for name in params.tensors:
-            assert np.array_equal(back.tensors[name], params.tensors[name])
-            assert np.array_equal(back.adam_m[name], params.adam_m[name])
-            assert np.array_equal(back.adam_v[name], params.adam_v[name])
+        for mine, theirs in ((back.theta, params.theta), (back.m, params.m),
+                             (back.v, params.v)):
+            assert np.array_equal(mine, theirs)
+        assert np.array_equal(back.theta, flat(back.tensors))
 
     def test_dimension_mismatch(self, tmp_path):
         params = init_params(obs_dim=30, hidden=32, seed=24)
