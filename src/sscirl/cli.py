@@ -48,8 +48,10 @@ def load_run_config(args) -> tuple[plant.PlantScenario, trainer.TrainConfig]:
 
 
 def _make_env(spec: str, scenario: plant.PlantScenario):
+    """The env `trainer.train` is given: None for "local", so the trainer
+    runs its own plant on the reward window, else a RemoteEnv."""
     if spec == "local":
-        return trainer.LocalPlantEnv(scenario)
+        return None
     if spec.startswith("remote:"):
         _, host, port = spec.split(":")
         return RemoteEnv(host, int(port), scenario=scenario)
@@ -66,7 +68,8 @@ def cmd_train(args) -> int:
     try:
         result = trainer.train(scenario, config, run_dir=args.out, env=env)
     finally:
-        env.close()
+        if env is not None:
+            env.close()
     last = result.stats[-1]
     print(f"trained {len(result.stats)} epochs; best mean reward "
           f"{result.best_reward:.6g}; final mean action {last.mean_action:.4f}; "

@@ -11,7 +11,7 @@ header, and the trace follows it as raw bytes. Grammar:
               | "step" {n_steps: N}          1 <= N <= horizon / sim_dt
               | "set_gain" {kp: X}
               | "measure" {}
-              | "run_episode" {kp: X, seed?: N, encoding?: ENC}
+              | "run_episode" {kp: X, seed?: N, until?: X, encoding?: ENC}
     ENC      := "json" (default) | "f64le"
     response := {"id": N, "kind": "ok", "payload": {...}}
               | {"id": N, "kind": "trace", SAMPLES, "rate": X,
@@ -35,6 +35,12 @@ an `n_steps` an integral one (7 or 7.0); a bool, a string or 5.9 gets
 "args" naming the field. The episode a reset asks for may hold at most as
 many samples, round(horizon / sim_dt), as the served scenario's; a longer
 one gets "args" and the session keeps its scenario.
+
+A `run_episode` with `until` (seconds) ends the episode there: it runs the
+session's scenario at horizon min(until, horizon). Episode noise is
+prefix-stable, so the trace is the prefix of the full one. `until` must be
+a finite JSON number greater than act_time; anything else gets "args"
+naming it.
 
 Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is
@@ -167,8 +173,14 @@ class _Session:
                 # the trainer asks for its pre-activation trace at kp_unstable
                 if not (self._in_bounds(kp) or kp == self.scenario.kp_unstable):
                     return self._bounds_error(rid, kp)
-                result = plant.run_episode(self.scenario, plant.GainAction(kp),
-                                           msg.get("seed"))
+                scenario = self.scenario
+                if "until" in msg:
+                    until = _number(msg, "until")
+                    if not scenario.act_time < until < math.inf:
+                        return _error(rid, "args", f"until must be a finite time after "
+                                                   f"act_time {scenario.act_time}, got {until}")
+                    scenario = replace(scenario, horizon=min(until, scenario.horizon))
+                result = plant.run_episode(scenario, plant.GainAction(kp), msg.get("seed"))
                 trace = result.trace
                 reply = {"id": rid, "kind": "trace", "rate": trace.sample_rate,
                          "t0": trace.t0, "diverged": result.diverged}
@@ -375,8 +387,9 @@ class RemoteEnv:
         [result] = self.run_episodes([(kp, seed)])
         return result
 
-    def run_episodes(self, jobs):
-        """Yield the episode of each (kp, seed) job, in job order.
+    def run_episodes(self, jobs, until: float | None = None):
+        """Yield the episode of each (kp, seed) job, in job order, each
+        asked to end at `until` seconds when given.
 
         The request for job j+1 is sent before the reply to job j is read,
         so the server simulates the next episode while the caller scores
@@ -386,17 +399,18 @@ class RemoteEnv:
         the reply still in flight is read and dropped, so the connection
         stays in step (or is closed, if that read fails)."""
         jobs = list(jobs)
+        extra = {"until": float(until)} if until is not None else {}
         in_flight: list[int] = []  # request ids, oldest first
         try:
             for j in range(len(jobs)):
-                yield self._deliver(jobs, j, in_flight)
+                yield self._deliver(jobs, j, in_flight, extra)
         finally:
             self._drain(in_flight)
 
-    def _deliver(self, jobs, j, in_flight) -> plant.EpisodeResult:
-        """Job j's episode: its request and the next job's on the wire,
-        then its reply read and decoded, retried once on a fresh
-        connection."""
+    def _deliver(self, jobs, j, in_flight, extra) -> plant.EpisodeResult:
+        """Job j's episode: its request and the next job's on the wire, each
+        with the fields of extra, then its reply read and decoded, retried
+        once on a fresh connection."""
         last_exc = None
         for _ in range(2):
             try:
@@ -405,7 +419,7 @@ class RemoteEnv:
                 while len(in_flight) < 2 and j + len(in_flight) < len(jobs):
                     kp, seed = jobs[j + len(in_flight)]
                     in_flight.append(self._send(
-                        "run_episode", kp=float(kp), encoding="f64le",
+                        "run_episode", kp=float(kp), encoding="f64le", **extra,
                         **({"seed": int(seed)} if seed is not None else {})))
                 reply = self._receive(in_flight.pop(0))
                 trace = self._decode_trace(reply)

@@ -338,7 +338,10 @@ def run_episode(scenario: PlantScenario, action: GainAction,
 
     Gains: kp_stable on [0, mistune_time), kp_unstable on
     [mistune_time, act_time), action.kp from act_time on. Deterministic for
-    a given seed. On divergence the trace is truncated at the last finite
+    a given seed. The process noise w and the measurement noise vnoise come
+    from two child streams of SeedSequence(seed), so an episode at a
+    shorter horizon is, bit for bit, the prefix of the same-seed episode at
+    a longer one. On divergence the trace is truncated at the last finite
     sample and the flag is set.
     """
     dt = scenario.sim_dt
@@ -351,11 +354,12 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     gains = (scenario.kp_stable, scenario.kp_unstable, action.kp)
     seg_mats = np.array([transition(scenario, g) for g in gains])
 
-    rng = np.random.default_rng(seed)
     if scenario.noise_std > 0:
-        w = rng.standard_normal(n_total - 1)
+        w_rng, v_rng = (np.random.default_rng(child)
+                        for child in np.random.SeedSequence(seed).spawn(2))
+        w = w_rng.standard_normal(n_total - 1)
         w *= scenario.noise_std / math.sqrt(dt)
-        vnoise = rng.standard_normal(n_total)
+        vnoise = v_rng.standard_normal(n_total)
         vnoise *= scenario.noise_std
     else:
         w = np.zeros(n_total - 1)

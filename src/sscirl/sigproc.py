@@ -163,7 +163,11 @@ def design_bandpass(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
             f"band-pass upper cutoff {spec.f_max} Hz violates the Nyquist "
             f"frequency {nyquist} Hz at sample rate {sample_rate} Hz"
         )
-    return _butter(spec.order, (spec.f_min, spec.f_max), "bandpass", sample_rate)
+    try:
+        return _butter(spec.order, (spec.f_min, spec.f_max), "bandpass", sample_rate)
+    except ValueError as exc:  # edges a few ulps apart meet once normalised
+        raise TraceError(f"band-pass [{spec.f_min}, {spec.f_max}] Hz cannot be "
+                         f"designed at {sample_rate} Hz: {exc}") from exc
 
 
 def bandpass(trace: SignalTrace, spec: BandpassSpec) -> SignalTrace:

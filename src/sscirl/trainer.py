@@ -81,6 +81,17 @@ def each_episode(env, jobs):
         yield env.run_episode(kp, seed)
 
 
+def run_jobs(env, jobs, until: float):
+    """The episode of each (kp, seed) job, in job order: from
+    env.run_episodes(jobs, until) when env has it, else from each_episode.
+    until (seconds) is where the caller stops reading; an env may end its
+    episodes there, or run them longer."""
+    run_episodes = getattr(env, "run_episodes", None)
+    if run_episodes is None:
+        return each_episode(env, jobs)
+    return run_episodes(jobs, until)
+
+
 class LocalPlantEnv:
     """In-process environment: direct surrogate plant episodes."""
 
@@ -91,10 +102,6 @@ class LocalPlantEnv:
     def run_episode(self, kp: float, seed: int | None) -> plant.EpisodeResult:
         self.episode_count += 1
         return plant.run_episode(self.scenario, plant.GainAction(kp), seed)
-
-    def run_episodes(self, jobs):
-        # through run_episode, so a subclass that overrides it sees every job
-        return each_episode(self, jobs)
 
     def close(self):
         pass
@@ -135,6 +142,27 @@ def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
     return -sigproc.oscillation_energy(post, 0.0, config.t_reward)
 
 
+def reward_scenario(scenario: plant.PlantScenario,
+                    config: TrainConfig) -> plant.PlantScenario:
+    """The scenario cut to the shortest horizon whose episodes hold every
+    sample episode_reward reads, up to the one at act_time + t_reward (on
+    the low-rate grid for post_decimation). Noise is prefix-stable, so a
+    reward on the cut episode equals the full-horizon one bit for bit. The
+    scenario itself when it is no longer than that."""
+    rate = scenario.sample_rate
+    step = 1
+    if config.filter_stage == sigproc.POST_DECIMATION:
+        step = sigproc.decimation_factor(rate, config.target_rate)
+    grid = rate / step
+    # rounded as sigproc.segment and oscillation_energy round: the window's
+    # first sample, then t_reward of samples on
+    n = 1 + step * (math.ceil(scenario.act_time * grid - 1e-9)
+                    + math.ceil(config.t_reward * grid - 1e-9))
+    if n >= scenario.n_samples or n * scenario.sim_dt <= scenario.act_time:
+        return scenario
+    return replace(scenario, horizon=n * scenario.sim_dt)
+
+
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> sigproc.SignalTrace:
     """Conditioned low-rate trace of the pre-activation segment."""
@@ -157,8 +185,9 @@ def window_region(scenario: plant.PlantScenario,
 def canonical_observation(scenario: plant.PlantScenario,
                           config: TrainConfig) -> sigproc.Observation:
     """Deterministic reference observation: zero-noise episode, window at
-    the start of the observation region."""
-    quiet = replace(scenario, noise_std=0.0)
+    the start of the observation region. The episode ends one sample past
+    act_time, since the observation reads only [0, act_time)."""
+    quiet = replace(scenario, noise_std=0.0, horizon=scenario.act_time + scenario.sim_dt)
     result = plant.run_episode(quiet, plant.GainAction(quiet.kp_unstable), seed=0)
     obs_trace = observation_trace(result.trace, scenario, config)
     return sigproc.extract_window(obs_trace, window_region(scenario, config)[0],
@@ -208,7 +237,8 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     safe range and scored by its cache bucket or, on a miss, by a plant
     episode seeded with episode_seed(seed, epoch, j). The epoch's misses go
     to the environment as one batch, in iteration order, so a remote
-    simulator can run the next episode while this one is scored.
+    simulator can run the next episode while this one is scored; they are
+    asked to end at scenario.horizon (train passes its reward_scenario).
     """
     lo, hi = window_region(scenario, config)
     # iteration by iteration: the window start, then the action noise
@@ -232,11 +262,9 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
             reserved.append(cache.store(kp, None) if config.cache_enabled else None)
 
     # score: map drops each episode once scored, before the next is pulled
-    run_episodes = getattr(env, "run_episodes", None)
     try:
         scores = list(map(lambda result: episode_reward(result, scenario, config),
-                          run_episodes(jobs) if run_episodes is not None
-                          else each_episode(env, jobs)))
+                          run_jobs(env, jobs, scenario.horizon)))
     except BaseException:
         cache.drop_reserved()
         raise
@@ -298,18 +326,23 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     run_dir (optional) receives training_log.csv, the resolved config
     snapshot, and best.ckpt (the latest of the epochs tied at the top mean
     reward) and last.ckpt, both written once when the run ends, provided an
-    epoch finished. env defaults to the in-process plant; any object with
+    epoch finished. Episodes are read only up to the end of the reward
+    window, so they run on reward_scenario(scenario, config). env defaults
+    to the in-process plant on that scenario; any object with
     run_episode(kp, seed) -> EpisodeResult works (e.g. the remote protocol
-    adapter). It may also have run_episodes(jobs), taking a list of
-    (kp, seed) and yielding each job's EpisodeResult in order; each epoch's
-    plant episodes then go to it as one batch, else run_episode runs them
-    one by one. The pair is checked by config.validate before anything runs
-    or is written.
+    adapter). It may also have run_episodes(jobs, until), taking a list of
+    (kp, seed) and the time in seconds where the episodes may end, and
+    yielding each job's EpisodeResult in order; the pre-activation trace
+    and then each epoch's plant episodes go to it as one batch each, else
+    run_episode runs them one by one. An episode that runs past until, up
+    to its env's own horizon, gives the same log. The pair is checked by
+    config.validate before anything runs or is written.
     """
     validate(scenario, config)
+    cut = reward_scenario(scenario, config)
     own_env = env is None
     if env is None:
-        env = LocalPlantEnv(scenario)
+        env = LocalPlantEnv(cut)
 
     run_dir = Path(run_dir) if run_dir is not None else None
     log_fh = None
@@ -327,7 +360,8 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
 
     # canonical pre-activation measurement, shared by all iterations;
     # per-iteration variety comes from the random window start
-    pre_result = env.run_episode(scenario.kp_unstable, _pretrace_seed(config.seed))
+    [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
+                            cut.horizon)
     obs_trace = observation_trace(pre_result.trace, scenario, config)
 
     best_reward = -math.inf
@@ -338,7 +372,7 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     try:
         for epoch in range(config.n_epoch):
             params, stats, _ = run_epoch(
-                params, env, scenario, config, rng, cache, obs_trace, epoch, worst)
+                params, env, cut, config, rng, cache, obs_trace, epoch, worst)
             worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
             stats_rows.append(stats)
             if log_fh is not None:
@@ -434,7 +468,7 @@ def grid_oracle(scenario: plant.PlantScenario,
                 config: TrainConfig) -> tuple[float, list[tuple[float, float]]]:
     """Exhaustive zero-noise reward sweep over the gain range at the cache
     resolution; returns (best gain, [(gain, reward), ...])."""
-    quiet = replace(scenario, noise_std=0.0)
+    quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     res = config.cache_resolution
     n = int(round((config.kp_max - config.kp_min) / res))
     sweep = []

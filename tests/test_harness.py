@@ -16,6 +16,7 @@ from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
                              RemoteEnv, ServerError, _Session)
 
 SCN = plant.PlantScenario()
+N_TOTAL = round(SCN.horizon / SCN.sim_dt)
 # reaches the divergence bound soon after the gain is mistuned
 DIVERGING = {"zeta_stable": 0.05, "diverge_threshold": 20.0}
 # mistuned late and unstable above kp 1.0: at kp 2 an episode diverges
@@ -83,6 +84,25 @@ class TestTrainCommand:
                         "--config", str(first / "config.cfg")]) == 0
         for name in ("training_log.csv", "config.cfg"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_local_run_is_trainer_train(self, tmp_path, monkeypatch):
+        # `--env local` leaves the env to trainer.train, whose own plant
+        # ends every episode at the reward window
+        lengths = []
+        real = plant.run_episode
+
+        def recording(scenario, action, seed=None):
+            lengths.append(scenario.n_samples)
+            return real(scenario, action, seed)
+
+        monkeypatch.setattr(plant, "run_episode", recording)
+        cfg = trainer.TrainConfig(n_epoch=3, n_iter=4, cache_enabled=False)
+        assert run_cli(["train", "--out", str(tmp_path / "cli"), "--n_epoch", "3",
+                        "--n_iter", "4", "--cache_enabled", "false"]) == 0
+        trainer.train(SCN, cfg, run_dir=tmp_path / "api")
+        log = "training_log.csv"
+        assert (tmp_path / "cli" / log).read_bytes() == (tmp_path / "api" / log).read_bytes()
+        assert set(lengths) == {trainer.reward_scenario(SCN, cfg).n_samples}
 
 
 class TestSimulateCommand:
@@ -284,6 +304,32 @@ class TestProtocol:
         assert reply["diverged"] == local.diverged == (overrides == DIVERGING)
         # a diverged trace is truncated, the others span the horizon
         assert (len(remote) < round(scn.horizon / scn.sim_dt)) == local.diverged
+
+    @pytest.mark.parametrize("until, n", [
+        (7.0002, 35001), (SCN.act_time + SCN.sim_dt, 25001), (SCN.horizon, N_TOTAL),
+        (20.0, N_TOTAL), (1e308, N_TOTAL)],
+        ids=["reward_window", "one_past_act", "horizon", "past_horizon", "huge"])
+    def test_run_episode_until_cuts_the_episode(self, conn, until, n):
+        reply = conn.send(id=1, kind="run_episode", kp=2.0, seed=5, until=until,
+                          encoding="f64le")
+        assert reply["kind"] == "trace" and reply["nbytes"] == 8 * n
+        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5).trace.samples
+        assert reply["bytes"] == local[:n].astype("<f8").tobytes()
+
+    def test_run_episode_until_capped_at_the_reset_horizon(self, conn):
+        assert conn.send(id=1, kind="reset", scenario={"horizon": 6.0})["kind"] == "ok"
+        reply = conn.send(id=2, kind="run_episode", kp=2.0, seed=5, until=8.0)
+        assert len(reply["samples"]) == 30000
+        reply = conn.send(id=3, kind="run_episode", kp=2.0, seed=5, until=5.5)
+        assert len(reply["samples"]) == 27500
+
+    @pytest.mark.parametrize("raw", ["true", '"7"', "null", "[7.0]", "NaN", "Infinity",
+                                     "-Infinity", "5.0", "4.9", "-1"])
+    def test_run_episode_bad_until_names_it(self, conn, raw):
+        reply = conn.send_raw('{"id": 1, "kind": "run_episode", "kp": 2.0, '
+                              f'"until": {raw}}}')
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert "until" in reply["message"]
 
     def test_run_episode_unknown_encoding(self, conn):
         reply = conn.send(id=1, kind="run_episode", kp=2.0, seed=0, encoding="bogus")
@@ -529,6 +575,7 @@ REQUEST = st.fixed_dictionaries(
         "n_steps": st.integers(-5, 60000) | JSON,
         "seed": st.integers(0, 2**64) | JSON,
         "encoding": st.sampled_from(["json", "f64le"]) | JSON,
+        "until": st.floats(4.9, 5.001) | st.floats() | JSON,
         "scenario": st.dictionaries(
             st.sampled_from([f.name for f in fields(plant.PlantScenario)])
             | st.text(max_size=8), FIELD_VALUES, max_size=4) | JSON})
@@ -628,6 +675,32 @@ class TestRemoteEnv:
             batches = [unscored[1 + e * cfg.n_iter:1 + (e + 1) * cfg.n_iter]
                        for e in range(cfg.n_epoch)]
             assert any(True in b and not b[0] and not b[-1] for b in batches)
+
+    def test_every_episode_request_carries_until(self, server, tmp_path, monkeypatch):
+        # the served session drops `until`, as a simulator that ignores it
+        # would, and runs every episode to its horizon: the log is the
+        # local one all the same
+        real = _Session.handle
+        untils = []
+
+        def ignoring(self, msg):
+            if msg.get("kind") == "run_episode":
+                untils.append(msg.pop("until", None))
+            return real(self, msg)
+
+        monkeypatch.setattr(_Session, "handle", ignoring)
+        cfg = trainer.TrainConfig(n_epoch=3, n_iter=4, seed=11, cache_enabled=False)
+        d_local, d_remote = tmp_path / "local", tmp_path / "remote"
+        trainer.train(SCN, cfg, run_dir=d_local)
+        env = RemoteEnv(*server.address, scenario=SCN)
+        try:
+            trainer.train(SCN, cfg, run_dir=d_remote, env=env)
+        finally:
+            env.close()
+        # the pre-trace, then one request per iteration
+        assert untils == [trainer.reward_scenario(SCN, cfg).horizon] * (1 + 12)
+        assert (d_local / "training_log.csv").read_bytes() == \
+               (d_remote / "training_log.csv").read_bytes()
 
     def test_error_reply_drains_the_reply_in_flight(self, server):
         # the second request is on the wire when the first is refused; its
@@ -742,7 +815,6 @@ def f64le(samples):
 
 
 TRACE = {"kind": "trace", "rate": SCN.sample_rate, "t0": 0.0, "diverged": False}
-N_TOTAL = round(SCN.horizon / SCN.sim_dt)
 
 
 class TestRemoteEnvPayloads:

@@ -26,9 +26,9 @@ def _run(kernel, x0, v0, mats, steps, w, vnoise, p_nom, threshold):
 
 
 def _noise(scenario, n_steps, seed):
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(n_steps) * (scenario.noise_std / math.sqrt(scenario.sim_dt))
-    vnoise = rng.standard_normal(n_steps + 1) * scenario.noise_std
+    w_rng, v_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    w = w_rng.standard_normal(n_steps) * (scenario.noise_std / math.sqrt(scenario.sim_dt))
+    vnoise = v_rng.standard_normal(n_steps + 1) * scenario.noise_std
     return w, vnoise
 
 

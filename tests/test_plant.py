@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sscirl import plant
 from sscirl.plant import (DivergedError, GainAction, PlantError, PlantScenario,
@@ -11,6 +14,12 @@ from sscirl.plant import (DivergedError, GainAction, PlantError, PlantScenario,
 # the stated calibration anchors: damping ratio 0.05 at the nominal gain
 ANCHOR = PlantScenario(zeta_stable=0.05)
 DEFAULT = PlantScenario()
+# diverges soon after the mistune, before act_time
+DIVERGING = {"zeta_stable": 0.05, "diverge_threshold": 20.0}
+# unstable above kp 1.0 and mistuned late: diverges after act_time, at kp 2
+# near 6.2 s and at kp 1.5 near 7.3 s (seed 3)
+MIXED = {"kp_stable": 0.5, "kp_crit": 1.0, "mistune_time": 4.5, "diverge_threshold": 10.0}
+K_ACT = round(DEFAULT.act_time / DEFAULT.sim_dt)
 
 
 class TestDampingMap:
@@ -259,6 +268,28 @@ class TestRunEpisode:
         assert result.diverged
         assert result.diverged_at is not None
         assert len(result.trace) < int(5000 * scn.horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), kp=st.floats(0.5, 4.0),
+       lengths=st.lists(st.integers(K_ACT + 1, DEFAULT.n_samples), min_size=2, max_size=2),
+       overrides=st.sampled_from([{}, DIVERGING, MIXED]))
+@example(seed=3, kp=1.5, lengths=[35001, 50000], overrides=MIXED)  # diverges in between
+@example(seed=3, kp=2.0, lengths=[35001, 50000], overrides=MIXED)  # diverges before both
+def test_shorter_horizon_is_a_prefix(seed, kp, lengths, overrides):
+    # the noise of both streams is drawn from the episode seed alone, so
+    # cutting the horizon cuts the episode and nothing else
+    short, long = sorted(lengths)
+    scn = replace(DEFAULT, **overrides)
+    a, b = (run_episode(replace(scn, horizon=n * scn.sim_dt), GainAction(kp), seed)
+            for n in (short, long))
+    assert a.trace.samples.tobytes() == b.trace.samples[:len(a.trace)].tobytes()
+    if b.diverged and len(b.trace) < short:
+        assert a.diverged and len(a.trace) == len(b.trace)
+        assert a.diverged_at == b.diverged_at
+        assert np.array_equal(a.final_state, b.final_state)
+    else:
+        assert not a.diverged and len(a.trace) == short
 
 
 class TestScenarioValidation:

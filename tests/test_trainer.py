@@ -12,7 +12,7 @@ from sscirl import plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
                             episode_reward, episode_seed, evaluate, grid_oracle,
-                            run_epoch, train, window_region)
+                            reward_scenario, run_epoch, train, window_region)
 
 SCN = plant.PlantScenario()
 QUIET = plant.PlantScenario(noise_std=0.0)
@@ -100,6 +100,57 @@ class TestReward:
                                    trace.t0 + trace.duration + trace.dt)
             expected = -sigproc.oscillation_energy(post, 0.0, cfg.t_reward)
             assert episode_reward(result, scn, cfg) == expected
+
+
+class TestRewardScenario:
+    def test_default_cut_ends_at_the_reward_window(self):
+        cut = reward_scenario(SCN, TrainConfig())
+        # the sample at act_time + t_reward = 7.0 s is index 35000
+        assert cut.n_samples == 35001
+        assert cut == replace(SCN, horizon=cut.horizon)
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cut_reward_equals_full_reward(self, stage, act_time, seed):
+        scn = replace(SCN, act_time=act_time)
+        cfg = TrainConfig(filter_stage=stage)
+        cut = reward_scenario(scn, cfg)
+        assert cut.n_samples < scn.n_samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            rewards = [episode_reward(plant.run_episode(s, plant.GainAction(2.5), seed),
+                                      scn, cfg) for s in (scn, cut)]
+        assert rewards[0] is not None and rewards[0] == rewards[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_sample_fewer_misses_the_window(self, seed):
+        cfg = TrainConfig()
+        cut = reward_scenario(SCN, cfg)
+        fewer = replace(cut, horizon=(cut.n_samples - 1) * cut.sim_dt)
+        assert fewer.n_samples == cut.n_samples - 1
+        result = plant.run_episode(fewer, plant.GainAction(2.5), seed)
+        assert episode_reward(result, SCN, cfg) is None
+
+    def test_window_past_the_horizon_keeps_the_scenario(self):
+        short = replace(SCN, horizon=6.0)
+        assert reward_scenario(short, TrainConfig()) is short
+
+    def test_train_runs_its_own_episodes_on_the_cut(self, monkeypatch):
+        lengths = []
+        real = plant.run_episode
+
+        def recording(scenario, action, seed=None):
+            lengths.append(scenario.n_samples)
+            return real(scenario, action, seed)
+
+        monkeypatch.setattr(plant, "run_episode", recording)
+        cfg = small_config(n_epoch=2, cache_enabled=False)
+        train(SCN, cfg)
+        assert lengths == [reward_scenario(SCN, cfg).n_samples] * (1 + 2 * cfg.n_iter)
+        lengths.clear()
+        grid_oracle(SCN, cfg)
+        assert set(lengths) == {reward_scenario(SCN, cfg).n_samples}
 
 
 class TestRunEpoch:
@@ -271,15 +322,18 @@ class TestRunEpoch:
 
 
 class BatchSpyEnv(LocalPlantEnv):
-    """Local plant that records every batch of jobs it is given."""
+    """Local plant that records every batch of jobs it is given, and the
+    end time each batch asks for."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.batches = []
+        self.untils = []
 
-    def run_episodes(self, jobs):
+    def run_episodes(self, jobs, until):
         self.batches.append(list(jobs))
-        return super().run_episodes(jobs)
+        self.untils.append(until)
+        return trainer.each_episode(self, jobs)
 
 
 class OneByOneEnv:
@@ -306,17 +360,20 @@ class TestEpisodeBatches:
         cfg = small_config(n_epoch=4, n_iter=8)
         env = BatchSpyEnv(SCN)
         train(SCN, cfg, env=env)
-        assert len(env.batches) == cfg.n_epoch  # the pre-trace is one run_episode
-        for epoch, (batch, records) in enumerate(zip(env.batches, epochs)):
+        # the pre-trace is a batch of one, then one batch per epoch
+        assert len(env.batches) == 1 + cfg.n_epoch
+        assert env.batches[0] == [(SCN.kp_unstable, trainer._pretrace_seed(cfg.seed))]
+        assert set(env.untils) == {trainer.reward_scenario(SCN, cfg).horizon}
+        for epoch, (batch, records) in enumerate(zip(env.batches[1:], epochs)):
             assert batch == [(rec.action_applied, episode_seed(cfg.seed, epoch, it))
                              for it, rec in enumerate(records) if not rec.cached]
-        assert sum(map(len, env.batches)) + 1 == env.episode_count
+        assert sum(map(len, env.batches)) == env.episode_count
         # a bucket first missed in an epoch serves that epoch's later hits
         assert any(rec.cached for rec in epochs[0])
 
     def test_local_batch_runs_lazily_through_run_episode(self):
         env = SpyEnv(QUIET)
-        results = env.run_episodes([(2.0, 1), (3.0, 2)])
+        results = trainer.each_episode(env, [(2.0, 1), (3.0, 2)])
         assert env.seeds == []
         next(results)
         assert env.seeds == [1]
@@ -535,6 +592,21 @@ class TestWindowing:
         assert obs.values.shape == (cfg.d_obs,)
         # band-passed content: near-zero mean relative to peak
         assert abs(obs.values.mean()) < 0.1 * np.max(np.abs(obs.values))
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    def test_canonical_observation_equals_full_horizon_one(self, stage):
+        # it runs its episode only one sample past act_time
+        cfg = TrainConfig(filter_stage=stage)
+        quiet = replace(SCN, noise_std=0.0)
+        full = plant.run_episode(quiet, plant.GainAction(SCN.kp_unstable), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            expected = sigproc.extract_window(
+                trainer.observation_trace(full.trace, SCN, cfg),
+                window_region(SCN, cfg)[0], cfg.d_obs)
+            obs = canonical_observation(SCN, cfg)
+        assert obs.values.tobytes() == expected.values.tobytes()
+        assert obs.window_start == expected.window_start
 
 
 class TestEvaluate:
