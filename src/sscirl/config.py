@@ -154,13 +154,24 @@ def _named(key: str, check, *args) -> None:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def reward_samples(scenario: PlantScenario, config: TrainConfig) -> int:
+    """The native samples from t = 0 that an episode's reward reads: to the
+    first at or after act_time (as sigproc.segment rounds), then t_reward
+    of samples on, rounded up (on the low-rate grid for post_decimation)."""
+    step = (sigproc.decimation_factor(scenario.sample_rate, config.target_rate)
+            if config.filter_stage == sigproc.POST_DECIMATION else 1)
+    grid = scenario.sample_rate / step
+    return 1 + step * (math.ceil(scenario.act_time * grid - 1e-9)
+                       + math.ceil(config.t_reward * grid - 1e-9))
+
+
 def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     """Raise ConfigError, naming the fields, unless a training of config
     on scenario can run to its end: finite values, a non-negative seed, a
     positive learning rate and network, a target rate dividing the native
-    rate, a band-pass the native rate can carry (pre-decimation), an
-    observation window inside the observation region, and a reward window
-    inside the horizon."""
+    rate, a band-pass the stage's rate can carry (clamped post-decimation),
+    an observation window inside the observation region, and a positive
+    t_reward whose reward_samples an episode holds."""
     for part in (scenario, config):
         for key, value in asdict(part).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -177,13 +188,17 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     if config.filter_stage == sigproc.PRE_DECIMATION:
         _named("bandpass_high", sigproc.design_bandpass, config.bandpass_spec,
                scenario.sample_rate)
+    else:
+        _named("bandpass_low", lambda: sigproc.design_bandpass(
+            sigproc.post_decimation_band(config.bandpass_spec, config.target_rate),
+            config.target_rate))
     if not (config.d_obs / config.target_rate <= config.obs_window
             <= scenario.act_time):
         raise ConfigError(
             f"need d_obs / target_rate <= obs_window <= act_time, got "
             f"{config.d_obs} / {config.target_rate}, {config.obs_window} "
             f"and {scenario.act_time}")
-    # episode_reward allows the same 1e-9 s
-    if scenario.act_time + config.t_reward > scenario.horizon + 1e-9:
-        raise ConfigError(f"need act_time + t_reward <= horizon, got "
-                          f"{scenario.act_time} + {config.t_reward} > {scenario.horizon}")
+    n = reward_samples(scenario, config)
+    if not (config.t_reward > 0 and n <= scenario.n_samples):
+        raise ConfigError(f"t_reward must be positive and end in the episode (needs {n} "
+                          f"samples of {scenario.n_samples}), got {config.t_reward}")

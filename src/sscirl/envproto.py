@@ -40,7 +40,8 @@ A `run_episode` with `until` (seconds) ends the episode there: it runs the
 session's scenario at horizon min(until, horizon). Episode noise is
 prefix-stable, so the trace is the prefix of the full one. `until` must be
 a finite JSON number greater than act_time; anything else gets "args"
-naming it.
+naming it. A `run_episode` trace starts at t = 0: the trainer counts its
+reward window in samples from there, and `RemoteEnv` refuses another t0.
 
 Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is
@@ -151,8 +152,7 @@ class _Session:
                     return _error(rid, "args",
                                   f"n_steps must be in [1, {cap}] (one horizon)")
                 try:
-                    self.state = plant.step(self.state, self.scenario,
-                                            self.scenario.sim_dt, self.rng, n)
+                    self.state = plant.step(self.state, self.scenario, self.rng, n)
                 except plant.DivergedError as exc:
                     # keep the last finite state, at the time the error names
                     self.state = exc.state
@@ -434,7 +434,7 @@ class RemoteEnv:
             raise ProtocolError(f"episode failed after retry: {last_exc}")
         self.episode_count += 1
         diverged = bool(reply.get("diverged"))
-        diverged_at = trace.t0 + len(trace) * trace.dt if diverged else None
+        diverged_at = len(trace) * trace.dt if diverged else None
         return plant.EpisodeResult(trace=trace, diverged=diverged,
                                    diverged_at=diverged_at)
 
@@ -457,11 +457,10 @@ class RemoteEnv:
         rate = _rate(reply)
         try:
             samples = np.asarray(reply["samples"], dtype=np.float64)
-            t0 = float(reply["t0"])
-            if not math.isfinite(t0):
-                raise ValueError(f"t0 {t0}")
+            if reply["t0"] != 0:
+                raise ValueError(f"t0 {reply['t0']!r}, an episode starts at 0")
             self._check_length(samples.size, reply)
-            return SignalTrace(samples, rate, t0)  # 1-D and finite, or TraceError
+            return SignalTrace(samples, rate)  # 1-D and finite, or TraceError
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"bad trace payload: {exc}") from exc
 

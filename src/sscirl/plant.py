@@ -282,27 +282,25 @@ def simulate_segments(x, v, seg_mats, seg_steps, w, vnoise, p_nom, threshold, ou
     return k, x, v, False
 
 
-def step(state: PlantState, scenario: PlantScenario, dt: float,
+def step(state: PlantState, scenario: PlantScenario,
          rng: np.random.Generator | None = None, n_steps: int = 1) -> PlantState:
-    """Advance n_steps exact-discretization steps at the state's active gain.
+    """Advance n_steps exact steps of scenario.sim_dt at the active gain.
 
     With rng, step j is forced by the j-th of n_steps standard normals
     drawn at once, which is the stream n_steps single steps draw. On
     divergence the raised DivergedError carries the last finite state and
     its time.
     """
-    if abs(dt - scenario.sim_dt) > 1e-15:
-        raise PlantError(f"dt must equal scenario.sim_dt = {scenario.sim_dt}")
     if rng is not None and scenario.noise_std > 0:
         w = rng.standard_normal(n_steps)
         w *= scenario.noise_std
-        w /= math.sqrt(dt)
+        w /= math.sqrt(scenario.sim_dt)
     else:
         w = np.zeros(n_steps)
     x, v = state.mode_state.tolist()
     n, x, v, crossing = _advance(x, v, transition(scenario, state.active_kp), w,
                                  scenario.diverge_threshold ** 2)
-    end = PlantState(state.t + n * dt, np.array([x, v]), state.active_kp)
+    end = PlantState(state.t + n * scenario.sim_dt, np.array([x, v]), state.active_kp)
     if crossing is not None:
         raise DivergedError(end.t, end)
     return end

@@ -228,11 +228,12 @@ def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> floa
     return float(np.trapezoid(dev * dev, dx=trace.dt))
 
 
-def segment(trace: SignalTrace, t_start: float, t_end: float) -> SignalTrace:
-    """Sub-trace of samples with t_start <= t < t_end."""
+def segment(trace: SignalTrace, t_start: float, t_end: float | None = None) -> SignalTrace:
+    """Sub-trace of samples with t_start <= t < t_end (or to the end)."""
     trace._require_nonempty("segment")
     i0 = int(np.ceil((t_start - trace.t0) * trace.sample_rate - 1e-9))
-    i1 = int(np.ceil((t_end - trace.t0) * trace.sample_rate - 1e-9))
+    i1 = len(trace) if t_end is None else \
+        int(np.ceil((t_end - trace.t0) * trace.sample_rate - 1e-9))
     i0, i1 = max(i0, 0), min(max(i1, 0), len(trace))
     if i1 <= i0:
         raise TraceError(f"segment [{t_start}, {t_end}) contains no samples")
@@ -246,6 +247,13 @@ def segment(trace: SignalTrace, t_start: float, t_end: float) -> SignalTrace:
 PRE_DECIMATION = "pre_decimation"
 POST_DECIMATION = "post_decimation"
 FILTER_STAGES = (PRE_DECIMATION, POST_DECIMATION)
+
+
+def post_decimation_band(spec: BandpassSpec, target_rate: float) -> BandpassSpec:
+    """The band post_decimation filters with at target_rate: f_max clamped
+    to 0.95x the decimated Nyquist; TraceError unless f_min stays below."""
+    return BandpassSpec(spec.f_min, min(spec.f_max, 0.95 * (0.5 * target_rate)),
+                        spec.order)
 
 
 def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
@@ -265,14 +273,12 @@ def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
         return filtered, downsample(filtered, target_rate)
     if stage == POST_DECIMATION:
         low = downsample(trace, target_rate)
-        nyq = 0.5 * target_rate
-        f_max = spec.f_max
-        if f_max >= 0.95 * nyq:
-            f_max = 0.95 * nyq
+        band = post_decimation_band(spec, target_rate)
+        if band.f_max != spec.f_max:
             warnings.warn(
                 f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
-                f"{target_rate} Hz; clamped to {f_max} Hz", stacklevel=2)
-        observed = bandpass(low, BandpassSpec(spec.f_min, f_max, spec.order))
+                f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=2)
+        observed = bandpass(low, band)
         return observed, observed
     raise TraceError(f"unknown filter stage {stage!r}")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import policy as pol
 from . import plant, sigproc
-from .config import TrainConfig, validate, write
+from .config import TrainConfig, reward_samples, validate, write
 
 LOG_HEADER = ("epoch,mean_reward,min_reward,max_reward,mean_action,"
               "mean_var,cache_hit_rate,clamp_rate")
@@ -55,15 +55,12 @@ class EvalCache:
         return int(round(kp / self.resolution))
 
     def lookup(self, kp: float):
-        entry = self._entries.get(self.bucket(kp))
-        if entry is not None:
-            entry["hits"] += 1
-        return entry
+        return self._entries.get(self.bucket(kp))
 
     def store(self, kp: float, reward: float | None) -> dict:
         """The bucket's entry, created holding `reward` when the bucket is
         empty. A reward of None reserves the bucket for one still to come."""
-        return self._entries.setdefault(self.bucket(kp), {"reward": reward, "hits": 0})
+        return self._entries.setdefault(self.bucket(kp), {"reward": reward})
 
     def drop_reserved(self) -> None:
         """Forget the buckets still waiting for their reward."""
@@ -126,39 +123,26 @@ def clamp(value: float, lo: float, hi: float) -> float:
 def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
                    config: TrainConfig) -> float | None:
     """Negated oscillation energy of the filtered response over
-    [act_time, act_time + t_reward]. None when the trace does not cover
-    the reward window (divergence)."""
-    window_end = scenario.act_time + config.t_reward
-    trace = result.trace
-    if trace.t0 + trace.duration < window_end - 1e-9:
+    [act_time, act_time + t_reward]. None when the trace, which starts at
+    t = 0, holds fewer than reward_samples (divergence)."""
+    n = reward_samples(scenario, config)
+    if len(result.trace) < n:
         return None
-    # both filter stages are causal, so filtering only the prefix the window
-    # reads (and two low-rate periods of margin for rounding) is exact
-    prefix = sigproc.segment(trace, trace.t0, window_end + 2.0 / config.target_rate)
-    filtered = sigproc.filtered_trace(prefix, config.bandpass_spec,
-                                      config.target_rate, config.filter_stage)
-    post = sigproc.segment(filtered, scenario.act_time,
-                           prefix.t0 + prefix.duration + prefix.dt)
-    return -sigproc.oscillation_energy(post, 0.0, config.t_reward)
+    # both filter stages are causal: filtering only the window's samples is exact
+    filtered = sigproc.filtered_trace(
+        sigproc.SignalTrace(result.trace.samples[:n], result.trace.sample_rate),
+        config.bandpass_spec, config.target_rate, config.filter_stage)
+    return -sigproc.oscillation_energy(sigproc.segment(filtered, scenario.act_time),
+                                       0.0, config.t_reward)
 
 
 def reward_scenario(scenario: plant.PlantScenario,
                     config: TrainConfig) -> plant.PlantScenario:
-    """The scenario cut to the shortest horizon whose episodes hold every
-    sample episode_reward reads, up to the one at act_time + t_reward (on
-    the low-rate grid for post_decimation). Noise is prefix-stable, so a
-    reward on the cut episode equals the full-horizon one bit for bit. The
-    scenario itself when it is no longer than that."""
-    rate = scenario.sample_rate
-    step = 1
-    if config.filter_stage == sigproc.POST_DECIMATION:
-        step = sigproc.decimation_factor(rate, config.target_rate)
-    grid = rate / step
-    # rounded as sigproc.segment and oscillation_energy round: the window's
-    # first sample, then t_reward of samples on
-    n = 1 + step * (math.ceil(scenario.act_time * grid - 1e-9)
-                    + math.ceil(config.t_reward * grid - 1e-9))
-    if n >= scenario.n_samples or n * scenario.sim_dt <= scenario.act_time:
+    """The scenario cut to reward_samples, or itself when it holds no more.
+    Noise is prefix-stable, so a reward on the cut episode equals the
+    full-horizon one bit for bit."""
+    n = reward_samples(scenario, config)
+    if n >= scenario.n_samples:
         return scenario
     return replace(scenario, horizon=n * scenario.sim_dt)
 
@@ -329,14 +313,15 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     epoch finished. Episodes are read only up to the end of the reward
     window, so they run on reward_scenario(scenario, config). env defaults
     to the in-process plant on that scenario; any object with
-    run_episode(kp, seed) -> EpisodeResult works (e.g. the remote protocol
-    adapter). It may also have run_episodes(jobs, until), taking a list of
-    (kp, seed) and the time in seconds where the episodes may end, and
-    yielding each job's EpisodeResult in order; the pre-activation trace
-    and then each epoch's plant episodes go to it as one batch each, else
-    run_episode runs them one by one. An episode that runs past until, up
-    to its env's own horizon, gives the same log. The pair is checked by
-    config.validate before anything runs or is written.
+    run_episode(kp, seed) -> EpisodeResult, its trace starting at t = 0,
+    works (e.g. the remote protocol adapter). It may also have
+    run_episodes(jobs, until), taking a list of (kp, seed) and the time in
+    seconds where the episodes may end, and yielding each job's
+    EpisodeResult in order; the pre-activation trace (until one sample past
+    act_time) and then each epoch's plant episodes go to it as one batch
+    each, else run_episode runs them one by one. An episode that runs past
+    until, up to its env's own horizon, gives the same log. The pair is
+    checked by config.validate before anything runs or is written.
     """
     validate(scenario, config)
     cut = reward_scenario(scenario, config)
@@ -361,7 +346,7 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     # canonical pre-activation measurement, shared by all iterations;
     # per-iteration variety comes from the random window start
     [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
-                            cut.horizon)
+                            scenario.act_time + scenario.sim_dt)
     obs_trace = observation_trace(pre_result.trace, scenario, config)
 
     best_reward = -math.inf
@@ -424,17 +409,17 @@ class MitigationReport:
         }
 
 
-def _post_energy(result: plant.EpisodeResult, scenario, config) -> float:
-    """Filtered oscillation energy over [act_time, horizon]; infinite when
-    the trace diverged before covering that window."""
-    trace = result.trace
-    end = trace.t0 + trace.duration
-    if result.diverged and end < scenario.horizon - trace.dt - 1e-9:
-        return math.inf
-    filtered = sigproc.filtered_trace(trace, config.bandpass_spec,
+def _energies(result: plant.EpisodeResult, scenario, config) -> tuple[float, float]:
+    """Filtered oscillation energy before act_time and from it on, the
+    latter infinite when the episode diverged (and so ended early)."""
+    filtered = sigproc.filtered_trace(result.trace, config.bandpass_spec,
                                       config.target_rate, config.filter_stage)
-    post = sigproc.segment(filtered, scenario.act_time, end + trace.dt)
-    return sigproc.oscillation_energy(post, 0.0, post.duration)
+    pre = sigproc.segment(filtered, 0.0, scenario.act_time)
+    pre_energy = sigproc.oscillation_energy(pre, 0.0, pre.duration)
+    if result.diverged:
+        return pre_energy, math.inf
+    post = sigproc.segment(filtered, scenario.act_time)
+    return pre_energy, sigproc.oscillation_energy(post, 0.0, post.duration)
 
 
 def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
@@ -449,12 +434,8 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
     mitigated = plant.run_episode(scenario, plant.GainAction(applied), seed)
     unmitigated = plant.run_episode(scenario, plant.GainAction(scenario.kp_unstable), seed)
 
-    filtered = sigproc.filtered_trace(mitigated.trace, config.bandpass_spec,
-                                      config.target_rate, config.filter_stage)
-    pre = sigproc.segment(filtered, 0.0, scenario.act_time)
-    pre_energy = sigproc.oscillation_energy(pre, 0.0, pre.duration)
-    post_energy = _post_energy(mitigated, scenario, config)
-    unmit_energy = _post_energy(unmitigated, scenario, config)
+    pre_energy, post_energy = _energies(mitigated, scenario, config)
+    _, unmit_energy = _energies(unmitigated, scenario, config)
 
     ratio = post_energy / unmit_energy if unmit_energy > 0 else math.inf
     if math.isinf(unmit_energy) and math.isfinite(post_energy):

@@ -1,11 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sscirl import config, trainer
+from sscirl import config, plant, sigproc, trainer
 from sscirl.config import ConfigError, TrainConfig
 from sscirl.plant import PlantScenario
 
@@ -74,22 +75,28 @@ def valid_pairs(draw):
     act_time = mistune_time + draw(_finite(1e-2, 5.0))
     t_reward = draw(_finite(1e-2, 5.0))
     sim_dt = draw(_finite(1e-4, 1e-2))
+    factor = draw(st.integers(1, 20))
+    # room for the reward's samples: each end of the window may round up
+    # by one low-rate period, and the window holds its last sample
+    room = (2 * factor + 1) * sim_dt
     scenario = PlantScenario(
         f_osc=draw(_finite(1.0, 200.0)), kp_stable=kp_stable,
         kp_unstable=kp_unstable, kp_crit=kp_crit,
         zeta_stable=draw(_finite(1e-4, 1.0)), p_nom=draw(_finite(-10.0, 10.0)),
-        sim_dt=sim_dt, horizon=act_time + t_reward + draw(_finite(0.0, 5.0)),
+        sim_dt=sim_dt, horizon=act_time + t_reward + room + draw(_finite(0.0, 5.0)),
         mistune_time=mistune_time, act_time=act_time,
         noise_std=draw(_finite(0.0, 1.0)), disturbance_amp=draw(_finite(0.0, 1.0)),
         diverge_threshold=draw(_finite(1.0, 1e12)))
 
-    target_rate = scenario.sample_rate / draw(st.integers(1, 20))
+    target_rate = scenario.sample_rate / factor
     d_obs = draw(st.integers(1, 60))
     lo = d_obs / target_rate
     assume(lo <= act_time)
     stage = draw(st.sampled_from(["pre_decimation", "post_decimation"]))
     top = 0.5 * scenario.sample_rate if stage == "pre_decimation" else 1e4
-    bandpass_low = draw(_finite(0.1, 0.4 * top))
+    # post_decimation clamps the band's top to 0.95x the decimated Nyquist
+    floor_top = top if stage == "pre_decimation" else 0.475 * target_rate
+    bandpass_low = draw(_finite(0.1, 0.4 * floor_top))
     kp_min = draw(_finite(-5.0, 5.0))
     cfg = TrainConfig(
         n_epoch=draw(st.integers(1, 10**6)), n_iter=draw(st.integers(1, 1000)),
@@ -115,6 +122,34 @@ def test_write_read_resolve_roundtrip(tmp_path_factory, pair):
     config.write(path, "a header", *pair)
     assert set(config.read(path)) == set(config.KEYS)
     assert config.resolve(path) == pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=valid_pairs())
+def test_accepted_pair_rewards_its_episodes(pair):
+    # validate, reward_scenario and episode_reward read one sample count:
+    # an accepted pair's full episode has a reward, its cut episode the
+    # same one bit for bit, and one sample fewer none
+    scenario, cfg = pair
+    config.validate(scenario, cfg)
+    # no noise and no initial disturbance: the mode stays at rest and the
+    # episode cannot diverge. The window is a matter of the times and rates
+    # alone, so the mode is the default one: at extreme drawn gains the
+    # discretization overflows, a plant defect of its own.
+    quiet = replace(scenario, noise_std=0.0, disturbance_amp=0.0,
+                    **{k: getattr(SCN, k) for k in ("f_osc", "kp_stable", "kp_crit",
+                                                   "kp_unstable", "zeta_stable")})
+    gain = plant.GainAction(quiet.kp_stable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # post_decimation clamps f_max
+        full = plant.run_episode(quiet, gain, seed=0)
+        cut = plant.run_episode(trainer.reward_scenario(quiet, cfg), gain, seed=0)
+        reward = trainer.episode_reward(full, quiet, cfg)
+        assert reward is not None
+        assert repr(trainer.episode_reward(cut, quiet, cfg)) == repr(reward)
+        short = plant.EpisodeResult(sigproc.SignalTrace(cut.trace.samples[:-1],
+                                                        quiet.sample_rate))
+        assert trainer.episode_reward(short, quiet, cfg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +204,14 @@ UNRUNNABLE = [
     ("bandpass_high", {"bandpass_low": 83.42681987093789,
                        "bandpass_high": 83.4268198709379}),
     ("bandpass_order", {"bandpass_order": 3}),
+    # post_decimation clamps bandpass_high to 47.5 Hz, below bandpass_low
+    ("bandpass_low", {"bandpass_low": 49.0, "filter_stage": "post_decimation"}),
     ("t_reward", {"t_reward": 9.0}),
+    # act_time + t_reward = horizon: the reward's last sample is one past
+    # the episode's
+    ("t_reward", {"t_reward": 5.0}),
+    ("t_reward", {"t_reward": 0.0}),
+    ("t_reward", {"t_reward": -1.0}),
 ]
 
 
@@ -200,7 +242,8 @@ def test_post_decimation_band_is_not_held_to_native_nyquist():
 
 def test_defaults_and_edges_accepted():
     config.validate(SCN, TrainConfig())
-    # window exactly filling the region; reward window ending at the horizon
-    config.validate(SCN, TrainConfig(d_obs=40, obs_window=0.4, t_reward=5.0))
+    # window exactly filling the region; reward window ending at the
+    # episode's last sample, index 49,999 = 5.0 s * 5 kHz + 24,999
+    config.validate(SCN, TrainConfig(d_obs=40, obs_window=0.4, t_reward=4.9998))
     config.validate(replace(SCN, sim_dt=1e-3), TrainConfig(target_rate=1000.0,
                                                            bandpass_high=450.0))

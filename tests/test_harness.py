@@ -439,7 +439,7 @@ class TestProtocol:
         start = plant.apply_gain(plant.initial_state(scn),
                                  plant.GainAction(scn.kp_unstable))
         with pytest.raises(plant.DivergedError) as err:
-            plant.step(start, scn, scn.sim_dt, n_steps=5000)
+            plant.step(start, scn, n_steps=5000)
         last = err.value.state
         conn.send(id=1, kind="reset", scenario=overrides, seed=0)
         conn.send(id=2, kind="set_gain", kp=scn.kp_unstable)
@@ -697,8 +697,10 @@ class TestRemoteEnv:
             trainer.train(SCN, cfg, run_dir=d_remote, env=env)
         finally:
             env.close()
-        # the pre-trace, then one request per iteration
-        assert untils == [trainer.reward_scenario(SCN, cfg).horizon] * (1 + 12)
+        # the pre-trace to one sample past act_time, then one request per
+        # iteration to the end of the reward window
+        assert untils == [SCN.act_time + SCN.sim_dt] + \
+                         [trainer.reward_scenario(SCN, cfg).horizon] * 12
         assert (d_local / "training_log.csv").read_bytes() == \
                (d_remote / "training_log.csv").read_bytes()
 
@@ -868,10 +870,12 @@ class TestRemoteEnvPayloads:
         ({"samples": [1.0, float("inf"), 1.0]}, "non-finite"),
         ({"samples": [1.0, "x"]}, "bad trace payload"),
         ({}, "bad trace payload"),
+        # the trainer counts the reward window in samples from t = 0
+        ({**f64le([1.0, 2.0]), "t0": 0.5}, "t0 0.5"),
     ], ids=["id_mismatch", "nbytes_string", "nbytes_bool", "nbytes_float",
             "nbytes_negative", "partial_float", "over_horizon", "huge_nbytes",
             "short_read", "nan_f64le", "rate_string", "inf_json", "not_numbers",
-            "no_samples"])
+            "no_samples", "t0_not_zero"])
     def test_bad_payload_retried_then_raises(self, stub, payload, match):
         srv = stub(**{**TRACE, **payload})
         env = RemoteEnv(*srv.server_address, scenario=SCN, timeout=10)

@@ -158,11 +158,11 @@ def test_step_n_matches_single_steps_and_draw_order():
     n = 4100
     start = plant.PlantState(0.0, np.zeros(2), 2.0)
     rng_n, rng_1 = np.random.default_rng(3), np.random.default_rng(3)
-    batched = plant.step(start, scn, scn.sim_dt, rng_n, n)
+    batched = plant.step(start, scn, rng_n, n)
     single = start
     peak = 0.0
     for _ in range(n):
-        single = plant.step(single, scn, scn.sim_dt, rng_1)
+        single = plant.step(single, scn, rng_1)
         peak = max(peak, abs(single.mode_state[0]))
     assert rng_n.standard_normal() == rng_1.standard_normal()
     assert batched.t == pytest.approx(single.t, rel=1e-12)
@@ -175,12 +175,12 @@ def test_step_divergence_carries_last_finite_state():
     scn = plant.PlantScenario(zeta_stable=0.05, diverge_threshold=20.0, noise_std=0.0)
     start = plant.PlantState(0.0, np.array([scn.disturbance_amp, 0.0]), scn.kp_unstable)
     with pytest.raises(plant.DivergedError) as err:
-        plant.step(start, scn, scn.sim_dt, n_steps=50000)
+        plant.step(start, scn, n_steps=50000)
     last = err.value.state
     single, taken = start, 0
     with pytest.raises(plant.DivergedError) as err_1:
         while True:
-            single = plant.step(single, scn, scn.sim_dt)
+            single = plant.step(single, scn)
             taken += 1
     assert taken > 0 and last.t == pytest.approx(taken * scn.sim_dt, rel=1e-12)
     assert err.value.t == last.t and err_1.value.t == single.t

@@ -102,6 +102,20 @@ class TestReward:
             assert episode_reward(result, scn, cfg) == expected
 
 
+    def test_trace_short_of_the_last_low_rate_sample_has_no_reward(self):
+        # post_decimation, act_time off the 100 Hz grid: the window runs from
+        # low-rate sample 501 (5.01 s) to 701, native sample 35,050, so a
+        # trace of 35,050 samples (to 7.0098 s, past act_time + t_reward)
+        # has none
+        scn = replace(SCN, act_time=5.003)
+        cfg = TrainConfig(filter_stage="post_decimation")
+        full = plant.run_episode(scn, plant.GainAction(2.5), seed=0).trace
+        cut = plant.EpisodeResult(sigproc.SignalTrace(full.samples[:35050],
+                                                      full.sample_rate),
+                                  diverged=True, diverged_at=35050 * scn.sim_dt)
+        assert episode_reward(cut, scn, cfg) is None
+
+
 class TestRewardScenario:
     def test_default_cut_ends_at_the_reward_window(self):
         cut = reward_scenario(SCN, TrainConfig())
@@ -363,7 +377,8 @@ class TestEpisodeBatches:
         # the pre-trace is a batch of one, then one batch per epoch
         assert len(env.batches) == 1 + cfg.n_epoch
         assert env.batches[0] == [(SCN.kp_unstable, trainer._pretrace_seed(cfg.seed))]
-        assert set(env.untils) == {trainer.reward_scenario(SCN, cfg).horizon}
+        assert env.untils[0] == SCN.act_time + SCN.sim_dt
+        assert set(env.untils[1:]) == {trainer.reward_scenario(SCN, cfg).horizon}
         for epoch, (batch, records) in enumerate(zip(env.batches[1:], epochs)):
             assert batch == [(rec.action_applied, episode_seed(cfg.seed, epoch, it))
                              for it, rec in enumerate(records) if not rec.cached]
@@ -632,6 +647,30 @@ class TestEvaluate:
         report = evaluate(params, SCN, cfg, mitigate=False)
         assert report.applied_gain == SCN.kp_unstable
         assert report.energy_ratio == pytest.approx(1.0, rel=1e-6)
+
+    def test_band_passes_each_episode_once(self, monkeypatch):
+        lengths = []
+        real = sigproc.filtered_trace
+
+        def counting(trace, *args):
+            lengths.append(len(trace))
+            return real(trace, *args)
+
+        monkeypatch.setattr(sigproc, "filtered_trace", counting)
+        cfg = small_config()
+        evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), SCN, cfg, seed=3)
+        assert lengths == [SCN.n_samples] * 2
+
+    def test_diverged_unmitigated_episode_has_infinite_energy(self):
+        # the unmitigated mode grows past 200 after act_time; kp_min damps it
+        scn = replace(SCN, diverge_threshold=200.0)
+        cfg = small_config()
+        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=0)
+        params.theta[:] = 0.0
+        report = evaluate(params, scn, cfg, seed=3)
+        assert report.unmitigated_diverged and not report.diverged
+        assert report.unmitigated_post_energy == math.inf
+        assert math.isfinite(report.post_energy) and report.energy_ratio == 0.0
 
 
 class TestOracle:
