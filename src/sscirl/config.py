@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
 from . import sigproc
-from .plant import PlantScenario
+from .plant import PlantScenario, transition
 
 
 class ConfigError(ValueError):
@@ -165,17 +165,40 @@ def reward_samples(scenario: PlantScenario, config: TrainConfig) -> int:
                        + math.ceil(config.t_reward * grid - 1e-9))
 
 
+def observation_starts(scenario: PlantScenario, config: TrainConfig) -> range:
+    """The low-rate sample indices an observation window may start at: from
+    the first at or after act_time - obs_window to the last whose d_obs
+    samples end before act_time, in the trace trainer.observation_trace
+    makes (sigproc.segment's rounding, then every factor-th sample)."""
+    factor = sigproc.decimation_factor(scenario.sample_rate, config.target_rate)
+    n_native = math.ceil(scenario.act_time * scenario.sample_rate - 1e-9)
+    first = math.ceil((scenario.act_time - config.obs_window) * config.target_rate - 1e-9)
+    return range(first, -(-n_native // factor) - config.d_obs + 1)
+
+
 def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     """Raise ConfigError, naming the fields, unless a training of config
     on scenario can run to its end: finite values, a non-negative seed, a
     positive learning rate and network, a target rate dividing the native
     rate, a band-pass the stage's rate can carry (clamped post-decimation),
-    an observation window inside the observation region, and a positive
-    t_reward whose reward_samples an episode holds."""
+    a finite plant transition at every gain an episode runs, a non-empty
+    observation_starts from index 0 or later, and a positive t_reward whose
+    reward_samples an episode holds."""
     for part in (scenario, config):
         for key, value in asdict(part).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+    # damping is affine in the gain, so these four bound every segment's
+    for key, part in (("kp_stable", scenario), ("kp_unstable", scenario),
+                      ("kp_min", config), ("kp_max", config)):
+        kp = getattr(part, key)
+        try:
+            finite = all(map(math.isfinite, transition(scenario, kp)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{key}: the plant's one-step transition at gain {kp} "
+                              f"is not finite")
     for key, least in (("seed", 0), ("hidden_size", 1), ("d_obs", 1)):
         if getattr(config, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")
@@ -192,12 +215,10 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
         _named("bandpass_low", lambda: sigproc.design_bandpass(
             sigproc.post_decimation_band(config.bandpass_spec, config.target_rate),
             config.target_rate))
-    if not (config.d_obs / config.target_rate <= config.obs_window
-            <= scenario.act_time):
-        raise ConfigError(
-            f"need d_obs / target_rate <= obs_window <= act_time, got "
-            f"{config.d_obs} / {config.target_rate}, {config.obs_window} "
-            f"and {scenario.act_time}")
+    starts = observation_starts(scenario, config)
+    if not 0 <= starts.start < starts.stop:
+        raise ConfigError(f"obs_window and d_obs must give 0 <= first <= last window "
+                          f"start (low-rate samples), got {starts.start} and {starts.stop - 1}")
     n = reward_samples(scenario, config)
     if not (config.t_reward > 0 and n <= scenario.n_samples):
         raise ConfigError(f"t_reward must be positive and end in the episode (needs {n} "

@@ -142,20 +142,26 @@ def _discretize(omega: float, zeta: float, dt: float) -> tuple:
     Closed form in scalar arithmetic, with sigma = zeta*omega and
     q = omega^2*(1 - zeta^2):
     A_d = exp(-sigma*dt) * [[c + sigma*s, s], [-omega^2*s, c - sigma*s]],
-    c = cos(sqrt(q)*dt), s = sin(sqrt(q)*dt)/sqrt(q) (cosh and sinh for
-    q < 0; c = 1, s = dt for q = 0), b2 = a12 and b1 = (1 - a11)/omega^2.
+    c = cos(sqrt(q)*dt), s = sin(sqrt(q)*dt)/sqrt(q) (c = 1, s = dt for
+    q = 0), b2 = a12 and b1 = (1 - a11)/omega^2. For q < 0, c and s take in
+    exp(-sigma*dt), from exp at the real root nearer zero (omega^2 over the
+    other, which does not cancel) and expm1 of the roots' gap 2*sqrt(-q)*dt:
+    no factor overflows where A_d does not, and a short step does not cancel.
     """
     sigma = zeta * omega
     q = omega * omega - sigma * sigma
+    decay = math.exp(-sigma * dt) if q >= 0.0 else 1.0
     if q > 0.0:
         r = math.sqrt(q)
         c, s = math.cos(r * dt), math.sin(r * dt) / r
     elif q < 0.0:
         r = math.sqrt(-q)
-        c, s = math.cosh(r * dt), math.sinh(r * dt) / r
+        far = -sigma - math.copysign(r, sigma)
+        near = math.exp(omega * omega / far * dt)
+        gap = math.expm1(-math.copysign(2.0 * r * dt, sigma))  # exp((far - near)*dt) - 1
+        c, s = 0.5 * near * (2.0 + gap), 0.5 * near * abs(gap) / r
     else:
         c, s = 1.0, dt
-    decay = math.exp(-sigma * dt)
     a11 = decay * (c + sigma * s)
     a12 = decay * s
     a22 = decay * (c - sigma * s)

@@ -1,8 +1,8 @@
 """Signal conditioning for the oscillation-mitigation loop.
 
-Down-sampling with anti-aliasing, Butterworth band-pass filtering,
-observation window extraction, and the oscillation-energy functional
-whose negation is the training reward.
+Down-sampling with anti-aliasing, Butterworth band-pass filtering, the
+observation window type, and the oscillation-energy functional whose
+negation is the training reward.
 """
 
 from __future__ import annotations
@@ -185,31 +185,6 @@ def bandpass_gain(spec: BandpassSpec, sample_rate: float, freqs) -> np.ndarray:
     _, h = signal.sosfreqz(sos, worN=np.atleast_1d(np.asarray(freqs, dtype=float)),
                            fs=sample_rate)
     return np.abs(h)
-
-
-def window_indices(trace: SignalTrace, starts, d_obs: int) -> np.ndarray:
-    """Index of the first sample with time >= start, for each of starts;
-    TraceError unless d_obs samples follow every one of them."""
-    trace._require_nonempty("extract_window")
-    if d_obs < 1:
-        raise TraceError(f"d_obs must be >= 1, got {d_obs}")
-    starts = np.asarray(starts, dtype=np.float64)
-    i0 = np.maximum(np.ceil((starts - trace.t0) * trace.sample_rate - 1e-9), 0.0)
-    i0 = i0.astype(np.intp)
-    if i0.size and i0.max() + d_obs > len(trace):
-        raise TraceError(
-            f"window exceeds trace: need {d_obs} samples from index {i0.max()}, "
-            f"trace has {len(trace)}"
-        )
-    return i0
-
-
-def extract_window(trace: SignalTrace, start: float, d_obs: int) -> Observation:
-    """Take d_obs consecutive samples beginning at the first sample with
-    time >= start."""
-    i0 = int(window_indices(trace, [start], d_obs)[0])
-    return Observation(trace.samples[i0:i0 + d_obs].copy(),
-                       trace.t0 + i0 / trace.sample_rate)
 
 
 def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import policy as pol
 from . import plant, sigproc
-from .config import TrainConfig, reward_samples, validate, write
+from .config import TrainConfig, observation_starts, reward_samples, validate, write
 
 LOG_HEADER = ("epoch,mean_reward,min_reward,max_reward,mean_action,"
               "mean_var,cache_hit_rate,clamp_rate")
@@ -31,7 +31,7 @@ DIVERGENCE_PENALTY_FLOOR = -1e6
 
 @dataclass
 class EpisodeRecord:
-    window_start: float
+    window_start: int  # index into the observation trace
     action_raw: float
     action_applied: float
     log_prob: float
@@ -149,33 +149,30 @@ def reward_scenario(scenario: plant.PlantScenario,
 
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> sigproc.SignalTrace:
-    """Conditioned low-rate trace of the pre-activation segment."""
+    """Conditioned low-rate trace of the pre-activation segment. TraceError
+    when it is too short for a window at every index of observation_starts,
+    as when raw diverged before act_time."""
     pre = sigproc.segment(raw, 0.0, scenario.act_time)
     _, observed = sigproc.pipeline(pre, config.bandpass_spec,
                                    config.target_rate, config.filter_stage)
+    need = observation_starts(scenario, config).stop - 1 + config.d_obs
+    if len(observed) < need:
+        raise sigproc.TraceError(f"pre-activation trace holds {len(observed)} low-rate "
+                                 f"samples, its observation windows need {need}")
     return observed
-
-
-def window_region(scenario: plant.PlantScenario,
-                  config: TrainConfig) -> tuple[float, float]:
-    """Admissible window-start interval inside the observation region."""
-    lo = scenario.act_time - config.obs_window
-    hi = scenario.act_time - config.d_obs / config.target_rate
-    if hi < lo:
-        raise ValueError("d_obs window longer than the observation region")
-    return lo, hi
 
 
 def canonical_observation(scenario: plant.PlantScenario,
                           config: TrainConfig) -> sigproc.Observation:
     """Deterministic reference observation: zero-noise episode, window at
-    the start of the observation region. The episode ends one sample past
+    the first index of observation_starts. The episode ends one sample past
     act_time, since the observation reads only [0, act_time)."""
     quiet = replace(scenario, noise_std=0.0, horizon=scenario.act_time + scenario.sim_dt)
     result = plant.run_episode(quiet, plant.GainAction(quiet.kp_unstable), seed=0)
     obs_trace = observation_trace(result.trace, scenario, config)
-    return sigproc.extract_window(obs_trace, window_region(scenario, config)[0],
-                                  config.d_obs)
+    i0 = observation_starts(scenario, config)[0]
+    return sigproc.Observation(obs_trace.samples[i0:i0 + config.d_obs],
+                               obs_trace.t0 + i0 / obs_trace.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +212,10 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     J = (1/n) sum_j R_j log pi(a_j | o_j), backpropagated from the forward
     pass that drew the actions.
 
-    Iteration j draws a window start and then a standard-normal eps_j from
-    rng. The n_iter windows go through one batched policy forward pass and
+    Iteration j draws a window start, an integer uniform over
+    observation_starts (both ends included), and then a standard-normal
+    eps_j from rng. The d_obs samples of obs_trace from each start are its
+    window. The n_iter windows go through one batched policy forward pass and
     act a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
     safe range and scored by its cache bucket or, on a miss, by a plant
     episode seeded with episode_seed(seed, epoch, j). The epoch's misses go
@@ -224,13 +223,11 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     simulator can run the next episode while this one is scored; they are
     asked to end at scenario.horizon (train passes its reward_scenario).
     """
-    lo, hi = window_region(scenario, config)
+    starts = observation_starts(scenario, config)
     # iteration by iteration: the window start, then the action noise
-    starts, eps = np.array([(rng.uniform(lo, hi), rng.standard_normal())
-                            for _ in range(config.n_iter)]).T
-    i0 = sigproc.window_indices(obs_trace, starts, config.d_obs)
+    i0, eps = map(np.array, zip(*[(rng.integers(starts.start, starts.stop),
+                                   rng.standard_normal()) for _ in range(config.n_iter)]))
     windows = obs_trace.samples[i0[:, None] + np.arange(config.d_obs)]
-    window_starts = obs_trace.t0 + i0 / obs_trace.sample_rate
     out = pol.forward(params, windows)
     actions = out.mu + np.sqrt(out.var) * eps
     log_probs = pol.gaussian_log_prob(actions, out.mu, out.var)
@@ -267,7 +264,7 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
                 reward = divergence_penalty(worst)
             if slot is not None:
                 slot["reward"] = reward
-        records.append(EpisodeRecord(float(window_starts[it]), float(actions[it]),
+        records.append(EpisodeRecord(int(i0[it]), float(actions[it]),
                                      applied[it], float(log_probs[it]), reward,
                                      float(out.var[it]), entry is not None))
         if worst is None or reward < worst:

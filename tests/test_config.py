@@ -111,6 +111,10 @@ def valid_pairs(draw):
         bandpass_order=draw(st.sampled_from([2, 4, 6, 8])),
         target_rate=target_rate, t_reward=t_reward, filter_stage=stage,
         baseline_enabled=draw(st.booleans()), cache_enabled=draw(st.booleans()))
+    # no gain grows the mode past 1e308 in one step (UNRUNNABLE): the
+    # fastest-growing one, the highest, grows it by at most exp(600)
+    top = max(kp_unstable, cfg.kp_max)
+    assume(plant.damping_of_gain(scenario, top) * scenario.omega * sim_dt > -300.0)
     return scenario, cfg
 
 
@@ -124,6 +128,15 @@ def test_write_read_resolve_roundtrip(tmp_path_factory, pair):
     assert config.resolve(path) == pair
 
 
+def default_mode(scenario):
+    """scenario without noise, on the default mode. The windows are a matter
+    of the times and rates alone; the default mode, from the drawn initial
+    disturbance, stays below the default divergence bound up to act_time."""
+    return replace(scenario, noise_std=0.0, diverge_threshold=SCN.diverge_threshold,
+                   **{k: getattr(SCN, k) for k in ("f_osc", "kp_stable", "kp_crit",
+                                                  "kp_unstable", "zeta_stable")})
+
+
 @settings(max_examples=40, deadline=None)
 @given(pair=valid_pairs())
 def test_accepted_pair_rewards_its_episodes(pair):
@@ -133,12 +146,8 @@ def test_accepted_pair_rewards_its_episodes(pair):
     scenario, cfg = pair
     config.validate(scenario, cfg)
     # no noise and no initial disturbance: the mode stays at rest and the
-    # episode cannot diverge. The window is a matter of the times and rates
-    # alone, so the mode is the default one: at extreme drawn gains the
-    # discretization overflows, a plant defect of its own.
-    quiet = replace(scenario, noise_std=0.0, disturbance_amp=0.0,
-                    **{k: getattr(SCN, k) for k in ("f_osc", "kp_stable", "kp_crit",
-                                                   "kp_unstable", "zeta_stable")})
+    # episode cannot diverge
+    quiet = replace(default_mode(scenario), disturbance_amp=0.0)
     gain = plant.GainAction(quiet.kp_stable)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # post_decimation clamps f_max
@@ -150,6 +159,28 @@ def test_accepted_pair_rewards_its_episodes(pair):
         short = plant.EpisodeResult(sigproc.SignalTrace(cut.trace.samples[:-1],
                                                         quiet.sample_rate))
         assert trainer.episode_reward(short, quiet, cfg) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=valid_pairs())
+def test_accepted_pair_observes_every_window_start(pair):
+    # validate, run_epoch and canonical_observation read one range: each
+    # of its ends starts a whole window of the pre-activation observation
+    # trace, one past the last does not, and the canonical window is the first
+    scenario, cfg = pair
+    config.validate(scenario, cfg)
+    quiet = default_mode(scenario)
+    starts = config.observation_starts(quiet, cfg)
+    pre = replace(quiet, horizon=quiet.act_time + quiet.sim_dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # post_decimation clamps f_max
+        result = plant.run_episode(pre, plant.GainAction(pre.kp_unstable), seed=0)
+        samples = trainer.observation_trace(result.trace, quiet, cfg).samples
+        obs = trainer.canonical_observation(quiet, cfg)
+    for first in (starts[0], starts[-1], starts[-1] + 1):
+        fits = len(samples[first:first + cfg.d_obs]) == cfg.d_obs
+        assert fits == (first in starts)
+    assert obs.values.tobytes() == samples[starts[0]:starts[0] + cfg.d_obs].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +228,8 @@ UNRUNNABLE = [
     ("lr", {"lr": math.nan}),
     ("lr", {"lr": -1e-3}),
     ("obs_window", {"d_obs": 50}),
+    # one sample past the edge d_obs = 40 of test_defaults_and_edges_accepted
+    ("obs_window", {"d_obs": 41}),
     ("obs_window", {"obs_window": 6.0}),
     ("target_rate", {"target_rate": 300.0}),
     ("bandpass_high", {"bandpass_high": 3000.0}),
@@ -212,16 +245,25 @@ UNRUNNABLE = [
     ("t_reward", {"t_reward": 5.0}),
     ("t_reward", {"t_reward": 0.0}),
     ("t_reward", {"t_reward": -1.0}),
+    # zeta = -10,000 at kp_unstable (+25,000 at kp_min runs), and -2,999:
+    # the transition's entries pass 1e308
+    ("kp_unstable", {"zeta_stable": 1e4}),
+    ("kp_unstable", {"zeta_stable": 1.0, "kp_stable": 0.0, "kp_crit": 0.001,
+                     "kp_unstable": 3.0, "f_osc": 200.0, "sim_dt": 0.002,
+                     "target_rate": 100.0, "bandpass_high": 45.0, "kp_min": 0.0,
+                     "kp_max": 1.0}),
 ]
 
 
 @pytest.mark.parametrize("key, changes", UNRUNNABLE,
                          ids=[",".join(f"{k}={v}" for k, v in c.items()) for _, c in UNRUNNABLE])
 def test_train_rejects_before_first_episode(tmp_path, key, changes):
-    cfg = replace(TrainConfig(n_epoch=1, n_iter=1), **changes)
-    env = trainer.LocalPlantEnv(SCN)
+    scn = replace(SCN, **{k: v for k, v in changes.items() if k in config.SCENARIO_KEYS})
+    cfg = replace(TrainConfig(n_epoch=1, n_iter=1),
+                  **{k: v for k, v in changes.items() if k not in config.SCENARIO_KEYS})
+    env = trainer.LocalPlantEnv(scn)
     with pytest.raises(ConfigError, match=key):
-        trainer.train(SCN, cfg, run_dir=tmp_path / "run", env=env)
+        trainer.train(scn, cfg, run_dir=tmp_path / "run", env=env)
     assert env.episode_count == 0
     assert not (tmp_path / "run").exists()
 
@@ -247,3 +289,6 @@ def test_defaults_and_edges_accepted():
     config.validate(SCN, TrainConfig(d_obs=40, obs_window=0.4, t_reward=4.9998))
     config.validate(replace(SCN, sim_dt=1e-3), TrainConfig(target_rate=1000.0,
                                                            bandpass_high=450.0))
+    # strongly damped, zeta = 25,000 at kp_min, and at most -1 elsewhere
+    config.validate(replace(SCN, zeta_stable=1e4, kp_unstable=3.0001),
+                    TrainConfig(kp_max=3.0))

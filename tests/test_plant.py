@@ -112,6 +112,18 @@ class TestClosedFormDiscretization:
             ref = _expm_reference(DEFAULT.omega, zeta, DEFAULT.sim_dt)
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
+    # zeta_stable at kp_stable, -zeta_stable at kp_unstable; zeta = 25,000
+    # at kp_min = 0.5, where cosh(r*dt) alone overflows
+    @pytest.mark.parametrize("zeta_stable, kp", [
+        (1.05, 2.0), (2.0, 2.0), (50.0, 2.0), (1500.0, 2.0), (1e4, 0.5),
+        (1.05, 4.0), (50.0, 4.0)])
+    def test_strongly_damped_gains_match_expm(self, zeta_stable, kp):
+        scn = PlantScenario(zeta_stable=zeta_stable)
+        got = np.array(transition(scn, kp))
+        ref = _expm_reference(scn.omega, damping_of_gain(scn, kp), scn.sim_dt)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("zeta_stable, kp", [
         (0.05, 2.0),    # underdamped
         (0.5, 1.0),     # critical: zeta = 1

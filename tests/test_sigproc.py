@@ -4,7 +4,7 @@ import pytest
 from sscirl import sigproc
 from sscirl.sigproc import (BandpassSpec, Observation, SignalTrace, TraceError,
                             bandpass, bandpass_gain, downsample,
-                            extract_window, oscillation_energy, segment)
+                            oscillation_energy, segment)
 
 
 def sine(freq, rate, duration, amp=1.0):
@@ -108,43 +108,6 @@ class TestBandpass:
         impulse[0] = 1.0
         h = bandpass(SignalTrace(impulse, rate), self.SPEC).samples
         assert np.max(np.abs(h[n:2 * n])) < np.max(np.abs(h[:n]))
-
-
-class TestExtractWindow:
-    def make_trace(self):
-        return SignalTrace(np.arange(1000, dtype=float), 100.0)
-
-    def test_prefix_window(self):
-        obs = extract_window(self.make_trace(), 0.0, 30)
-        assert np.array_equal(obs.values, np.arange(30))
-        assert obs.window_start == 0.0
-
-    def test_boundary_error(self):
-        with pytest.raises(TraceError, match="window exceeds trace"):
-            extract_window(self.make_trace(), 9.8, 30)
-
-    def test_window_spans_expected_duration(self):
-        obs = extract_window(self.make_trace(), 4.63, 30)
-        assert len(obs.values) == 30
-        assert obs.window_start == pytest.approx(4.63)
-        # 30 samples at 100 Hz span 0.3 s
-        assert 29 / 100.0 == pytest.approx(0.29)
-
-    def test_start_between_samples_rounds_up(self):
-        obs = extract_window(self.make_trace(), 0.015, 5)
-        assert obs.values[0] == 2  # first sample index with t >= 0.015
-
-    def test_batched_indices_match_extract_window(self):
-        trace = SignalTrace(np.arange(1000, dtype=float), 100.0, t0=0.37)
-        starts = np.random.default_rng(0).uniform(0.0, 10.07, 200)
-        starts[:3] = (0.37, 0.375, 10.07)  # first sample, between samples, last window
-        i0 = sigproc.window_indices(trace, starts, 30)
-        for start, i in zip(starts, i0):
-            obs = extract_window(trace, start, 30)
-            assert obs.values[0] == trace.samples[i]
-            assert obs.window_start == trace.t0 + i / trace.sample_rate
-        with pytest.raises(TraceError, match="window exceeds trace"):
-            sigproc.window_indices(trace, [1.0, 10.08], 30)
 
 
 class TestOscillationEnergy:

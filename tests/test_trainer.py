@@ -12,7 +12,7 @@ from sscirl import plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
                             episode_reward, episode_seed, evaluate, grid_oracle,
-                            reward_scenario, run_epoch, train, window_region)
+                            observation_starts, reward_scenario, run_epoch, train)
 
 SCN = plant.PlantScenario()
 QUIET = plant.PlantScenario(noise_std=0.0)
@@ -197,20 +197,17 @@ class TestRunEpoch:
                                   cache, obs_trace, epoch=0, worst_reward=None)
 
         replay = np.random.default_rng(4)
-        lo, hi = window_region(QUIET, cfg)
-        windows, eps = [], []
+        starts = observation_starts(QUIET, cfg)
+        i0, windows, eps = [], [], []
         for _ in range(cfg.n_iter):
-            windows.append(sigproc.extract_window(obs_trace, replay.uniform(lo, hi),
-                                                  cfg.d_obs))
+            i0.append(int(replay.integers(starts.start, starts.stop)))
+            windows.append(obs_trace.samples[i0[-1]:i0[-1] + cfg.d_obs])
             eps.append(replay.standard_normal())
         assert rng.standard_normal() == replay.standard_normal()  # no other draw
 
-        out = pol.forward(params, np.stack([w.values for w in windows]))
+        out = pol.forward(params, np.stack(windows))
+        assert [rec.window_start for rec in records] == i0
         for j, rec in enumerate(records):
-            assert rec.window_start == windows[j].window_start
-            assert np.array_equal(
-                sigproc.extract_window(obs_trace, rec.window_start, cfg.d_obs).values,
-                windows[j].values)
             assert rec.action_raw == out.mu[j] + math.sqrt(out.var[j]) * eps[j]
             assert rec.var == out.var[j]
             # the one-observation forward pass gives the same action, to rounding
@@ -219,6 +216,22 @@ class TestRunEpoch:
                 single.mu + math.sqrt(single.var) * eps[j], rel=1e-12)
             assert rec.log_prob == pytest.approx(
                 pol.log_prob(params, windows[j], rec.action_raw), rel=1e-12)
+
+    def test_draws_cover_every_window_start(self, obs_trace):
+        # 320 default iterations from a fixed rng draw each start index,
+        # 460 (the canonical window's) among them; every bucket is cached
+        cfg = TrainConfig()
+        cache = EvalCache(cfg.cache_resolution)
+        for b in range(cache.bucket(cfg.kp_min), cache.bucket(cfg.kp_max) + 1):
+            cache.store(b * cfg.cache_resolution, -1.0)
+        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=0)
+        rng = np.random.default_rng(0)
+        drawn = set()
+        for epoch in range(40):
+            _, _, records = run_epoch(params, LocalPlantEnv(QUIET), QUIET, cfg, rng,
+                                      cache, obs_trace, epoch, worst_reward=None)
+            drawn.update(rec.window_start for rec in records)
+        assert sorted(drawn) == list(range(460, 471))
 
     def test_action_moments_match_the_policy(self, obs_trace, monkeypatch):
         # row by row, the drawn action_raw has the mean and variance of the
@@ -313,7 +326,7 @@ class TestRunEpoch:
             params, env, QUIET, cfg, rng, cache, obs_trace, epoch=0,
             worst_reward=None)
         rec = records[0]
-        obs = sigproc.extract_window(obs_trace, rec.window_start, cfg.d_obs)
+        obs = obs_trace.samples[rec.window_start:rec.window_start + cfg.d_obs]
         grads = pol.grad_weighted_logprob(params, [(obs, rec.action_raw, rec.reward)])
         grad = np.concatenate([grads[name].ravel() for name in pol.PARAM_NAMES])
         expected = pol.adam_step(params, grad, cfg.lr)
@@ -576,10 +589,7 @@ def best_checkpoint_gap(run_dir, seed, oracle_gain):
 class TestLearning:
     # Training that starts at the unstable gain must end at the oracle's
     # gain; the same start with the gradient reversed must not.
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.xfail(
-        strict=True, reason="training never draws window index 460, the one "
-        "canonical_observation reads (ROADMAP: Train on the window the checks read)")),
-        6, 7])
+    @pytest.mark.parametrize("seed", range(8))
     def test_best_checkpoint_reaches_oracle_gain(self, tmp_path, monkeypatch, seed,
                                                  oracle_gain):
         start_at_unstable_gain(monkeypatch)
@@ -594,12 +604,25 @@ class TestLearning:
 
 
 class TestWindowing:
-    def test_window_region_bounds(self):
+    def test_observation_starts_bounds(self):
+        # from the sample at act_time - obs_window = 4.6 s to the last
+        # window ending at the 500th sample, the last before act_time = 5 s
+        assert observation_starts(SCN, TrainConfig()) == range(460, 471)
+        assert observation_starts(SCN, TrainConfig(d_obs=40)) == range(460, 461)
+
+    def test_first_start_rounds_up_between_samples(self):
+        # act_time - obs_window = 4.605 s falls between samples 460 and 461
+        assert observation_starts(SCN, TrainConfig(obs_window=0.395))[0] == 461
+        assert observation_starts(replace(SCN, act_time=5.003), TrainConfig())[0] == 461
+
+    def test_pretrace_too_short_for_the_windows_rejected(self):
+        # a pre-activation trace that ends (diverges) before act_time
         cfg = TrainConfig()
-        lo, hi = window_region(SCN, cfg)
-        assert lo == pytest.approx(SCN.act_time - cfg.obs_window)
-        assert hi == pytest.approx(SCN.act_time - cfg.d_obs / cfg.target_rate)
-        assert lo < hi
+        result = plant.run_episode(QUIET, plant.GainAction(QUIET.kp_unstable), seed=0)
+        short = sigproc.SignalTrace(result.trace.samples[:24_950], result.trace.sample_rate)
+        assert len(trainer.observation_trace(result.trace, QUIET, cfg)) == 500
+        with pytest.raises(sigproc.TraceError, match="windows need 500"):
+            trainer.observation_trace(short, QUIET, cfg)
 
     def test_canonical_observation_shape_and_content(self):
         cfg = TrainConfig()
@@ -616,12 +639,10 @@ class TestWindowing:
         full = plant.run_episode(quiet, plant.GainAction(SCN.kp_unstable), seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            expected = sigproc.extract_window(
-                trainer.observation_trace(full.trace, SCN, cfg),
-                window_region(SCN, cfg)[0], cfg.d_obs)
+            expected = trainer.observation_trace(full.trace, SCN, cfg).samples[460:490]
             obs = canonical_observation(SCN, cfg)
-        assert obs.values.tobytes() == expected.values.tobytes()
-        assert obs.window_start == expected.window_start
+        assert obs.values.tobytes() == expected.tobytes()
+        assert obs.window_start == 4.6
 
 
 class TestEvaluate:
