@@ -123,11 +123,21 @@ def mode_eigenvalues(scenario: PlantScenario, kp: float) -> tuple[complex, compl
     zeta = damping_of_gain(scenario, kp)
     w = scenario.omega
     if abs(zeta) > 1.0:
-        root = w * math.sqrt(zeta * zeta - 1.0)
-        return complex(-zeta * w + root, 0.0), complex(-zeta * w - root, 0.0)
+        near, far, _ = _real_roots(w, zeta * w)
+        return complex(max(near, far), 0.0), complex(min(near, far), 0.0)
     root = w * math.sqrt(1.0 - zeta * zeta)
     lam = complex(-zeta * w, root)
     return lam, lam.conjugate()
+
+
+def _real_roots(omega: float, sigma: float) -> tuple[float, float, float]:
+    """(near, far, r = sqrt(sigma^2 - omega^2)): the real roots of
+    s^2 + 2*sigma*s + omega^2, near the one nearer zero, each found without
+    the cancellation of -sigma +/- r: far adds two terms of one sign, and
+    near is omega^2 (their product) over far."""
+    r = math.sqrt(sigma * sigma - omega * omega)
+    far = -sigma - math.copysign(r, sigma)
+    return omega * omega / far, far, r
 
 
 # b1 is summed as a series when max(omega, |zeta*omega|) * dt is below this
@@ -144,8 +154,8 @@ def _discretize(omega: float, zeta: float, dt: float) -> tuple:
     A_d = exp(-sigma*dt) * [[c + sigma*s, s], [-omega^2*s, c - sigma*s]],
     c = cos(sqrt(q)*dt), s = sin(sqrt(q)*dt)/sqrt(q) (c = 1, s = dt for
     q = 0), b2 = a12 and b1 = (1 - a11)/omega^2. For q < 0, c and s take in
-    exp(-sigma*dt), from exp at the real root nearer zero (omega^2 over the
-    other, which does not cancel) and expm1 of the roots' gap 2*sqrt(-q)*dt:
+    exp(-sigma*dt), from exp at the real root nearer zero (_real_roots, which
+    does not cancel) and expm1 of the roots' gap 2*sqrt(-q)*dt:
     no factor overflows where A_d does not, and a short step does not cancel.
     """
     sigma = zeta * omega
@@ -155,11 +165,10 @@ def _discretize(omega: float, zeta: float, dt: float) -> tuple:
         r = math.sqrt(q)
         c, s = math.cos(r * dt), math.sin(r * dt) / r
     elif q < 0.0:
-        r = math.sqrt(-q)
-        far = -sigma - math.copysign(r, sigma)
-        near = math.exp(omega * omega / far * dt)
+        near, _, r = _real_roots(omega, sigma)
         gap = math.expm1(-math.copysign(2.0 * r * dt, sigma))  # exp((far - near)*dt) - 1
-        c, s = 0.5 * near * (2.0 + gap), 0.5 * near * abs(gap) / r
+        decay_near = math.exp(near * dt)
+        c, s = 0.5 * decay_near * (2.0 + gap), 0.5 * decay_near * abs(gap) / r
     else:
         c, s = 1.0, dt
     a11 = decay * (c + sigma * s)

@@ -233,39 +233,38 @@ def post_decimation_band(spec: BandpassSpec, target_rate: float) -> BandpassSpec
 
 def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
              stage: str = PRE_DECIMATION) -> tuple[SignalTrace, SignalTrace]:
-    """Full conditioning chain; returns (filtered, observed).
+    """Full conditioning chain; returns (filtered, observed), where
+    filtered is filtered_trace's output.
 
     pre_decimation (default): band-pass at the native rate, then decimate —
     keeps band content above the decimated Nyquist alive through the filter.
-    `filtered` is the full-rate band-passed trace, `observed` its decimation.
+    `observed` is the decimation of the full-rate `filtered`.
 
-    post_decimation: decimate first, then band-pass at the low rate with
-    f_max clamped to 0.95x the decimated Nyquist (a warning is emitted when
-    clamping occurs). Both returned traces are then the low-rate output.
+    post_decimation: decimate first, then band-pass at the low rate; both
+    returned traces are that low-rate output.
     """
-    if stage == PRE_DECIMATION:
-        filtered = bandpass(trace, spec)
-        return filtered, downsample(filtered, target_rate)
-    if stage == POST_DECIMATION:
-        low = downsample(trace, target_rate)
-        band = post_decimation_band(spec, target_rate)
-        if band.f_max != spec.f_max:
-            warnings.warn(
-                f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
-                f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=2)
-        observed = bandpass(low, band)
-        return observed, observed
-    raise TraceError(f"unknown filter stage {stage!r}")
+    filtered = filtered_trace(trace, spec, target_rate, stage)
+    return filtered, downsample(filtered, target_rate) if stage == PRE_DECIMATION \
+        else filtered
 
 
 def filtered_trace(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
                    stage: str = PRE_DECIMATION) -> SignalTrace:
-    """The `filtered` half of pipeline(), without the decimation it would
-    discard: the full-rate band-passed trace for pre_decimation, the
-    low-rate one for post_decimation."""
+    """The band-passed trace of the chosen filter stage: at the native rate
+    for pre_decimation; for post_decimation, at target_rate after
+    decimation, with f_max clamped to 0.95x the decimated Nyquist (a
+    warning is emitted when clamping occurs)."""
     if stage == PRE_DECIMATION:
         return bandpass(trace, spec)
-    return pipeline(trace, spec, target_rate, stage)[0]
+    if stage != POST_DECIMATION:
+        raise TraceError(f"unknown filter stage {stage!r}")
+    low = downsample(trace, target_rate)
+    band = post_decimation_band(spec, target_rate)
+    if band.f_max != spec.f_max:
+        warnings.warn(
+            f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
+            f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=2)
+    return bandpass(low, band)
 
 
 # ---------------------------------------------------------------------------

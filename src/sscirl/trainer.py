@@ -3,8 +3,8 @@
 Each iteration conditions the pre-activation measurement into an
 observation window, samples a gain from the policy, clamps it into the safe
 range, and scores it by the negated post-activation oscillation energy.
-Gain proposals falling into an already-evaluated cache bucket reuse the
-stored reward instead of simulating again. The policy works per epoch:
+A gain proposal reuses the finished reward of its cache bucket, or of the
+epoch's first miss in it, instead of simulating again. The policy works per epoch:
 the epoch's windows go through one batched forward pass to sample their
 gains, and after scoring, the whole batch takes one gradient of the
 weighted log-probability objective, backpropagated through that same
@@ -14,7 +14,7 @@ pass, and one gradient-ascent Adam step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,6 @@ import numpy as np
 from . import policy as pol
 from . import plant, sigproc
 from .config import TrainConfig, observation_starts, reward_samples, validate, write
-
-LOG_HEADER = ("epoch,mean_reward,min_reward,max_reward,mean_action,"
-              "mean_var,cache_hit_rate,clamp_rate")
 
 DIVERGENCE_PENALTY_FLOOR = -1e6
 
@@ -43,32 +40,26 @@ class EpisodeRecord:
 class EvalCache:
     """Per-gain-bucket reuse of plant evaluations.
 
-    Buckets are uniform at the configured resolution; the reward of the
-    first run in a bucket becomes its representative evaluation.
+    Buckets are uniform at the configured resolution; the finished reward
+    (penalty included) of the first run in a bucket stands for all of it.
     """
 
     def __init__(self, resolution: float):
         self.resolution = resolution
-        self._entries: dict[int, dict] = {}
+        self._rewards: dict[int, float] = {}
 
     def bucket(self, kp: float) -> int:
         return int(round(kp / self.resolution))
 
-    def lookup(self, kp: float):
-        return self._entries.get(self.bucket(kp))
+    def lookup(self, kp: float) -> float | None:
+        """The reward of kp's bucket, or None when it holds none."""
+        return self._rewards.get(self.bucket(kp))
 
-    def store(self, kp: float, reward: float | None) -> dict:
-        """The bucket's entry, created holding `reward` when the bucket is
-        empty. A reward of None reserves the bucket for one still to come."""
-        return self._entries.setdefault(self.bucket(kp), {"reward": reward})
-
-    def drop_reserved(self) -> None:
-        """Forget the buckets still waiting for their reward."""
-        self._entries = {b: e for b, e in self._entries.items()
-                         if e["reward"] is not None}
+    def store(self, kp: float, reward: float) -> None:
+        self._rewards[self.bucket(kp)] = reward
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rewards)
 
 
 def each_episode(env, jobs):
@@ -198,10 +189,10 @@ class EpochStats:
     clamp_rate: float
 
     def csv_row(self) -> str:
-        return ",".join(repr(v) for v in (
-            self.epoch, self.mean_reward, self.min_reward, self.max_reward,
-            self.mean_action, self.mean_var, self.cache_hit_rate,
-            self.clamp_rate))
+        return ",".join(map(repr, astuple(self)))
+
+
+LOG_HEADER = ",".join(f.name for f in fields(EpochStats))
 
 
 def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
@@ -217,11 +208,13 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     eps_j from rng. The d_obs samples of obs_trace from each start are its
     window. The n_iter windows go through one batched policy forward pass and
     act a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
-    safe range and scored by its cache bucket or, on a miss, by a plant
-    episode seeded with episode_seed(seed, epoch, j). The epoch's misses go
-    to the environment as one batch, in iteration order, so a remote
-    simulator can run the next episode while this one is scored; they are
-    asked to end at scenario.horizon (train passes its reward_scenario).
+    safe range and takes its bucket's reward from the cache, else from this
+    epoch's first miss in the bucket, scored by a plant episode seeded with
+    episode_seed(seed, epoch, j). The misses go to the environment as one
+    batch, in iteration order, so a remote simulator can run the next
+    episode while this one is scored; they are asked to end at
+    scenario.horizon (train passes its reward_scenario). Their rewards enter
+    the cache once all are scored: an epoch that raises leaves it as it was.
     """
     starts = observation_starts(scenario, config)
     # iteration by iteration: the window start, then the action noise
@@ -232,43 +225,40 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     actions = out.mu + np.sqrt(out.var) * eps
     log_probs = pol.gaussian_log_prob(actions, out.mu, out.var)
 
-    # plan: a miss reserves its bucket, so later iterations in it hit
     applied = [clamp(float(a), config.kp_min, config.kp_max) for a in actions]
-    hits, jobs, reserved = [], [], []
-    for it, kp in enumerate(applied):
-        entry = cache.lookup(kp) if config.cache_enabled else None
-        hits.append(entry)
-        if entry is None:
-            jobs.append((kp, episode_seed(config.seed, epoch, it)))
-            reserved.append(cache.store(kp, None) if config.cache_enabled else None)
+    # with the cache off, every iteration is a bucket of its own
+    keys = [cache.bucket(kp) for kp in applied] if config.cache_enabled \
+        else range(len(applied))
+    known, first_miss = {}, {}
+    for it, (key, kp) in enumerate(zip(keys, applied)):
+        reward = cache.lookup(kp) if config.cache_enabled else None
+        if reward is None:
+            first_miss.setdefault(key, it)
+        else:
+            known[key] = reward
+    # each miss's episode is scored as it is pulled and dropped before the
+    # next; list() ends the batch (and so releases it) even when scoring raises
+    scores = iter(list(map(
+        lambda result: episode_reward(result, scenario, config),
+        run_jobs(env, [(applied[it], episode_seed(config.seed, epoch, it))
+                       for it in first_miss.values()], scenario.horizon))))
 
-    # score: map drops each episode once scored, before the next is pulled
-    try:
-        scores = list(map(lambda result: episode_reward(result, scenario, config),
-                          run_jobs(env, jobs, scenario.horizon)))
-    except BaseException:
-        cache.drop_reserved()
-        raise
-
-    # assemble, in iteration order: a divergence penalty depends on the
-    # worst reward before it
+    # in iteration order: a divergence penalty depends on the worst reward before it
     records = []
     worst = worst_reward
-    fresh = zip(scores, reserved)
-    for it, entry in enumerate(hits):
-        if entry is not None:
-            reward = entry["reward"]
-        else:
-            reward, slot = next(fresh)
-            if reward is None:
-                reward = divergence_penalty(worst)
-            if slot is not None:
-                slot["reward"] = reward
-        records.append(EpisodeRecord(int(i0[it]), float(actions[it]),
-                                     applied[it], float(log_probs[it]), reward,
-                                     float(out.var[it]), entry is not None))
-        if worst is None or reward < worst:
-            worst = reward
+    for it, key in enumerate(keys):
+        cached = key in known
+        if not cached:
+            reward = next(scores)
+            known[key] = divergence_penalty(worst) if reward is None else reward
+        reward = known[key]
+        records.append(EpisodeRecord(int(i0[it]), float(actions[it]), applied[it],
+                                     float(log_probs[it]), reward,
+                                     float(out.var[it]), cached))
+        worst = reward if worst is None else min(worst, reward)
+    if config.cache_enabled:
+        for key, it in first_miss.items():
+            cache.store(applied[it], known[key])
 
     rewards = np.array([r.reward for r in records])
     weights = rewards - rewards.mean() if config.baseline_enabled else rewards

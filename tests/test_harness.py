@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from sscirl import cli, config, envproto, plant, sigproc, trainer
 from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
@@ -593,6 +594,129 @@ def test_session_handle_never_raises(requests):
         assert reply["kind"] in ("ok", "trace", "error")
         assert reply.get("nbytes", 0) == len(payload)
         json.dumps(reply)
+
+
+# a short served scenario, unstable at every gain above 1.0: the mode grows
+# by e every 15 ms at kp 4. Its velocity amplitude, omega * disturbance_amp,
+# starts at 6.0, just under the bound of 6.5, and a reset to a
+# disturbance_amp above 0.0216 starts it over
+SHORT = replace(SCN, kp_stable=0.3, kp_crit=1.0, zeta_stable=0.05, mistune_time=0.18,
+                act_time=0.2, horizon=0.5, diverge_threshold=6.5)
+GAPS = st.integers(1, 3)  # from one request id to the next
+GAINS = st.floats(0.0, 5.0)  # the served bounds are [0.5, 4.0]
+SEEDS = st.integers(0, 2**32)
+
+
+def same(reply, expected):
+    """Equal replies, float bits included: repr round-trips every float."""
+    return json.dumps(reply) == json.dumps(expected)
+
+
+class SessionModel(RuleBasedStateMachine):
+    """_Session.handle against the plant functions it serves, run on a
+    scenario, a state and an rng of the model's own, seeded as the
+    session's. Every reply must equal the model's bit for bit."""
+
+    def __init__(self):
+        super().__init__()
+        self.session = _Session(SHORT)
+        self.last_id = 0
+
+    def handle(self, gap, kind, **fields):
+        self.last_id += gap
+        return self.session.handle({"id": self.last_id, "kind": kind, **fields})
+
+    def refused_for_bounds(self, reply, kp):
+        return reply["kind"] == "error" and reply["code"] == "bounds" \
+            and not 0.5 <= kp <= 4.0
+
+    @initialize(seed=SEEDS)
+    def first_reset(self, seed):
+        self.reset(1, seed, SHORT.disturbance_amp)
+
+    @rule(gap=GAPS, seed=SEEDS, amp=st.floats(0.0, 0.05))
+    def reset(self, gap, seed, amp):
+        reply, _ = self.handle(gap, "reset", seed=seed, scenario={"disturbance_amp": amp})
+        self.scenario = replace(SHORT, disturbance_amp=amp)
+        self.state = plant.initial_state(self.scenario)
+        self.rng = np.random.default_rng(seed)
+        assert same(reply, {"id": self.last_id, "kind": "ok", "payload": {"t": 0.0}})
+
+    @rule(gap=GAPS, kp=GAINS)
+    def set_gain(self, gap, kp):
+        reply, _ = self.handle(gap, "set_gain", kp=kp)
+        if self.refused_for_bounds(reply, kp):
+            return
+        self.state = plant.apply_gain(self.state, plant.GainAction(kp))
+        assert same(reply, {"id": self.last_id, "kind": "ok",
+                            "payload": {"active_kp": kp}})
+
+    @rule(gap=GAPS, n_steps=st.integers(1, SHORT.n_samples))
+    def step(self, gap, n_steps):
+        reply, _ = self.handle(gap, "step", n_steps=n_steps)
+        try:
+            self.state = plant.step(self.state, self.scenario, self.rng, n_steps)
+        except plant.DivergedError as exc:
+            # the session keeps the last finite state
+            self.state = exc.state
+            expected = {"id": self.last_id, "kind": "error", "code": "diverged",
+                        "message": str(exc)}
+        else:
+            expected = {"id": self.last_id, "kind": "ok",
+                        "payload": {"t": self.state.t,
+                                    "mode_state": self.state.mode_state.tolist()}}
+        assert same(reply, expected)
+
+    @rule(gap=GAPS)
+    def measure(self, gap):
+        reply, _ = self.handle(gap, "measure")
+        value = plant.measure(self.state, self.scenario, self.rng)
+        assert same(reply, {"id": self.last_id, "kind": "trace", "samples": [value],
+                            "rate": SHORT.sample_rate, "t0": self.state.t,
+                            "diverged": False})
+
+    @rule(gap=GAPS, kp=GAINS, seed=SEEDS, encoding=st.sampled_from(["json", "f64le"]),
+          until=st.none() | st.floats(SHORT.act_time, 1.0, exclude_min=True))
+    def run_episode(self, gap, kp, seed, encoding, until):
+        extra = {} if until is None else {"until": until}
+        reply, payload = self.handle(gap, "run_episode", kp=kp, seed=seed,
+                                     encoding=encoding, **extra)
+        if self.refused_for_bounds(reply, kp):
+            return
+        horizon = SHORT.horizon if until is None else min(until, SHORT.horizon)
+        result = plant.run_episode(replace(self.scenario, horizon=horizon),
+                                   plant.GainAction(kp), seed)
+        expected = {"id": self.last_id, "kind": "trace", "rate": SHORT.sample_rate,
+                    "t0": 0.0, "diverged": result.diverged}
+        if encoding == "json":
+            assert payload == b""
+            assert same(reply, {**expected, "samples": result.trace.samples.tolist()})
+        else:
+            raw = result.trace.samples.astype("<f8").tobytes()
+            assert payload == raw and same(reply, {**expected, "nbytes": len(raw)})
+
+    @rule(back=st.integers(0, 2), kind=st.sampled_from(
+        ["reset", "step", "set_gain", "measure", "run_episode"]))
+    def stale_id(self, back, kind):
+        # an id that does not increase is refused before the request is read
+        rid = self.last_id - back
+        reply, _ = self.session.handle({"id": rid, "kind": kind, "n_steps": 1,
+                                        "kp": 2.0, "seed": 0})
+        assert same(reply, {"id": rid, "kind": "error", "code": "sequence",
+                            "message": f"id {rid} not greater than previous "
+                                       f"{self.last_id}"})
+
+    @invariant()
+    def same_state(self):
+        got = self.session.state
+        assert got.t == self.state.t and got.active_kp == self.state.active_kp
+        assert got.mode_state.tobytes() == self.state.mode_state.tobytes()
+        assert self.session.rng.bit_generator.state == self.rng.bit_generator.state
+
+
+TestSessionModel = SessionModel.TestCase
+TestSessionModel.settings = settings(max_examples=50, stateful_step_count=20,
+                                     deadline=None)
 
 
 class TestRemoteEnv:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ class TestEigenvalues:
         # the characteristic polynomial: product w^2, sum -2*zeta*w
         assert (lam1 * lam2).real == pytest.approx(w * w)
         assert (lam1 + lam2).real == pytest.approx(-2 * zeta * w)
+
+    # zeta = 25,000 and -5,000: -zeta*w + w*sqrt(zeta^2 - 1), the root
+    # nearer zero, cancels to a relative error of 1.6e-8 and 5.7e-9
+    @pytest.mark.parametrize("kp", [0.5, 3.5])
+    def test_strongly_overdamped_roots_match_decimal_reference(self, kp):
+        scn = PlantScenario(zeta_stable=1e4)
+        zeta, w = damping_of_gain(scn, kp), scn.omega
+        with localcontext() as ctx:
+            ctx.prec = 50
+            z, dw = Decimal(zeta), Decimal(w)
+            r = dw * (z * z - 1).sqrt()
+            want = (-z * dw + r, -z * dw - r)
+            for got, ref in zip(mode_eigenvalues(scn, kp), want):
+                assert got.imag == 0.0
+                assert abs((Decimal(got.real) - ref) / ref) <= Decimal("1e-14")
 
     def test_discretization_matches_eigenvalues(self):
         # one-step transition eigenvalue magnitude = exp(-zeta*omega*dt)

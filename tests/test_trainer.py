@@ -296,10 +296,17 @@ class TestRunEpoch:
             assert rec.action_applied == cfg.kp_min
         assert stats.clamp_rate == 1.0
 
-    def test_divergence_penalty_applied(self, obs_trace):
+    @pytest.mark.parametrize("cache_enabled, rewards, cached", [
+        # each penalty is 10x the worst reward so far, the epoch's own
+        # penalties included
+        (False, [-20.0, -200.0, -2000.0, -20000.0], [False] * 4),
+        # the first penalty is the bucket's reward, reused by the others
+        (True, [-20.0] * 4, [False, True, True, True]),
+    ], ids=["cache_off", "cache_on"])
+    def test_divergence_penalty_applied(self, obs_trace, cache_enabled, rewards, cached):
         # a violently unstable plant diverges before the reward window
         hot = plant.PlantScenario(zeta_stable=0.05, noise_std=0.0)
-        cfg = small_config(cache_enabled=False)
+        cfg = small_config(cache_enabled=cache_enabled)
         env = LocalPlantEnv(hot)
         result = env.run_episode(4.0, 0)
         assert result.diverged
@@ -307,14 +314,20 @@ class TestRunEpoch:
         assert divergence_penalty(None) == trainer.DIVERGENCE_PENALTY_FLOOR
         assert divergence_penalty(-2.0) == -20.0
         assert divergence_penalty(-1e9) == trainer.DIVERGENCE_PENALTY_FLOOR
-        # every action clamps to kp_max and diverges; each penalty is 10x
-        # the worst reward so far, which includes the epoch's own penalties
+        # every action clamps to kp_max and diverges
         params = pinned_params(cfg, 10.0)
+        cache = EvalCache(cfg.cache_resolution)
+        env = LocalPlantEnv(hot)
         _, _, records = run_epoch(params, env, hot, cfg, np.random.default_rng(3),
-                                  EvalCache(cfg.cache_resolution), obs_trace,
-                                  epoch=0, worst_reward=-2.0)
+                                  cache, obs_trace, epoch=0, worst_reward=-2.0)
         assert [rec.action_applied for rec in records] == [cfg.kp_max] * 4
-        assert [rec.reward for rec in records] == [-20.0, -200.0, -2000.0, -20000.0]
+        assert [rec.reward for rec in records] == rewards
+        assert [rec.cached for rec in records] == cached
+        assert env.episode_count == cached.count(False)
+        if cache_enabled:
+            assert len(cache) == 1 and cache.lookup(cfg.kp_max) == -20.0
+        else:
+            assert len(cache) == 0
 
     def test_singleton_epoch_matches_manual_adam(self, obs_trace):
         cfg = small_config(n_iter=1)
@@ -431,7 +444,35 @@ class TestEpisodeBatches:
         with pytest.raises(RuntimeError, match="simulator lost"):
             run_epoch(params, Failing(QUIET), QUIET, cfg, np.random.default_rng(6),
                       cache, obs_trace, epoch=0, worst_reward=None)
-        assert len(cache) == 1 and cache.lookup(100.0)["reward"] == -1.0
+        assert len(cache) == 1 and cache.lookup(100.0) == -1.0
+
+    def test_every_cache_entry_is_a_finished_reward(self, obs_trace):
+        # whenever an episode runs, each bucket the cache holds has a finite
+        # reward: an epoch's misses enter it only once the epoch is scored
+        cfg = small_config(n_iter=8)
+        cache = EvalCache(cfg.cache_resolution)
+        buckets = range(cache.bucket(cfg.kp_min), cache.bucket(cfg.kp_max) + 1)
+        held = []
+
+        class Checking(LocalPlantEnv):
+            def run_episode(self, kp, seed):
+                rewards = [cache.lookup(b * cfg.cache_resolution) for b in buckets]
+                rewards = [r for r in rewards if r is not None]
+                assert len(rewards) == len(cache)
+                assert all(isinstance(r, float) and math.isfinite(r) for r in rewards)
+                held.append(len(rewards))
+                return super().run_episode(kp, seed)
+
+        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
+        params.tensors["b3_mu"][...] = 2.0  # actions spread over buckets
+        env = Checking(QUIET)
+        rng = np.random.default_rng(6)
+        epochs = [run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace, epoch,
+                            worst_reward=None)[2] for epoch in range(3)]
+        # the epochs repeat buckets, within one and across them
+        assert any(rec.cached for rec in epochs[0])
+        assert held[0] == 0 and max(held) > 0
+        assert env.episode_count == len(cache) < 3 * cfg.n_iter
 
 
 class TestTrain:
@@ -447,7 +488,9 @@ class TestTrain:
         cfg = small_config(n_epoch=7)
         train(SCN, cfg, run_dir=tmp_path)
         lines = (tmp_path / "training_log.csv").read_text().splitlines()
-        assert lines[0] == trainer.LOG_HEADER
+        # the header the README documents
+        assert lines[0] == ("epoch,mean_reward,min_reward,max_reward,mean_action,"
+                            "mean_var,cache_hit_rate,clamp_rate")
         assert len(lines) == 1 + 7
 
     def test_best_reward_sequence_strictly_increasing(self, tmp_path):
@@ -680,7 +723,10 @@ class TestEvaluate:
         monkeypatch.setattr(sigproc, "filtered_trace", counting)
         cfg = small_config()
         evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), SCN, cfg, seed=3)
-        assert lengths == [SCN.n_samples] * 2
+        # the canonical observation's pre-activation segment, which
+        # sigproc.pipeline filters through filtered_trace, then each episode
+        k_act = round(SCN.act_time / SCN.sim_dt)
+        assert lengths == [k_act] + [SCN.n_samples] * 2
 
     def test_diverged_unmitigated_episode_has_infinite_energy(self):
         # the unmitigated mode grows past 200 after act_time; kp_min damps it
