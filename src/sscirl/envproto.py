@@ -32,13 +32,17 @@ A reset's scenario values are typed by `config.coerce`, as in a config
 file (so "48" is 48.0); an unknown field or a value its field does not
 take gets code "args" naming the field. A `kp` must be a JSON number and
 an `n_steps` an integral one (7 or 7.0); a bool, a string or 5.9 gets
-"args" naming the field. The episode a reset asks for may hold at most as
-many samples, round(horizon / sim_dt), as the served scenario's; a longer
-one gets "args" and the session keeps its scenario.
+"args" naming the field. A `seed` (reset, run_episode) is absent, for
+fresh entropy, or a non-negative JSON integer; anything else, null
+included, gets "args" naming it. The episode a reset asks for may hold
+at most as many samples, round(horizon / sim_dt), as the served
+scenario's; a longer one gets "args" and the session keeps its scenario.
 
 A `run_episode` with `until` (seconds) ends the episode there: it runs the
 session's scenario at horizon min(until, horizon). Episode noise is
-prefix-stable, so the trace is the prefix of the full one. `until` must be
+prefix-stable, so the trace is the prefix of the full one; and the plant
+simulates a seed's history up to act_time once, so episodes at one seed
+and different gains (as the trainer sends them) share it. `until` must be
 a finite JSON number greater than act_time; anything else gets "args"
 naming it. A `run_episode` trace starts at t = 0: the trainer counts its
 reward window in samples from there, and `RemoteEnv` refuses another t0.
@@ -128,6 +132,7 @@ class _Session:
         kind = msg["kind"]
         try:
             if kind == "reset":
+                seed = _seed(msg)
                 overrides = msg.get("scenario") or {}
                 if not isinstance(overrides, dict):
                     raise TypeError("scenario must be an object of field: value")
@@ -137,7 +142,7 @@ class _Session:
                 if scenario.n_samples > cap:
                     return _error(rid, "args", f"episode of {scenario.n_samples} "
                                                f"samples exceeds the served {cap}")
-                self._reset(scenario, msg.get("seed"))
+                self._reset(scenario, seed)
                 return _ok(rid, {"t": self.state.t})
             if kind == "set_gain":
                 kp = _number(msg, "kp")
@@ -165,6 +170,7 @@ class _Session:
                         "rate": self.scenario.sample_rate, "t0": self.state.t,
                         "diverged": False}
             if kind == "run_episode":
+                seed = _seed(msg)
                 kp = _number(msg, "kp")
                 encoding = msg.get("encoding", "json")
                 if encoding not in TRACE_ENCODINGS:
@@ -180,7 +186,7 @@ class _Session:
                         return _error(rid, "args", f"until must be a finite time after "
                                                    f"act_time {scenario.act_time}, got {until}")
                     scenario = replace(scenario, horizon=min(until, scenario.horizon))
-                result = plant.run_episode(scenario, plant.GainAction(kp), msg.get("seed"))
+                result = plant.run_episode(scenario, plant.GainAction(kp), seed)
                 trace = result.trace
                 reply = {"id": rid, "kind": "trace", "rate": trace.sample_rate,
                          "t0": trace.t0, "diverged": result.diverged}
@@ -213,6 +219,17 @@ def _integer(msg: dict, name: str) -> int:
     return value
 
 
+def _seed(msg: dict) -> int | None:
+    """A request's seed: None when absent, else a non-negative JSON integer
+    (not a bool, not 7.0)."""
+    if "seed" not in msg:
+        return None
+    value = msg["seed"]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"seed must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _ok(rid, payload):
     return {"id": rid, "kind": "ok", "payload": payload}
 
@@ -227,14 +244,17 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
-        if not self.server.slots.acquire(blocking=False):
-            self._reply(_error(-1, "busy", f"server already holds its "
-                                           f"{MAX_SESSIONS} sessions"))
-            return
         try:
-            self._serve()
-        finally:
-            self.server.slots.release()
+            if not self.server.slots.acquire(blocking=False):
+                self._reply(_error(-1, "busy", f"server already holds its "
+                                               f"{MAX_SESSIONS} sessions"))
+                return
+            try:
+                self._serve()
+            finally:
+                self.server.slots.release()
+        except ConnectionError:
+            pass  # the client has gone, maybe with a reply in flight: end quietly
 
     def _serve(self):
         session = _Session(self.server.scenario, self.server.kp_bounds)
@@ -440,7 +460,9 @@ class RemoteEnv:
 
     def _drain(self, in_flight: list[int]):
         """Read and drop the replies still in flight; close the connection
-        if one cannot be read."""
+        if one cannot be read. A closed connection has none left."""
+        if self._fh is None:
+            in_flight.clear()
         while in_flight:
             try:
                 self._receive(in_flight.pop(0))

@@ -5,13 +5,15 @@ ratio is an affine, strictly decreasing function of the tunable outer-loop
 proportional gain: stable at kp_stable, marginal at kp_crit, unstable at
 kp_unstable. The mode displacement rides on the nominal active power as the
 measured signal. Episodes replay the mistuning timeline: nominal gain,
-mistuned gain at mistune_time, the commanded gain at act_time.
+mistuned gain at mistune_time, the commanded gain at act_time. No
+commanded gain reaches the samples before act_time, so a seed's history up
+to there is simulated once and resumed at each commanded gain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -345,6 +347,59 @@ class EpisodeResult:
     final_state: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
+def _draw(scenario: PlantScenario, streams, n_w: int, n_v: int) -> tuple:
+    """The next n_w process-noise forces and n_v measurement-noise samples
+    of streams (zeros when it is None). A stream drawn in two calls gives
+    the numbers one call gives."""
+    if streams is None:
+        return np.zeros(n_w), np.zeros(n_v)
+    w = streams[0].standard_normal(n_w)
+    w *= scenario.noise_std / math.sqrt(scenario.sim_dt)
+    vnoise = streams[1].standard_normal(n_v)
+    vnoise *= scenario.noise_std
+    return w, vnoise
+
+
+def _resumed(state: dict) -> np.random.Generator:
+    """A generator at a saved bit-generator state."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+# ~200 kB each at the defaults; a training run reads one history, evaluate's
+# pair one, and grid_oracle's sweep with canonical_observation one
+@lru_cache(maxsize=4)
+def _prefix(scenario: PlantScenario, seed: int | None, k_end: int) -> tuple:
+    """The samples [0, k_end] of every episode of scenario at seed, whatever
+    its commanded gain, which takes over only after them (k_end is act_time
+    in steps, or the episode's last sample when that comes first): the
+    kp_stable and kp_unstable segments, run by simulate_segments. The
+    scenario's horizon is not read.
+
+    Returns (samples, x, v, diverged, states): the read-only samples (fewer
+    when the mode diverged), the mode state after them (the crossing state
+    on divergence), the divergence flag, and the bit-generator states of
+    both noise streams after their draws (None without noise).
+    """
+    k_mistune = min(int(round(scenario.mistune_time / scenario.sim_dt)), k_end)
+    seg_mats = np.array([transition(scenario, g)
+                         for g in (scenario.kp_stable, scenario.kp_unstable)])
+    streams = None  # process and measurement noise: two children of SeedSequence(seed)
+    if scenario.noise_std > 0:
+        streams = tuple(np.random.default_rng(child)
+                        for child in np.random.SeedSequence(seed).spawn(2))
+    w, vnoise = _draw(scenario, streams, k_end, k_end + 1)
+    out = np.empty(k_end + 1)
+    n_valid, x, v, diverged = simulate_segments(
+        scenario.disturbance_amp, 0.0, seg_mats, [k_mistune, k_end - k_mistune],
+        w, vnoise, scenario.p_nom, scenario.diverge_threshold, out)
+    samples = out[:n_valid]
+    samples.flags.writeable = False
+    states = None if streams is None else tuple(s.bit_generator.state for s in streams)
+    return samples, x, v, diverged, states
+
+
 def run_episode(scenario: PlantScenario, action: GainAction,
                 seed: int | None = None) -> EpisodeResult:
     """Simulate the full mistuning timeline at the native rate.
@@ -356,32 +411,36 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     shorter horizon is, bit for bit, the prefix of the same-seed episode at
     a longer one. On divergence the trace is truncated at the last finite
     sample and the flag is set.
+
+    No gain reaches the samples up to act_time, so a seed's history to
+    there is simulated once (_prefix, memoised on the scenario but its
+    horizon, the seed and act_time in steps; seed None draws fresh entropy
+    and is not memoised), and each episode resumes it at action.kp with
+    both noise streams continued where the history left them: the result
+    is the one a single pass gives, bit for bit.
     """
     dt = scenario.sim_dt
     n_total = scenario.n_samples
-    k_mistune = int(round(scenario.mistune_time / dt))
-    k_act = int(round(scenario.act_time / dt))
-
-    seg_steps = np.array([k_mistune, k_act - k_mistune, n_total - 1 - k_act],
-                         dtype=np.int64)
-    gains = (scenario.kp_stable, scenario.kp_unstable, action.kp)
-    seg_mats = np.array([transition(scenario, g) for g in gains])
-
-    if scenario.noise_std > 0:
-        w_rng, v_rng = (np.random.default_rng(child)
-                        for child in np.random.SeedSequence(seed).spawn(2))
-        w = w_rng.standard_normal(n_total - 1)
-        w *= scenario.noise_std / math.sqrt(dt)
-        vnoise = v_rng.standard_normal(n_total)
-        vnoise *= scenario.noise_std
-    else:
-        w = np.zeros(n_total - 1)
-        vnoise = np.zeros(n_total)
-
+    if n_total < 1:
+        raise PlantError(f"horizon {scenario.horizon} holds no sample of {dt} s")
+    k_end = min(int(round(scenario.act_time / dt)), n_total - 1)
+    prefix = _prefix if seed is not None else _prefix.__wrapped__
+    samples, x, v, diverged, states = prefix(replace(scenario, horizon=math.inf),
+                                             seed, k_end)
     out = np.empty(n_total)
-    n_valid, x, v, diverged = simulate_segments(
-        scenario.disturbance_amp, 0.0, seg_mats, seg_steps, w, vnoise,
-        scenario.p_nom, scenario.diverge_threshold, out)
+    n_valid = len(samples)
+    out[:n_valid] = samples
+    if not diverged and n_valid < n_total:
+        streams = None if states is None else tuple(map(_resumed, states))
+        w, vnoise = _draw(scenario, streams, n_total - n_valid, n_total - n_valid)
+        threshold = scenario.diverge_threshold
+        n, x, v, crossing = _advance(x, v, transition(scenario, action.kp), w,
+                                     threshold * threshold, out[n_valid:], vnoise,
+                                     scenario.p_nom)
+        n_valid += n
+        if crossing is not None:
+            x, v = crossing
+            diverged = True
 
     trace = SignalTrace(out[:n_valid], scenario.sample_rate, 0.0)
     return EpisodeResult(trace=trace, diverged=bool(diverged),

@@ -2,9 +2,11 @@
 
 Each iteration conditions the pre-activation measurement into an
 observation window, samples a gain from the policy, clamps it into the safe
-range, and scores it by the negated post-activation oscillation energy.
-A gain proposal reuses the finished reward of its cache bucket, or of the
-epoch's first miss in it, instead of simulating again. The policy works per epoch:
+range, and scores it by the negated post-activation oscillation energy of
+a plant episode that continues the pre-activation trace (same seed), so
+iterations differ only by their gain. A gain proposal reuses the finished
+reward of its cache bucket, or of the epoch's first miss in it, instead of
+simulating again. The policy works per epoch:
 the epoch's windows go through one batched forward pass to sample their
 gains, and after scoring, the whole batch takes one gradient of the
 weighted log-probability objective, backpropagated through that same
@@ -95,12 +97,9 @@ class LocalPlantEnv:
         pass
 
 
-def episode_seed(seed: int, epoch: int, iteration: int) -> int:
-    """Deterministic per-episode seed, independent of cache hits."""
-    return int(np.random.SeedSequence((seed, epoch, iteration)).generate_state(1)[0])
-
-
 def _pretrace_seed(seed: int) -> int:
+    """The plant seed of a run's pre-activation trace and of every training
+    episode: each continues the history the policy observed."""
     return int(np.random.SeedSequence((seed, 0x9E3779B9)).generate_state(1)[0])
 
 
@@ -209,8 +208,10 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     window. The n_iter windows go through one batched policy forward pass and
     act a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
     safe range and takes its bucket's reward from the cache, else from this
-    epoch's first miss in the bucket, scored by a plant episode seeded with
-    episode_seed(seed, epoch, j). The misses go to the environment as one
+    epoch's first miss in the bucket, scored by a plant episode at the
+    pre-trace's seed: every episode continues the history obs_trace was
+    taken from, and episodes differ only by their gain from act_time on
+    (common random numbers). The misses go to the environment as one
     batch, in iteration order, so a remote simulator can run the next
     episode while this one is scored; they are asked to end at
     scenario.horizon (train passes its reward_scenario). Their rewards enter
@@ -229,6 +230,7 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     # with the cache off, every iteration is a bucket of its own
     keys = [cache.bucket(kp) for kp in applied] if config.cache_enabled \
         else range(len(applied))
+    seed = _pretrace_seed(config.seed)
     known, first_miss = {}, {}
     for it, (key, kp) in enumerate(zip(keys, applied)):
         reward = cache.lookup(kp) if config.cache_enabled else None
@@ -240,8 +242,8 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     # next; list() ends the batch (and so releases it) even when scoring raises
     scores = iter(list(map(
         lambda result: episode_reward(result, scenario, config),
-        run_jobs(env, [(applied[it], episode_seed(config.seed, epoch, it))
-                       for it in first_miss.values()], scenario.horizon))))
+        run_jobs(env, [(applied[it], seed) for it in first_miss.values()],
+                 scenario.horizon))))
 
     # in iteration order: a divergence penalty depends on the worst reward before it
     records = []
@@ -330,8 +332,9 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
                              seed=int(np.random.SeedSequence((config.seed, 0)).generate_state(1)[0]))
     cache = EvalCache(config.cache_resolution)
 
-    # canonical pre-activation measurement, shared by all iterations;
-    # per-iteration variety comes from the random window start
+    # canonical pre-activation measurement, shared by all iterations, whose
+    # seed every training episode continues; per-iteration variety comes
+    # from the random window start
     [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
                             scenario.act_time + scenario.sim_dt)
     obs_trace = observation_trace(pre_result.trace, scenario, config)

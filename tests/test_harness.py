@@ -1,6 +1,7 @@
 import json
 import socket
 import socketserver
+import struct
 import sys
 import threading
 import time
@@ -254,6 +255,42 @@ class TestProtocol:
     def test_set_gain_out_of_bounds(self, conn):
         reply = conn.send(id=1, kind="set_gain", kp=10.0)
         assert reply["kind"] == "error" and reply["code"] == "bounds"
+
+    @pytest.mark.parametrize("kind", ["reset", "run_episode"])
+    @pytest.mark.parametrize("seed", [-1, 7.0, True, None, "7", [1, 2], {"a": 1}])
+    def test_seed_must_be_a_non_negative_integer(self, conn, kind, seed):
+        reply = conn.send(id=1, kind=kind, kp=2.0, seed=seed)
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert "seed" in reply["message"]
+        # absent, or any non-negative integer, is served
+        assert conn.send(id=2, kind=kind, kp=2.0, until=5.001)["kind"] != "error"
+        assert conn.send(id=3, kind=kind, kp=2.0, until=5.001, seed=2**70)["kind"] != "error"
+
+    def test_client_gone_with_a_reply_in_flight_ends_quietly(self, monkeypatch):
+        # the client asks for four full episodes and resets the connection:
+        # writing the replies (or reading the rest) fails, and the session
+        # ends without reaching the server's handle_error
+        srv = EnvServer(SCN, port=0)
+        errors, ended = [], threading.Event()
+        monkeypatch.setattr(srv, "handle_error",
+                            lambda request, address: errors.append(sys.exc_info()))
+        shutdown_request = srv.shutdown_request
+        monkeypatch.setattr(srv, "shutdown_request",
+                            lambda request: (shutdown_request(request), ended.set()))
+        serve(srv)
+        try:
+            sock = socket.create_connection(srv.address, timeout=10)
+            sock.sendall(b"".join(json.dumps({"id": i, "kind": "run_episode", "kp": 2.0,
+                                              "seed": i}).encode() + b"\n"
+                                  for i in range(1, 5)))
+            sock.recv(1)  # the first reply is on its way
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            assert ended.wait(timeout=30)
+            assert errors == []
+        finally:
+            srv.shutdown()
+            srv.server_close()
 
     def test_run_episode_out_of_bounds(self, conn):
         reply = conn.send(id=1, kind="run_episode", kp=-50.0, seed=0)
@@ -594,6 +631,13 @@ def test_session_handle_never_raises(requests):
         assert reply["kind"] in ("ok", "trace", "error")
         assert reply.get("nbytes", 0) == len(payload)
         json.dumps(reply)
+        # a seed is absent or a non-negative integer; anything else is
+        # refused by name (unless the id already was)
+        seed_ok = type(msg.get("seed", 0)) is int and msg.get("seed", 0) >= 0
+        if msg.get("kind") in ("reset", "run_episode") and not seed_ok \
+                and reply.get("code") not in ("parse", "sequence"):
+            assert reply["kind"] == "error" and reply["code"] == "args"
+            assert "seed" in reply["message"]
 
 
 # a short served scenario, unstable at every gain above 1.0: the mode grows
@@ -843,6 +887,18 @@ class TestRemoteEnv:
             env.close()
         local = plant.run_episode(SCN, plant.GainAction(2.0), seed=6)
         assert np.array_equal(result.trace.samples, local.trace.samples)
+        assert env.episode_count == 1
+
+    def test_batch_dropped_after_close_is_drained_quietly(self, server, monkeypatch):
+        # the batch's finally finds the connection closed: nothing to drain
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        env = RemoteEnv(*server.address, scenario=SCN)
+        results = env.run_episodes([(2.0, 1), (2.0, 2), (2.0, 3)])
+        next(results)
+        env.close()
+        del results
+        assert unraisable == []
         assert env.episode_count == 1
 
     def test_consumer_stopping_early_leaves_env_usable(self, server):

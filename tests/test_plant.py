@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -314,6 +316,102 @@ def test_shorter_horizon_is_a_prefix(seed, kp, lengths, overrides):
         assert np.array_equal(a.final_state, b.final_state)
     else:
         assert not a.diverged and len(a.trace) == short
+
+
+def _single_pass(scn, kp, seed):
+    """An episode as one simulate_segments pass over all three segments,
+    each noise stream drawn in one call: what run_episode resumes from its
+    memoised history must equal, bit for bit."""
+    n = scn.n_samples
+    k_mistune, k_act = (min(round(t / scn.sim_dt), n - 1)
+                        for t in (scn.mistune_time, scn.act_time))
+    mats = np.array([transition(scn, g) for g in (scn.kp_stable, scn.kp_unstable, kp)])
+    w_rng, v_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    w = w_rng.standard_normal(n - 1) * (scn.noise_std / math.sqrt(scn.sim_dt))
+    vnoise = v_rng.standard_normal(n) * scn.noise_std
+    out = np.empty(n)
+    n_valid, x, v, diverged = plant.simulate_segments(
+        scn.disturbance_amp, 0.0, mats, [k_mistune, k_act - k_mistune, n - 1 - k_act],
+        w, vnoise, scn.p_nom, scn.diverge_threshold, out)
+    return out[:n_valid], np.array([x, v]), diverged
+
+
+def _bits(result):
+    return (result.trace.samples.tobytes(), result.final_state.tobytes(),
+            result.diverged, result.diverged_at)
+
+
+@pytest.mark.parametrize("overrides, kp", [
+    ({}, 2.0),
+    (DIVERGING, 4.0),                  # diverges before act_time
+    (MIXED, 2.0),                      # diverges after act_time
+    (MIXED, 1.5),
+    ({"noise_std": 0.0}, 0.5),
+    ({"horizon": DEFAULT.act_time + DEFAULT.sim_dt}, 2.0),     # last sample at act_time
+    ({"horizon": DEFAULT.act_time + 2 * DEFAULT.sim_dt}, 2.0),  # one sample past it
+    ({"horizon": DEFAULT.act_time + 0.4 * DEFAULT.sim_dt}, 2.0),  # ends one sample short
+    # the last sample before act_time, as `until` just above it asks
+    ({"act_time": 0.2, "mistune_time": 0.18, "horizon": 0.20000000000000004}, 2.0),
+], ids=["default", "diverge_before_act", "diverge_after_act", "diverge_late",
+        "zero_noise", "horizon_act", "horizon_act_plus_one", "horizon_act_minus_one",
+        "until_above_act"])
+def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
+    scn = replace(DEFAULT, **overrides)
+    seed = 3
+    plant._prefix.cache_clear()
+    cold = run_episode(scn, GainAction(kp), seed)
+    # the history recorded by an episode at another gain serves this one
+    plant._prefix.cache_clear()
+    run_episode(scn, GainAction(scn.kp_unstable), seed)
+    warm = run_episode(scn, GainAction(kp), seed)
+    assert plant._prefix.cache_info()[:2] == (1, 1)  # hits, misses
+    # seed None draws fresh entropy, here pinned to the seed, and bypasses the memo
+    real = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda entropy=None: real(seed if entropy is None else entropy))
+    fresh = run_episode(scn, GainAction(kp), None)
+    assert plant._prefix.cache_info()[:2] == (1, 1)
+
+    samples, final_state, diverged = _single_pass(scn, kp, seed)
+    expected = (samples.tobytes(), final_state.tobytes(), diverged,
+                len(samples) * scn.sim_dt if diverged else None)
+    assert _bits(cold) == _bits(warm) == _bits(fresh) == expected
+    k_act = round(scn.act_time / scn.sim_dt)
+    if overrides in (DIVERGING, MIXED):
+        assert diverged and (len(samples) <= k_act) == (overrides is DIVERGING)
+    assert warm.trace.samples.flags.writeable
+
+
+def test_memoised_history_is_shared_safely_across_threads():
+    # sessions of one server run episodes on threads that share the memo;
+    # more seeds than it holds, so entries are evicted while others read them
+    scn = replace(DEFAULT, horizon=DEFAULT.act_time + 0.5)
+    jobs = [(seed, kp) for seed in range(plant._prefix.cache_info().maxsize + 3)
+            for kp in (0.5, 3.5)]
+    plant._prefix.cache_clear()
+    expected = {job: _bits(run_episode(scn, GainAction(job[1]), job[0])) for job in jobs}
+    plant._prefix.cache_clear()
+    mismatches, start = [], threading.Barrier(6)
+
+    def worker(offset):
+        start.wait(timeout=10)
+        for i in range(3 * len(jobs)):
+            seed, kp = jobs[(i * 7 + offset) % len(jobs)]
+            if _bits(run_episode(scn, GainAction(kp), seed)) != expected[seed, kp]:
+                mismatches.append((seed, kp))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert mismatches == []
 
 
 class TestScenarioValidation:

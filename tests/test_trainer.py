@@ -11,7 +11,7 @@ import pytest
 from sscirl import plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
-                            episode_reward, episode_seed, evaluate, grid_oracle,
+                            episode_reward, evaluate, grid_oracle,
                             observation_starts, reward_scenario, run_epoch, train)
 
 SCN = plant.PlantScenario()
@@ -70,15 +70,19 @@ class TestCache:
 
 
 class SpyEnv(LocalPlantEnv):
-    """Local plant that records the seed of every episode it runs."""
+    """Local plant that records the gain, the seed and the samples of every
+    episode it runs."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self.seeds = []
+        self.gains, self.seeds, self.traces = [], [], []
 
     def run_episode(self, kp, seed):
+        self.gains.append(kp)
         self.seeds.append(seed)
-        return super().run_episode(kp, seed)
+        result = super().run_episode(kp, seed)
+        self.traces.append(result.trace.samples)
+        return result
 
 
 class TestReward:
@@ -253,34 +257,38 @@ class TestRunEpoch:
         assert abs(resid.mean()) < 3 * math.sqrt(out.var.mean() / len(resid))
         assert (resid ** 2).mean() == pytest.approx(out.var.mean(), rel=0.05)
 
-    def test_episode_seeds_computed_only_for_episodes_run(self, obs_trace, monkeypatch):
-        computed = []
-        real_seed = trainer.episode_seed
-
-        def counting(seed, epoch, iteration):
-            computed.append((seed, epoch, iteration))
-            return real_seed(seed, epoch, iteration)
-
-        monkeypatch.setattr(trainer, "episode_seed", counting)
+    def test_every_episode_continues_the_pretrace_seed(self, obs_trace):
         # every action in one bucket: iteration 0 runs, the others hit
         cfg = small_config(n_iter=8)
+        pretrace = trainer._pretrace_seed(cfg.seed)
         env = SpyEnv(QUIET)
         _, _, records = run_epoch(pinned_params(cfg, 2.0), env, QUIET, cfg,
                                   np.random.default_rng(5), EvalCache(cfg.cache_resolution),
                                   obs_trace, epoch=3, worst_reward=None)
         assert [rec.cached for rec in records] == [False] + [True] * 7
-        assert computed == [(cfg.seed, 3, 0)]
-        assert env.seeds == [real_seed(cfg.seed, 3, 0)]
+        assert env.seeds == [pretrace]
 
-        # cache off: every iteration runs with its own seed
-        computed.clear()
+        # cache off: every iteration runs, each at the same seed
         cfg = small_config(n_iter=8, cache_enabled=False)
         env = SpyEnv(QUIET)
         run_epoch(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2), env, QUIET, cfg,
                   np.random.default_rng(6), EvalCache(cfg.cache_resolution),
                   obs_trace, epoch=3, worst_reward=None)
-        assert computed == [(cfg.seed, 3, it) for it in range(8)]
-        assert env.seeds == [real_seed(cfg.seed, 3, it) for it in range(8)]
+        assert env.seeds == [pretrace] * 8
+
+    def test_training_episodes_start_with_the_pretrace(self):
+        # the samples up to act_time of every training episode are the
+        # pre-trace's, bit for bit, whatever the gain
+        cfg = small_config(n_epoch=3, n_iter=4, cache_enabled=False)
+        env = SpyEnv(reward_scenario(SCN, cfg))
+        train(SCN, cfg, env=env)
+        k_act = round(SCN.act_time / SCN.sim_dt)
+        pre, *episodes = env.traces
+        assert len(episodes) == cfg.n_epoch * cfg.n_iter
+        assert len(set(env.gains[1:])) > 1
+        for trace in episodes:
+            assert len(trace) > k_act + 1
+            assert np.array_equal(trace[:k_act + 1], pre[:k_act + 1])
 
     def test_clamp_correctness(self, obs_trace):
         cfg = small_config()
@@ -405,9 +413,9 @@ class TestEpisodeBatches:
         assert env.batches[0] == [(SCN.kp_unstable, trainer._pretrace_seed(cfg.seed))]
         assert env.untils[0] == SCN.act_time + SCN.sim_dt
         assert set(env.untils[1:]) == {trainer.reward_scenario(SCN, cfg).horizon}
-        for epoch, (batch, records) in enumerate(zip(env.batches[1:], epochs)):
-            assert batch == [(rec.action_applied, episode_seed(cfg.seed, epoch, it))
-                             for it, rec in enumerate(records) if not rec.cached]
+        for batch, records in zip(env.batches[1:], epochs):
+            assert batch == [(rec.action_applied, trainer._pretrace_seed(cfg.seed))
+                             for rec in records if not rec.cached]
         assert sum(map(len, env.batches)) == env.episode_count
         # a bucket first missed in an epoch serves that epoch's later hits
         assert any(rec.cached for rec in epochs[0])
@@ -755,8 +763,3 @@ def test_unknown_filter_stage_rejected():
         TrainConfig(filter_stage="bogus")
     for stage in sigproc.FILTER_STAGES:
         assert TrainConfig(filter_stage=stage).filter_stage == stage
-
-
-def test_episode_seed_is_stable():
-    assert episode_seed(7, 3, 2) == episode_seed(7, 3, 2)
-    assert episode_seed(7, 3, 2) != episode_seed(7, 3, 1)
