@@ -6,7 +6,9 @@ One file covers the plant scenario and the training settings: one
 `repr` writes them. Each value is typed by its field's default: bool
 (1/true/yes/on or 0/false/no/off, any case), int, float or str (quotes
 optional). This module alone reads, writes and types the format; `validate`
-checks that a scenario and a training configuration can run together.
+checks that a scenario and a training configuration can run together. It
+also alone decides the windows: the reward's and the observation's are
+sample index ranges computed here by one rule, `first_sample`.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ def read(path) -> dict[str, str]:
     """The file's values as text by key; a line that is not `key = value`
     or names an unknown key is an error citing path:line."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     raw = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -154,25 +158,41 @@ def _named(key: str, check, *args) -> None:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def first_sample(t: float, rate: float) -> int:
+    """The index of the first sample at or after t seconds on a grid of rate
+    Hz from t = 0, within 1e-9 samples: how every window turns a time into
+    an index."""
+    return math.ceil(t * rate - 1e-9)
+
+
+def reward_window(scenario: PlantScenario, config: TrainConfig) -> range:
+    """The indices the reward integrates in the filter stage's trace (at
+    the native rate for pre_decimation, at target_rate for post_decimation):
+    from the first sample at or after act_time, round(t_reward * rate)
+    intervals on."""
+    rate = (config.target_rate if config.filter_stage == sigproc.POST_DECIMATION
+            else scenario.sample_rate)
+    start = first_sample(scenario.act_time, rate)
+    return range(start, start + round(config.t_reward * rate) + 1)
+
+
 def reward_samples(scenario: PlantScenario, config: TrainConfig) -> int:
     """The native samples from t = 0 that an episode's reward reads: to the
-    first at or after act_time (as sigproc.segment rounds), then t_reward
-    of samples on, rounded up (on the low-rate grid for post_decimation)."""
-    step = (sigproc.decimation_factor(scenario.sample_rate, config.target_rate)
-            if config.filter_stage == sigproc.POST_DECIMATION else 1)
-    grid = scenario.sample_rate / step
-    return 1 + step * (math.ceil(scenario.act_time * grid - 1e-9)
-                       + math.ceil(config.t_reward * grid - 1e-9))
+    one under reward_window's last index."""
+    last = reward_window(scenario, config).stop - 1
+    if config.filter_stage == sigproc.POST_DECIMATION:
+        last *= sigproc.decimation_factor(scenario.sample_rate, config.target_rate)
+    return last + 1
 
 
 def observation_starts(scenario: PlantScenario, config: TrainConfig) -> range:
     """The low-rate sample indices an observation window may start at: from
     the first at or after act_time - obs_window to the last whose d_obs
-    samples end before act_time, in the trace trainer.observation_trace
-    makes (sigproc.segment's rounding, then every factor-th sample)."""
+    samples end before act_time, in the decimation of the native samples
+    before act_time."""
     factor = sigproc.decimation_factor(scenario.sample_rate, config.target_rate)
-    n_native = math.ceil(scenario.act_time * scenario.sample_rate - 1e-9)
-    first = math.ceil((scenario.act_time - config.obs_window) * config.target_rate - 1e-9)
+    n_native = first_sample(scenario.act_time, scenario.sample_rate)
+    first = first_sample(scenario.act_time - config.obs_window, config.target_rate)
     return range(first, -(-n_native // factor) - config.d_obs + 1)
 
 

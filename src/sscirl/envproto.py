@@ -51,9 +51,11 @@ Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is
 bit-identical to a local one at the same seed either way. A request line
 may hold at most MAX_REQUEST_BYTES (64 KiB) including its newline; a
-longer one gets code "parse" and the connection is closed. A server holds
-at most MAX_SESSIONS connections at once; one more gets a single error
-line with code "busy" and is closed.
+longer one gets code "parse" and the connection is closed. A shorter line
+that does not parse (bad JSON, an integer past Python's digit limit, or
+nesting past its recursion limit) gets "parse" with id -1, and the session
+reads on. A server holds at most MAX_SESSIONS connections at once; one
+more gets a single error line with code "busy" and is closed.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             try:
                 msg = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # too long a number, too deep
                 self._reply(_error(-1, "parse", f"bad JSON: {exc}"))
             else:
                 self._reply(*session.handle(msg))
@@ -366,7 +368,7 @@ class RemoteEnv:
             raise ProtocolError("connection closed by server")
         try:
             reply = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
             raise ProtocolError(f"malformed reply line: {exc}") from exc
         if not isinstance(reply, dict):
             raise ProtocolError(f"reply is not a JSON object: {line[:40]!r}")

@@ -187,9 +187,15 @@ def bandpass_gain(spec: BandpassSpec, sample_rate: float, freqs) -> np.ndarray:
     return np.abs(h)
 
 
+def energy(samples: np.ndarray, sample_rate: float, p_nom: float = 0.0) -> float:
+    """Trapezoidal integral of (x - p_nom)^2 over samples 1/sample_rate s
+    apart."""
+    dev = samples - p_nom
+    return float(np.trapezoid(dev * dev, dx=1.0 / sample_rate))
+
+
 def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> float:
-    """Trapezoidal integral of (x - p_nom)^2 over the first `horizon`
-    seconds of the trace."""
+    """The energy of the first `horizon` seconds of the trace."""
     trace._require_nonempty("oscillation_energy")
     if not np.isfinite(p_nom):
         raise TraceError("p_nom must be finite")
@@ -198,22 +204,7 @@ def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> floa
         raise TraceError(
             f"horizon {horizon} s exceeds trace duration {trace.duration} s"
         )
-    n_end = int(round(n_end))
-    dev = trace.samples[:n_end + 1] - p_nom
-    return float(np.trapezoid(dev * dev, dx=trace.dt))
-
-
-def segment(trace: SignalTrace, t_start: float, t_end: float | None = None) -> SignalTrace:
-    """Sub-trace of samples with t_start <= t < t_end (or to the end)."""
-    trace._require_nonempty("segment")
-    i0 = int(np.ceil((t_start - trace.t0) * trace.sample_rate - 1e-9))
-    i1 = len(trace) if t_end is None else \
-        int(np.ceil((t_end - trace.t0) * trace.sample_rate - 1e-9))
-    i0, i1 = max(i0, 0), min(max(i1, 0), len(trace))
-    if i1 <= i0:
-        raise TraceError(f"segment [{t_start}, {t_end}) contains no samples")
-    return SignalTrace(trace.samples[i0:i1].copy(), trace.sample_rate,
-                       trace.t0 + i0 / trace.sample_rate)
+    return energy(trace.samples[:int(round(n_end)) + 1], trace.sample_rate, p_nom)
 
 
 # ---------------------------------------------------------------------------

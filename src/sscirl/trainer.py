@@ -23,7 +23,8 @@ import numpy as np
 
 from . import policy as pol
 from . import plant, sigproc
-from .config import TrainConfig, observation_starts, reward_samples, validate, write
+from .config import (TrainConfig, first_sample, observation_starts, reward_samples,
+                     reward_window, validate, write)
 
 DIVERGENCE_PENALTY_FLOOR = -1e6
 
@@ -112,9 +113,9 @@ def clamp(value: float, lo: float, hi: float) -> float:
 
 def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
                    config: TrainConfig) -> float | None:
-    """Negated oscillation energy of the filtered response over
-    [act_time, act_time + t_reward]. None when the trace, which starts at
-    t = 0, holds fewer than reward_samples (divergence)."""
+    """Negated oscillation energy of the filtered response over its
+    reward_window. None when the trace, which starts at t = 0, holds fewer
+    than reward_samples (divergence)."""
     n = reward_samples(scenario, config)
     if len(result.trace) < n:
         return None
@@ -122,8 +123,8 @@ def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
     filtered = sigproc.filtered_trace(
         sigproc.SignalTrace(result.trace.samples[:n], result.trace.sample_rate),
         config.bandpass_spec, config.target_rate, config.filter_stage)
-    return -sigproc.oscillation_energy(sigproc.segment(filtered, scenario.act_time),
-                                       0.0, config.t_reward)
+    window = reward_window(scenario, config)
+    return -sigproc.energy(filtered.samples[window.start:window.stop], filtered.sample_rate)
 
 
 def reward_scenario(scenario: plant.PlantScenario,
@@ -139,12 +140,13 @@ def reward_scenario(scenario: plant.PlantScenario,
 
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> sigproc.SignalTrace:
-    """Conditioned low-rate trace of the pre-activation segment. TraceError
-    when it is too short for a window at every index of observation_starts,
-    as when raw diverged before act_time."""
-    pre = sigproc.segment(raw, 0.0, scenario.act_time)
-    _, observed = sigproc.pipeline(pre, config.bandpass_spec,
-                                   config.target_rate, config.filter_stage)
+    """Conditioned low-rate trace of raw's samples before act_time; raw
+    starts at t = 0. TraceError when it is too short for a window at every
+    index of observation_starts, as when raw diverged before act_time."""
+    pre = raw.samples[:first_sample(scenario.act_time, raw.sample_rate)]
+    _, observed = sigproc.pipeline(sigproc.SignalTrace(pre, raw.sample_rate),
+                                   config.bandpass_spec, config.target_rate,
+                                   config.filter_stage)
     need = observation_starts(scenario, config).stop - 1 + config.d_obs
     if len(observed) < need:
         raise sigproc.TraceError(f"pre-activation trace holds {len(observed)} low-rate "
@@ -400,16 +402,15 @@ class MitigationReport:
 
 
 def _energies(result: plant.EpisodeResult, scenario, config) -> tuple[float, float]:
-    """Filtered oscillation energy before act_time and from it on, the
-    latter infinite when the episode diverged (and so ended early)."""
+    """Filtered oscillation energy before reward_window's start and from it
+    on, the latter infinite when the episode diverged (and so ended early)."""
     filtered = sigproc.filtered_trace(result.trace, config.bandpass_spec,
                                       config.target_rate, config.filter_stage)
-    pre = sigproc.segment(filtered, 0.0, scenario.act_time)
-    pre_energy = sigproc.oscillation_energy(pre, 0.0, pre.duration)
+    act = reward_window(scenario, config).start
+    pre_energy = sigproc.energy(filtered.samples[:act], filtered.sample_rate)
     if result.diverged:
         return pre_energy, math.inf
-    post = sigproc.segment(filtered, scenario.act_time)
-    return pre_energy, sigproc.oscillation_energy(post, 0.0, post.duration)
+    return pre_energy, sigproc.energy(filtered.samples[act:], filtered.sample_rate)
 
 
 def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,

@@ -1,7 +1,9 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,15 @@ class TestScenarioFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config not found"):
             config.read(tmp_path / "nope.cfg")
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("f_osc = 48  # Schwingung bei 48 \xb0\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}: ")
+                           + ".*utf-8"):
+            config.read(path)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {tmp_path}: ")):
+            config.read(tmp_path)
 
 
 class TestTrainSnapshot:
@@ -159,6 +170,28 @@ def test_accepted_pair_rewards_its_episodes(pair):
         short = plant.EpisodeResult(sigproc.SignalTrace(cut.trace.samples[:-1],
                                                         quiet.sample_rate))
         assert trainer.episode_reward(short, quiet, cfg) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=valid_pairs())
+def test_reward_window_starts_at_act_time_and_spans_t_reward(pair):
+    # the window indexes the stage's filtered trace: it starts at the first
+    # sample of that trace's grid at or after act_time (within 1e-9
+    # samples), spans round(t_reward * rate) of its intervals, and ends at
+    # the last sample the filtered reward_samples hold
+    scenario, cfg = pair
+    config.validate(scenario, cfg)
+    window = config.reward_window(scenario, cfg)
+    raw = sigproc.SignalTrace(np.zeros(config.reward_samples(scenario, cfg)),
+                              scenario.sample_rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # post_decimation clamps f_max
+        filtered = sigproc.filtered_trace(raw, cfg.bandpass_spec, cfg.target_rate,
+                                          cfg.filter_stage)
+    rate = filtered.sample_rate
+    assert window.start - 1 < scenario.act_time * rate - 1e-9 <= window.start
+    assert len(window) - 1 == round(cfg.t_reward * rate)
+    assert len(filtered) == window.stop
 
 
 @settings(max_examples=30, deadline=None)

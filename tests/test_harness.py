@@ -57,6 +57,19 @@ class TestTrainCommand:
         assert exc.value.code == cli.EXIT_BAD_CONFIG
         assert "config not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"f_osc = 48\n# \xff\xfe\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--out", str(tmp_path / "r"), "--config", str(path)])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        assert f"bad config: cannot read config {path}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_value_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["train", "--out", str(tmp_path / "r"),
@@ -127,8 +140,8 @@ class TestSimulateCommand:
             out = tmp_path / f"kp{kp}"
             run_cli(["simulate", "--kp", str(kp), "--out", str(out)])
             trace = sigproc.read_trace_csv(out / "filtered.csv")
-            post = sigproc.segment(trace, SCN.act_time, SCN.horizon)
-            outs[kp] = sigproc.oscillation_energy(post, 0.0, post.duration)
+            # from act_time = 5.0 s, sample 25,000 at 5 kHz, to the end
+            outs[kp] = sigproc.energy(trace.samples[25000:], trace.sample_rate)
         assert outs[2.0] < outs[4.0]
 
     def test_divergence_sidecar(self, tmp_path, capsys):
@@ -232,6 +245,20 @@ class Conn:
         self.sock.close()
 
 
+def watched_server(monkeypatch):
+    """A served EnvServer, the exceptions its handle_error is given, and an
+    event set when it has closed a connection."""
+    srv = EnvServer(SCN, port=0)
+    errors, ended = [], threading.Event()
+    monkeypatch.setattr(srv, "handle_error",
+                        lambda request, address: errors.append(sys.exc_info()))
+    shutdown_request = srv.shutdown_request
+    monkeypatch.setattr(srv, "shutdown_request",
+                        lambda request: (shutdown_request(request), ended.set()))
+    serve(srv)
+    return srv, errors, ended
+
+
 @pytest.fixture
 def conn(server):
     c = Conn(server.address)
@@ -270,14 +297,7 @@ class TestProtocol:
         # the client asks for four full episodes and resets the connection:
         # writing the replies (or reading the rest) fails, and the session
         # ends without reaching the server's handle_error
-        srv = EnvServer(SCN, port=0)
-        errors, ended = [], threading.Event()
-        monkeypatch.setattr(srv, "handle_error",
-                            lambda request, address: errors.append(sys.exc_info()))
-        shutdown_request = srv.shutdown_request
-        monkeypatch.setattr(srv, "shutdown_request",
-                            lambda request: (shutdown_request(request), ended.set()))
-        serve(srv)
+        srv, errors, ended = watched_server(monkeypatch)
         try:
             sock = socket.create_connection(srv.address, timeout=10)
             sock.sendall(b"".join(json.dumps({"id": i, "kind": "run_episode", "kp": 2.0,
@@ -289,6 +309,26 @@ class TestProtocol:
             assert ended.wait(timeout=30)
             assert errors == []
         finally:
+            srv.shutdown()
+            srv.server_close()
+
+    @pytest.mark.parametrize("line", ["1" * 5000, "[" * 30000],
+                             ids=["long_integer", "deep_nesting"])
+    def test_unparsable_line_keeps_connection(self, monkeypatch, line):
+        # json.loads raises ValueError past Python's 4,300-digit limit and
+        # RecursionError on deep nesting, neither a JSONDecodeError
+        assert len(line) < MAX_REQUEST_BYTES
+        srv, errors, ended = watched_server(monkeypatch)
+        c = Conn(srv.address)
+        try:
+            reply = c.send_raw(line)
+            assert reply["id"] == -1 and reply["code"] == "parse"
+            assert c.send(id=1, kind="reset")["kind"] == "ok"
+            c.close()
+            assert ended.wait(timeout=30)
+            assert errors == []
+        finally:
+            c.close()
             srv.shutdown()
             srv.server_close()
 
@@ -1079,6 +1119,17 @@ class TestRemoteEnvPayloads:
                 env.run_episode(2.0, 5)
         finally:
             env.close()
+        assert srv.connections == 2
+
+    def test_too_deep_reply_retried_then_raises(self, stub):
+        srv = stub("[" * 30000)
+        env = RemoteEnv(*srv.server_address, scenario=SCN)
+        try:
+            with pytest.raises(ProtocolError, match="malformed reply line") as err:
+                env.run_episode(2.0, 5)
+        finally:
+            env.close()
+        assert "after retry" in str(err.value)
         assert srv.connections == 2
 
     def test_one_horizon_accepted(self, stub):

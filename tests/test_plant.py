@@ -245,13 +245,13 @@ class TestRunEpisode:
         assert not result.diverged
 
     def test_mitigated_energy_much_smaller_than_unmitigated(self):
-        from sscirl.sigproc import oscillation_energy, segment
+        from sscirl.sigproc import energy
         quiet = plant.PlantScenario(noise_std=0.0)
         good = run_episode(quiet, GainAction(2.0), seed=0).trace
         bad = run_episode(quiet, GainAction(4.0), seed=0).trace
         def post_energy(tr):
-            seg = segment(tr, quiet.act_time, quiet.horizon)
-            return oscillation_energy(seg, quiet.p_nom, seg.duration)
+            # from act_time = 5.0 s, sample 25,000 at 5 kHz, to the end
+            return energy(tr.samples[25000:], tr.sample_rate, quiet.p_nom)
         assert post_energy(bad) > 10 * post_energy(good)
 
     def test_unmitigated_envelope_grows_after_mistune(self):
@@ -278,13 +278,13 @@ class TestRunEpisode:
         assert np.array_equal(a, b)
 
     def test_post_activation_energy_increasing_in_gain(self):
-        from sscirl.sigproc import oscillation_energy, segment
+        from sscirl.sigproc import energy
         quiet = plant.PlantScenario(noise_std=0.0)
         energies = []
         for kp in np.linspace(0.5, 4.0, 8):
             trace = run_episode(quiet, GainAction(kp), seed=0).trace
-            seg = segment(trace, quiet.act_time, quiet.horizon)
-            energies.append(oscillation_energy(seg, quiet.p_nom, seg.duration))
+            # from act_time = 5.0 s, sample 25,000 at 5 kHz, to the end
+            energies.append(energy(trace.samples[25000:], trace.sample_rate, quiet.p_nom))
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_divergence_truncates_trace(self):

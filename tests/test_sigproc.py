@@ -4,7 +4,7 @@ import pytest
 from sscirl import sigproc
 from sscirl.sigproc import (BandpassSpec, Observation, SignalTrace, TraceError,
                             bandpass, bandpass_gain, downsample,
-                            oscillation_energy, segment)
+                            oscillation_energy)
 
 
 def sine(freq, rate, duration, amp=1.0):
@@ -131,6 +131,13 @@ class TestOscillationEnergy:
         with pytest.raises(TraceError):
             oscillation_energy(trace, 0.0, 2.0)
 
+    def test_integrates_the_samples_within_the_horizon(self):
+        # 0.504 s at 100 Hz rounds to 50 intervals: samples 0 to 50
+        x = np.arange(100, dtype=float)
+        energy = oscillation_energy(SignalTrace(x, 100.0), 1.0, 0.504)
+        assert energy == sigproc.energy(x[:51], 100.0, 1.0)
+        assert energy == np.trapezoid((x[:51] - 1.0) ** 2, dx=0.01)
+
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2000)
@@ -240,11 +247,3 @@ class TestCsvRoundTrip:
         with pytest.raises(TraceError, match="header"):
             sigproc.read_trace_csv(path)
 
-
-def test_segment_bounds():
-    trace = SignalTrace(np.arange(100, dtype=float), 100.0)
-    seg = segment(trace, 0.25, 0.5)
-    assert np.array_equal(seg.samples, np.arange(25, 50))
-    assert seg.t0 == pytest.approx(0.25)
-    with pytest.raises(TraceError):
-        segment(trace, 5.0, 6.0)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sscirl import plant, policy as pol, sigproc, trainer
+from sscirl import config, plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
                             episode_reward, evaluate, grid_oracle,
@@ -85,6 +85,16 @@ class SpyEnv(LocalPlantEnv):
         return result
 
 
+# the reward's first and last index in the stage's filtered trace: at 5 kHz
+# (pre_decimation) or 100 Hz (post_decimation), from the first sample at or
+# after act_time (5.003 s is native sample 25,015, between low-rate samples
+# 500 and 501) to t_reward = 2 s on
+REWARD_WINDOWS = {("pre_decimation", 5.0): (25000, 35000),
+                  ("pre_decimation", 5.003): (25015, 35015),
+                  ("post_decimation", 5.0): (500, 700),
+                  ("post_decimation", 5.003): (501, 701)}
+
+
 class TestReward:
     @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
     @pytest.mark.parametrize("kp", [0.5, 2.0, 4.0])
@@ -94,16 +104,16 @@ class TestReward:
         # stages are causal, so that must equal filtering the whole trace
         scn = replace(SCN, act_time=act_time)
         cfg = TrainConfig(filter_stage=stage)
+        first, last = REWARD_WINDOWS[stage, act_time]
+        assert config.reward_window(scn, cfg) == range(first, last + 1)
         result = plant.run_episode(scn, plant.GainAction(kp), seed=3)
-        trace = result.trace
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            full = sigproc.filtered_trace(trace, cfg.bandpass_spec, cfg.target_rate,
-                                          stage)
-            post = sigproc.segment(full, scn.act_time,
-                                   trace.t0 + trace.duration + trace.dt)
-            expected = -sigproc.oscillation_energy(post, 0.0, cfg.t_reward)
-            assert episode_reward(result, scn, cfg) == expected
+            full = sigproc.filtered_trace(result.trace, cfg.bandpass_spec,
+                                          cfg.target_rate, stage)
+            reward = episode_reward(result, scn, cfg)
+        x = full.samples[first:last + 1]
+        assert reward == -np.trapezoid(x * x, dx=1.0 / full.sample_rate)
 
 
     def test_trace_short_of_the_last_low_rate_sample_has_no_reward(self):
@@ -149,6 +159,25 @@ class TestRewardScenario:
         assert fewer.n_samples == cut.n_samples - 1
         result = plant.run_episode(fewer, plant.GainAction(2.5), seed)
         assert episode_reward(result, SCN, cfg) is None
+
+    @pytest.mark.parametrize("stage, t_reward", [("post_decimation", 2.004),
+                                                 ("pre_decimation", 2.00005)])
+    def test_off_grid_t_reward_reads_only_what_the_reward_integrates(self, stage,
+                                                                     t_reward):
+        # 200.4 low-rate or 10,000.25 native intervals round to 200 or 10,000:
+        # the reward ends at 7.0 s, native sample 35,000, as at t_reward = 2
+        scn, cfg = SCN, TrainConfig(filter_stage=stage, t_reward=t_reward)
+        assert config.reward_samples(scn, cfg) == 35001
+        cut = reward_scenario(scn, cfg)
+        assert cut.n_samples == 35001
+        full = plant.run_episode(scn, plant.GainAction(2.5), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            rewards = [episode_reward(full, scn, cfg),
+                       episode_reward(plant.run_episode(cut, plant.GainAction(2.5), 1),
+                                      scn, cfg),
+                       episode_reward(full, scn, replace(cfg, t_reward=2.0))]
+        assert rewards[0] is not None and rewards[0] == rewards[1] == rewards[2]
 
     def test_window_past_the_horizon_keeps_the_scenario(self):
         short = replace(SCN, horizon=6.0)
@@ -731,9 +760,9 @@ class TestEvaluate:
         monkeypatch.setattr(sigproc, "filtered_trace", counting)
         cfg = small_config()
         evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), SCN, cfg, seed=3)
-        # the canonical observation's pre-activation segment, which
+        # the canonical observation's samples before act_time, which
         # sigproc.pipeline filters through filtered_trace, then each episode
-        k_act = round(SCN.act_time / SCN.sim_dt)
+        k_act = config.first_sample(SCN.act_time, SCN.sample_rate)
         assert lengths == [k_act] + [SCN.n_samples] * 2
 
     def test_diverged_unmitigated_episode_has_infinite_energy(self):
