@@ -7,7 +7,8 @@ kp_unstable. The mode displacement rides on the nominal active power as the
 measured signal. Episodes replay the mistuning timeline: nominal gain,
 mistuned gain at mistune_time, the commanded gain at act_time. No
 commanded gain reaches the samples before act_time, so a seed's history up
-to there is simulated once and resumed at each commanded gain.
+to there is simulated once, and the noise after it drawn once, for every
+commanded gain to resume.
 """
 
 from __future__ import annotations
@@ -367,7 +368,15 @@ def _resumed(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-# ~200 kB each at the defaults; a training run reads one history, evaluate's
+def _continued(scenario: PlantScenario, states, n: int) -> tuple:
+    """The next n process-noise forces and n measurement-noise samples of
+    both streams from their saved bit-generator states (zeros when states
+    is None)."""
+    return _draw(scenario, None if states is None else tuple(map(_resumed, states)), n, n)
+
+
+# ~200 kB each at the defaults (the 25,001 samples to act_time; the noise
+# after them is _suffix's); a training run reads one history, evaluate's
 # pair one, and grid_oracle's sweep with canonical_observation one
 @lru_cache(maxsize=4)
 def _prefix(scenario: PlantScenario, seed: int | None, k_end: int) -> tuple:
@@ -400,6 +409,19 @@ def _prefix(scenario: PlantScenario, seed: int | None, k_end: int) -> tuple:
     return samples, x, v, diverged, states
 
 
+# 16 bytes a sample (a float of each stream): 160 kB at the training cut
+# (10,000 samples after act_time), 400 kB at the default 10 s horizon; a
+# training run reads one entry and evaluate's pair one
+@lru_cache(maxsize=2)
+def _suffix(scenario: PlantScenario, seed: int | None, k_end: int, n: int) -> tuple:
+    """The read-only (w, vnoise) of the n samples after _prefix(scenario,
+    seed, k_end): both noise streams continued where the history left
+    them, which every episode of that history draws whatever its gain."""
+    w, vnoise = _continued(scenario, _prefix(scenario, seed, k_end)[4], n)
+    w.flags.writeable = vnoise.flags.writeable = False
+    return w, vnoise
+
+
 def run_episode(scenario: PlantScenario, action: GainAction,
                 seed: int | None = None) -> EpisodeResult:
     """Simulate the full mistuning timeline at the native rate.
@@ -413,26 +435,28 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     sample and the flag is set.
 
     No gain reaches the samples up to act_time, so a seed's history to
-    there is simulated once (_prefix, memoised on the scenario but its
-    horizon, the seed and act_time in steps; seed None draws fresh entropy
-    and is not memoised), and each episode resumes it at action.kp with
-    both noise streams continued where the history left them: the result
-    is the one a single pass gives, bit for bit.
+    there is simulated once (_prefix), and the noise of the samples after
+    it is drawn once too (_suffix): each episode continues that history at
+    action.kp on that noise, and is the one a single pass gives, bit for
+    bit. Both memos are keyed on the scenario but its horizon, the seed and
+    act_time in steps, and _suffix also on its sample count; seed None
+    draws fresh entropy and is not memoised.
     """
     dt = scenario.sim_dt
     n_total = scenario.n_samples
     if n_total < 1:
         raise PlantError(f"horizon {scenario.horizon} holds no sample of {dt} s")
     k_end = min(int(round(scenario.act_time / dt)), n_total - 1)
-    prefix = _prefix if seed is not None else _prefix.__wrapped__
-    samples, x, v, diverged, states = prefix(replace(scenario, horizon=math.inf),
-                                             seed, k_end)
+    key = replace(scenario, horizon=math.inf)
+    memo = seed is not None
+    samples, x, v, diverged, states = (_prefix if memo else _prefix.__wrapped__)(
+        key, seed, k_end)
     out = np.empty(n_total)
     n_valid = len(samples)
     out[:n_valid] = samples
     if not diverged and n_valid < n_total:
-        streams = None if states is None else tuple(map(_resumed, states))
-        w, vnoise = _draw(scenario, streams, n_total - n_valid, n_total - n_valid)
+        n = n_total - n_valid
+        w, vnoise = _suffix(key, seed, k_end, n) if memo else _continued(key, states, n)
         threshold = scenario.diverge_threshold
         n, x, v, crossing = _advance(x, v, transition(scenario, action.kp), w,
                                      threshold * threshold, out[n_valid:], vnoise,

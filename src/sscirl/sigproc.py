@@ -1,6 +1,7 @@
 """Signal conditioning for the oscillation-mitigation loop.
 
-Down-sampling with anti-aliasing, Butterworth band-pass filtering, the
+Down-sampling with anti-aliasing, Butterworth band-pass filtering (also
+resumed from where a filter stage ended on a trace's first samples), the
 observation window type, and the oscillation-energy functional whose
 negation is the training reward.
 """
@@ -195,16 +196,17 @@ def energy(samples: np.ndarray, sample_rate: float, p_nom: float = 0.0) -> float
 
 
 def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> float:
-    """The energy of the first `horizon` seconds of the trace."""
+    """The energy of the first `horizon` seconds of the trace: its first
+    round(horizon * sample_rate) intervals, which the trace must hold."""
     trace._require_nonempty("oscillation_energy")
     if not np.isfinite(p_nom):
         raise TraceError("p_nom must be finite")
-    n_end = horizon * trace.sample_rate
-    if n_end > len(trace) - 1 + 1e-9:
+    n_end = int(round(horizon * trace.sample_rate))
+    if n_end > len(trace) - 1:
         raise TraceError(
             f"horizon {horizon} s exceeds trace duration {trace.duration} s"
         )
-    return energy(trace.samples[:int(round(n_end)) + 1], trace.sample_rate, p_nom)
+    return energy(trace.samples[:n_end + 1], trace.sample_rate, p_nom)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +247,72 @@ def filtered_trace(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
     for pre_decimation; for post_decimation, at target_rate after
     decimation, with f_max clamped to 0.95x the decimated Nyquist (a
     warning is emitted when clamping occurs)."""
+    if stage == POST_DECIMATION:
+        trace = downsample(trace, target_rate)
+    return bandpass(trace, _stage_band(spec, target_rate, stage))
+
+
+def _stage_band(spec: BandpassSpec, target_rate: float, stage: str) -> BandpassSpec:
+    """The band-pass of the filter stage: spec for pre_decimation,
+    post_decimation_band for post_decimation (with a warning when it
+    clamps); TraceError for any other stage."""
     if stage == PRE_DECIMATION:
-        return bandpass(trace, spec)
+        return spec
     if stage != POST_DECIMATION:
         raise TraceError(f"unknown filter stage {stage!r}")
-    low = downsample(trace, target_rate)
     band = post_decimation_band(spec, target_rate)
     if band.f_max != spec.f_max:
         warnings.warn(
             f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
-            f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=2)
-    return bandpass(low, band)
+            f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=3)
+    return band
+
+
+@dataclass(frozen=True, eq=False)
+class FilterHead:
+    """A filter stage after the first native samples of a trace from t = 0:
+    those samples (read-only), the filtered samples they gave (length, at
+    sample_rate), and the final (sos, state) of each sosfilt, so that the
+    trace's later samples filter on as in one pass over all of it."""
+
+    samples: np.ndarray
+    length: int
+    sample_rate: float
+    band: tuple
+    alias: tuple | None  # the anti-alias low-pass, when post_decimation decimates
+    factor: int
+
+    def filter_on(self, samples: np.ndarray) -> np.ndarray:
+        """The filtered samples from index length on of the trace that is
+        self.samples followed by samples: filtered_trace's, bit for bit."""
+        if self.alias is not None:
+            sos, state = self.alias
+            smooth, _ = signal.sosfilt(sos, samples, zi=state)
+            samples = smooth[-len(self.samples) % self.factor::self.factor]
+        sos, state = self.band
+        return signal.sosfilt(sos, samples, zi=state)[0]
+
+
+def filter_head(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
+                stage: str = PRE_DECIMATION) -> FilterHead:
+    """The FilterHead of filtered_trace's stage after trace's samples:
+    the band-pass from a zero state and, post_decimation, the anti-alias
+    low-pass from downsample's steady state and the decimation to every
+    factor-th sample."""
+    trace._require_nonempty("filter_head")
+    samples, rate, alias, factor = trace.samples, trace.sample_rate, None, 1
+    if stage == POST_DECIMATION:
+        factor = decimation_factor(rate, target_rate)
+    band = _stage_band(spec, target_rate, stage)
+    if factor > 1:
+        sos, zi_unit = _anti_alias(rate, target_rate)
+        smooth, state = signal.sosfilt(sos.copy(), samples, zi=zi_unit * samples[0])
+        alias = (sos.copy(), _read_only(state))
+        samples, rate = smooth[::factor], target_rate
+    sos = design_bandpass(band, rate).copy()
+    _, state = signal.sosfilt(sos, samples, zi=np.zeros((len(sos), 2)))
+    return FilterHead(_read_only(trace.samples.view()), len(samples), rate,
+                      (sos, _read_only(state)), alias, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Each iteration conditions the pre-activation measurement into an
 observation window, samples a gain from the policy, clamps it into the safe
 range, and scores it by the negated post-activation oscillation energy of
 a plant episode that continues the pre-activation trace (same seed), so
-iterations differ only by their gain. A gain proposal reuses the finished
-reward of its cache bucket, or of the epoch's first miss in it, instead of
-simulating again. The policy works per epoch:
-the epoch's windows go through one batched forward pass to sample their
-gains, and after scoring, the whole batch takes one gradient of the
-weighted log-probability objective, backpropagated through that same
-pass, and one gradient-ascent Adam step.
+iterations differ only by their gain; the reward filters such an episode
+on from where the filter stage ended on the pre-activation samples they
+share. A gain proposal reuses the finished reward of its cache bucket, or
+of the epoch's first miss in it, instead of simulating again. The policy
+works per epoch: the epoch's windows go through one batched forward pass
+to sample their gains, and after scoring, the whole batch takes one
+gradient of the weighted log-probability objective, backpropagated
+through that same pass, and one gradient-ascent Adam step.
 """
 
 from __future__ import annotations
@@ -112,19 +113,33 @@ def clamp(value: float, lo: float, hi: float) -> float:
 # reward and observation plumbing
 
 def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
-                   config: TrainConfig) -> float | None:
+                   config: TrainConfig,
+                   head: sigproc.FilterHead | None = None) -> float | None:
     """Negated oscillation energy of the filtered response over its
     reward_window. None when the trace, which starts at t = 0, holds fewer
-    than reward_samples (divergence)."""
+    than reward_samples (divergence).
+
+    head (optional) is the filter stage after samples the trace may start
+    with. When it does, and head's filtered samples end before the window,
+    only the samples after them are filtered, from head's state; the
+    reward is the same bit for bit. Otherwise the trace is filtered whole.
+    """
     n = reward_samples(scenario, config)
     if len(result.trace) < n:
         return None
     # both filter stages are causal: filtering only the window's samples is exact
-    filtered = sigproc.filtered_trace(
-        sigproc.SignalTrace(result.trace.samples[:n], result.trace.sample_rate),
-        config.bandpass_spec, config.target_rate, config.filter_stage)
+    samples = result.trace.samples[:n]
     window = reward_window(scenario, config)
-    return -sigproc.energy(filtered.samples[window.start:window.stop], filtered.sample_rate)
+    if (head is not None and head.length <= window.start
+            and np.array_equal(samples[:len(head.samples)], head.samples)):
+        filtered = head.filter_on(samples[len(head.samples):])
+        start, rate = window.start - head.length, head.sample_rate
+    else:
+        trace = sigproc.filtered_trace(
+            sigproc.SignalTrace(samples, result.trace.sample_rate),
+            config.bandpass_spec, config.target_rate, config.filter_stage)
+        filtered, start, rate = trace.samples, window.start, trace.sample_rate
+    return -sigproc.energy(filtered[start:start + len(window)], rate)
 
 
 def reward_scenario(scenario: plant.PlantScenario,
@@ -138,15 +153,19 @@ def reward_scenario(scenario: plant.PlantScenario,
     return replace(scenario, horizon=n * scenario.sim_dt)
 
 
+def _before_act(raw: sigproc.SignalTrace, scenario: plant.PlantScenario) -> sigproc.SignalTrace:
+    """raw's samples before act_time; raw starts at t = 0."""
+    return sigproc.SignalTrace(raw.samples[:first_sample(scenario.act_time, raw.sample_rate)],
+                               raw.sample_rate)
+
+
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> sigproc.SignalTrace:
     """Conditioned low-rate trace of raw's samples before act_time; raw
     starts at t = 0. TraceError when it is too short for a window at every
     index of observation_starts, as when raw diverged before act_time."""
-    pre = raw.samples[:first_sample(scenario.act_time, raw.sample_rate)]
-    _, observed = sigproc.pipeline(sigproc.SignalTrace(pre, raw.sample_rate),
-                                   config.bandpass_spec, config.target_rate,
-                                   config.filter_stage)
+    _, observed = sigproc.pipeline(_before_act(raw, scenario), config.bandpass_spec,
+                                   config.target_rate, config.filter_stage)
     need = observation_starts(scenario, config).stop - 1 + config.d_obs
     if len(observed) < need:
         raise sigproc.TraceError(f"pre-activation trace holds {len(observed)} low-rate "
@@ -198,8 +217,9 @@ LOG_HEADER = ",".join(f.name for f in fields(EpochStats))
 
 def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
               rng: np.random.Generator, cache: EvalCache,
-              obs_trace: sigproc.SignalTrace, epoch: int,
-              worst_reward: float | None) -> tuple[pol.PolicyParameters, EpochStats, list[EpisodeRecord]]:
+              obs_trace: sigproc.SignalTrace, epoch: int, worst_reward: float | None,
+              head: sigproc.FilterHead | None = None,
+              ) -> tuple[pol.PolicyParameters, EpochStats, list[EpisodeRecord]]:
     """n_iter iterations followed by one Adam ascent step on
     J = (1/n) sum_j R_j log pi(a_j | o_j), backpropagated from the forward
     pass that drew the actions.
@@ -216,8 +236,11 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     (common random numbers). The misses go to the environment as one
     batch, in iteration order, so a remote simulator can run the next
     episode while this one is scored; they are asked to end at
-    scenario.horizon (train passes its reward_scenario). Their rewards enter
-    the cache once all are scored: an epoch that raises leaves it as it was.
+    scenario.horizon (train passes its reward_scenario), and scored by
+    episode_reward with head (train passes the filter stage after the
+    pre-trace's samples before act_time, which each episode shares). Their
+    rewards enter the cache once all are scored: an epoch that raises
+    leaves it as it was.
     """
     starts = observation_starts(scenario, config)
     # iteration by iteration: the window start, then the action noise
@@ -243,7 +266,7 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     # each miss's episode is scored as it is pulled and dropped before the
     # next; list() ends the batch (and so releases it) even when scoring raises
     scores = iter(list(map(
-        lambda result: episode_reward(result, scenario, config),
+        lambda result: episode_reward(result, scenario, config, head),
         run_jobs(env, [(applied[it], seed) for it in first_miss.values()],
                  scenario.horizon))))
 
@@ -340,6 +363,11 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
                             scenario.act_time + scenario.sim_dt)
     obs_trace = observation_trace(pre_result.trace, scenario, config)
+    # every episode continuing that history filters on from here (an env
+    # that ignores the seed gives other samples, which are filtered whole)
+    head = sigproc.filter_head(_before_act(pre_result.trace, scenario),
+                               config.bandpass_spec, config.target_rate,
+                               config.filter_stage)
 
     best_reward = -math.inf
     best_params = params.copy()
@@ -349,7 +377,7 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     try:
         for epoch in range(config.n_epoch):
             params, stats, _ = run_epoch(
-                params, env, cut, config, rng, cache, obs_trace, epoch, worst)
+                params, env, cut, config, rng, cache, obs_trace, epoch, worst, head)
             worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
             stats_rows.append(stats)
             if log_fh is not None:

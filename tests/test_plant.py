@@ -341,6 +341,16 @@ def _bits(result):
             result.diverged, result.diverged_at)
 
 
+def _clear_memos():
+    plant._prefix.cache_clear()
+    plant._suffix.cache_clear()
+
+
+def _memo_counts():
+    """(hits, misses) of the history memo and of the suffix-noise memo."""
+    return plant._prefix.cache_info()[:2], plant._suffix.cache_info()[:2]
+
+
 @pytest.mark.parametrize("overrides, kp", [
     ({}, 2.0),
     (DIVERGING, 4.0),                  # diverges before act_time
@@ -358,19 +368,25 @@ def _bits(result):
 def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     scn = replace(DEFAULT, **overrides)
     seed = 3
-    plant._prefix.cache_clear()
+    _clear_memos()
     cold = run_episode(scn, GainAction(kp), seed)
-    # the history recorded by an episode at another gain serves this one
-    plant._prefix.cache_clear()
+    # the history and suffix noise an episode at another gain drew serve this one
+    _clear_memos()
     run_episode(scn, GainAction(scn.kp_unstable), seed)
     warm = run_episode(scn, GainAction(kp), seed)
-    assert plant._prefix.cache_info()[:2] == (1, 1)  # hits, misses
-    # seed None draws fresh entropy, here pinned to the seed, and bypasses the memo
+    # the suffix memo's one miss reads the history from _prefix (a hit); an
+    # episode that ends at its last history sample or diverges by then draws
+    # no suffix
+    k_end = min(round(scn.act_time / scn.sim_dt), scn.n_samples - 1)
+    drew = scn.n_samples > k_end + 1 and overrides is not DIVERGING
+    assert _memo_counts() == (((2, 1), (1, 1)) if drew else ((1, 1), (0, 0)))
+    # seed None draws fresh entropy, here pinned to the seed, and bypasses both memos
+    counts = _memo_counts()
     real = np.random.SeedSequence
     monkeypatch.setattr(np.random, "SeedSequence",
                         lambda entropy=None: real(seed if entropy is None else entropy))
     fresh = run_episode(scn, GainAction(kp), None)
-    assert plant._prefix.cache_info()[:2] == (1, 1)
+    assert _memo_counts() == counts
 
     samples, final_state, diverged = _single_pass(scn, kp, seed)
     expected = (samples.tobytes(), final_state.tobytes(), diverged,
@@ -382,23 +398,50 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     assert warm.trace.samples.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 10_000, 25_000])
+@pytest.mark.parametrize("overrides", [{}, {"act_time": 5.003}, {"noise_std": 0.0}],
+                         ids=["default", "off_grid_act", "zero_noise"])
+def test_suffix_noise_equals_one_pass_draws(overrides, n):
+    # the memoised noise after the history is what one draw of each stream
+    # over the whole episode gives there, and no caller can write it
+    scn = replace(DEFAULT, horizon=math.inf, **overrides)
+    seed = 7
+    k_end = round(scn.act_time / scn.sim_dt)
+    _clear_memos()
+    w, vnoise = plant._suffix(scn, seed, k_end, n)
+    if scn.noise_std > 0:
+        w_rng, v_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        scale = scn.noise_std / math.sqrt(scn.sim_dt)
+        one_pass = ((w_rng.standard_normal(k_end + n) * scale)[k_end:],
+                    (v_rng.standard_normal(k_end + 1 + n) * scn.noise_std)[k_end + 1:])
+    else:
+        one_pass = (np.zeros(n), np.zeros(n))
+    assert (w.tobytes(), vnoise.tobytes()) == tuple(a.tobytes() for a in one_pass)
+    assert not (w.flags.writeable or vnoise.flags.writeable)
+    again = plant._suffix(scn, seed, k_end, n)
+    assert again[0] is w and again[1] is vnoise
+    assert w.nbytes + vnoise.nbytes == 16 * n  # 160 kB at the training cut
+
+
 def test_memoised_history_is_shared_safely_across_threads():
-    # sessions of one server run episodes on threads that share the memo;
-    # more seeds than it holds, so entries are evicted while others read them
-    scn = replace(DEFAULT, horizon=DEFAULT.act_time + 0.5)
-    jobs = [(seed, kp) for seed in range(plant._prefix.cache_info().maxsize + 3)
-            for kp in (0.5, 3.5)]
-    plant._prefix.cache_clear()
-    expected = {job: _bits(run_episode(scn, GainAction(job[1]), job[0])) for job in jobs}
-    plant._prefix.cache_clear()
+    # sessions of one server run episodes on threads that share the memos;
+    # more seeds than either holds and two horizons (two suffix lengths per
+    # history), so entries are evicted while others read them
+    horizons = [replace(DEFAULT, horizon=DEFAULT.act_time + t) for t in (0.3, 0.5)]
+    n_seeds = max(plant._prefix.cache_info().maxsize, plant._suffix.cache_info().maxsize) + 3
+    jobs = [(seed, kp, scn) for seed in range(n_seeds) for kp in (0.5, 3.5)
+            for scn in horizons]
+    _clear_memos()
+    expected = {job: _bits(run_episode(job[2], GainAction(job[1]), job[0])) for job in jobs}
+    _clear_memos()
     mismatches, start = [], threading.Barrier(6)
 
     def worker(offset):
         start.wait(timeout=10)
         for i in range(3 * len(jobs)):
-            seed, kp = jobs[(i * 7 + offset) % len(jobs)]
-            if _bits(run_episode(scn, GainAction(kp), seed)) != expected[seed, kp]:
-                mismatches.append((seed, kp))
+            seed, kp, scn = job = jobs[(i * 7 + offset) % len(jobs)]
+            if _bits(run_episode(scn, GainAction(kp), seed)) != expected[job]:
+                mismatches.append(job)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -138,6 +138,15 @@ class TestOscillationEnergy:
         assert energy == sigproc.energy(x[:51], 100.0, 1.0)
         assert energy == np.trapezoid((x[:51] - 1.0) ** 2, dx=0.01)
 
+    def test_horizon_is_rounded_to_intervals_before_it_is_checked(self):
+        # 51 samples at 100 Hz hold 50 intervals: 0.504 s rounds onto them,
+        # 0.506 s rounds to a 51st
+        x = np.arange(51, dtype=float)
+        trace = SignalTrace(x, 100.0)
+        assert oscillation_energy(trace, 1.0, 0.504) == sigproc.energy(x, 100.0, 1.0)
+        with pytest.raises(TraceError, match="exceeds trace duration"):
+            oscillation_energy(trace, 1.0, 0.506)
+
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2000)

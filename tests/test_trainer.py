@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -7,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sscirl import config, plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
@@ -198,6 +201,113 @@ class TestRewardScenario:
         lengths.clear()
         grid_oracle(SCN, cfg)
         assert set(lengths) == {reward_scenario(SCN, cfg).n_samples}
+
+
+# unstable above kp 1.0 and mistuned late: the pre-trace holds, and an
+# episode at kp 2 diverges near 6.2 s, inside the reward window
+LATE_DIVERGENCE = {"kp_stable": 0.5, "kp_crit": 1.0, "mistune_time": 4.5,
+                   "diverge_threshold": 10.0}
+
+
+def pretrace_head(scn, cfg, seed):
+    """What train carries: the filter stage after the samples before
+    act_time of the pre-trace at seed."""
+    pre = plant.run_episode(replace(scn, horizon=scn.act_time + scn.sim_dt),
+                            plant.GainAction(scn.kp_unstable), seed)
+    return sigproc.filter_head(trainer._before_act(pre.trace, scn), cfg.bandpass_spec,
+                               cfg.target_rate, cfg.filter_stage)
+
+
+class TestCarriedFilterState:
+    @settings(max_examples=40, deadline=None)
+    @given(kp=st.floats(0.5, 4.0), seed=st.integers(0, 2**63 - 1),
+           stage=st.sampled_from(sigproc.FILTER_STAGES),
+           act_time=st.sampled_from([5.0, 5.003]),
+           t_reward=st.sampled_from([2.0, 2.004, 2.00005]),
+           overrides=st.sampled_from([{}, LATE_DIVERGENCE]))
+    @example(kp=2.0, seed=3, stage="post_decimation", act_time=5.003, t_reward=2.004,
+             overrides=LATE_DIVERGENCE)
+    @example(kp=2.0, seed=3, stage="pre_decimation", act_time=5.003, t_reward=2.00005,
+             overrides=LATE_DIVERGENCE)
+    def test_reward_equals_full_filtering(self, kp, seed, stage, act_time, t_reward,
+                                          overrides):
+        # an episode at the pre-trace's seed starts with the carried samples,
+        # and the reward filtered on from their state is the full one, None
+        # for an episode that diverges before the window ends included
+        scn = replace(SCN, act_time=act_time, **overrides)
+        cfg = TrainConfig(filter_stage=stage, t_reward=t_reward)
+        cut = reward_scenario(scn, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            head = pretrace_head(scn, cfg, seed)
+            result = plant.run_episode(cut, plant.GainAction(kp), seed)
+            carried = episode_reward(result, cut, cfg, head)
+            full = episode_reward(result, cut, cfg)
+        assert np.array_equal(result.trace.samples[:len(head.samples)], head.samples)
+        assert head.length <= config.reward_window(scn, cfg).start
+        assert repr(carried) == repr(full)
+        assert (full is None) == (len(result.trace) < cut.n_samples)
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
+    def test_diverged_episode_has_no_reward(self, stage, act_time):
+        scn = replace(SCN, act_time=act_time, **LATE_DIVERGENCE)
+        cfg = TrainConfig(filter_stage=stage)
+        cut = reward_scenario(scn, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            head = pretrace_head(scn, cfg, 3)
+            result = plant.run_episode(cut, plant.GainAction(2.0), 3)
+            assert result.diverged and len(result.trace) > len(head.samples)
+            assert episode_reward(result, cut, cfg, head) is None
+
+    @pytest.mark.parametrize("seedless", [False, True], ids=["local", "ignores_seed"])
+    def test_epoch_rewards_equal_full_filtering(self, monkeypatch, seedless):
+        # a simulator that ignores the seed gives episodes that do not
+        # continue the pre-trace: each is filtered whole, and the log is
+        # what full filtering gives
+        calls = {"filter_on": 0, "filtered_trace": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+
+        cfg = small_config(n_epoch=3, n_iter=4, cache_enabled=False)
+        cut = reward_scenario(SCN, cfg)
+        env = SeedlessEnv(cut) if seedless else SpyEnv(cut)
+        counted(sigproc.FilterHead, "filter_on")
+        counted(sigproc, "filtered_trace")
+        result = train(SCN, cfg, env=env)
+        pre, *episodes = env.traces
+        assert len(episodes) == cfg.n_epoch * cfg.n_iter
+        # the observation filters the pre-trace once; each episode filters on
+        # from the carried state or, not continuing it, whole
+        assert calls == ({"filter_on": 0, "filtered_trace": 1 + len(episodes)} if seedless
+                         else {"filter_on": len(episodes), "filtered_trace": 1})
+        k_act = round(SCN.act_time / SCN.sim_dt)
+        assert all(np.array_equal(t[:k_act], pre[:k_act]) for t in episodes) != seedless
+        for e, row in enumerate(result.stats):
+            rewards = np.array([episode_reward(
+                plant.EpisodeResult(sigproc.SignalTrace(t, SCN.sample_rate)), cut, cfg)
+                for t in episodes[e * cfg.n_iter:(e + 1) * cfg.n_iter]])
+            assert (row.mean_reward, row.min_reward, row.max_reward) == \
+                (float(rewards.mean()), float(rewards.min()), float(rewards.max()))
+
+
+class SeedlessEnv(SpyEnv):
+    """A simulator that ignores the seed it is asked for: each episode has
+    noise of its own, so none continues the pre-trace's history."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.own_seeds = itertools.count(1000)
+
+    def run_episode(self, kp, seed):
+        return super().run_episode(kp, next(self.own_seeds))
 
 
 class TestRunEpoch:
@@ -582,11 +692,11 @@ class TestTrain:
         real = trainer.run_epoch
 
         def failing(params, env, scenario, config, rng, cache, obs_trace,
-                    epoch, worst):
+                    epoch, *rest):
             if epoch == fail_at:
                 raise RuntimeError("simulator lost")
             return real(params, env, scenario, config, rng, cache, obs_trace,
-                        epoch, worst)
+                        epoch, *rest)
 
         monkeypatch.setattr(trainer, "run_epoch", failing)
         monkeypatch.setattr(pol, "save_checkpoint", lambda params, path:
