@@ -40,12 +40,14 @@ scenario's; a longer one gets "args" and the session keeps its scenario.
 
 A `run_episode` with `until` (seconds) ends the episode there: it runs the
 session's scenario at horizon min(until, horizon). Episode noise is
-prefix-stable, so the trace is the prefix of the full one; and the plant
-simulates a seed's history up to act_time once, so episodes at one seed
-and different gains (as the trainer sends them) share it. `until` must be
-a finite JSON number greater than act_time; anything else gets "args"
-naming it. A `run_episode` trace starts at t = 0: the trainer counts its
-reward window in samples from there, and `RemoteEnv` refuses another t0.
+prefix-stable, so the trace is the prefix of the full one. The plant
+memoises one history per scenario, horizon included, and seed, so
+episodes at one seed and one `until` but different gains share it: the
+trainer sends every request of a run, its pre-activation trace's
+included, with the end of its reward window. `until` must be a finite
+JSON number greater than act_time; anything else gets "args" naming it.
+A `run_episode` trace starts at t = 0: the trainer counts its reward
+window in samples from there, and `RemoteEnv` refuses another t0.
 
 Floats in JSON are serialized with full round-trip precision (Python repr),
 and "f64le" carries the bits themselves, so a remote episode is

@@ -14,7 +14,7 @@ commanded gain to resume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -361,36 +361,25 @@ def _draw(scenario: PlantScenario, streams, n_w: int, n_v: int) -> tuple:
     return w, vnoise
 
 
-def _resumed(state: dict) -> np.random.Generator:
-    """A generator at a saved bit-generator state."""
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
-def _continued(scenario: PlantScenario, states, n: int) -> tuple:
-    """The next n process-noise forces and n measurement-noise samples of
-    both streams from their saved bit-generator states (zeros when states
-    is None)."""
-    return _draw(scenario, None if states is None else tuple(map(_resumed, states)), n, n)
-
-
-# ~200 kB each at the defaults (the 25,001 samples to act_time; the noise
-# after them is _suffix's); a training run reads one history, evaluate's
+# 8 bytes a sample to act_time and 16 after it (a float of each noise
+# stream): 360 kB at the training cut (25,001 samples, then 10,000), 600 kB
+# at the default 10 s horizon; a training run reads one entry, evaluate's
 # pair one, and grid_oracle's sweep with canonical_observation one
-@lru_cache(maxsize=4)
-def _prefix(scenario: PlantScenario, seed: int | None, k_end: int) -> tuple:
-    """The samples [0, k_end] of every episode of scenario at seed, whatever
-    its commanded gain, which takes over only after them (k_end is act_time
-    in steps, or the episode's last sample when that comes first): the
-    kp_stable and kp_unstable segments, run by simulate_segments. The
-    scenario's horizon is not read.
+@lru_cache(maxsize=3)
+def _history(scenario: PlantScenario, seed: int | None) -> tuple:
+    """What every episode of scenario at seed shares, whatever its commanded
+    gain, which takes over only after sample k_end (act_time in steps, or
+    the episode's last sample when that comes first): the samples [0, k_end]
+    of the kp_stable and kp_unstable segments, run by simulate_segments, and
+    the noise of the samples after them, drawn on from the same streams.
 
-    Returns (samples, x, v, diverged, states): the read-only samples (fewer
-    when the mode diverged), the mode state after them (the crossing state
-    on divergence), the divergence flag, and the bit-generator states of
-    both noise streams after their draws (None without noise).
+    Returns (samples, x, v, diverged, (w, vnoise)), all arrays read-only: the
+    samples (fewer when the mode diverged), the mode state after them (the
+    crossing state on divergence), the divergence flag, and the noise of
+    the rest of the episode (none after a divergence).
     """
+    n_total = scenario.n_samples
+    k_end = min(int(round(scenario.act_time / scenario.sim_dt)), n_total - 1)
     k_mistune = min(int(round(scenario.mistune_time / scenario.sim_dt)), k_end)
     seg_mats = np.array([transition(scenario, g)
                          for g in (scenario.kp_stable, scenario.kp_unstable)])
@@ -403,23 +392,11 @@ def _prefix(scenario: PlantScenario, seed: int | None, k_end: int) -> tuple:
     n_valid, x, v, diverged = simulate_segments(
         scenario.disturbance_amp, 0.0, seg_mats, [k_mistune, k_end - k_mistune],
         w, vnoise, scenario.p_nom, scenario.diverge_threshold, out)
-    samples = out[:n_valid]
-    samples.flags.writeable = False
-    states = None if streams is None else tuple(s.bit_generator.state for s in streams)
-    return samples, x, v, diverged, states
-
-
-# 16 bytes a sample (a float of each stream): 160 kB at the training cut
-# (10,000 samples after act_time), 400 kB at the default 10 s horizon; a
-# training run reads one entry and evaluate's pair one
-@lru_cache(maxsize=2)
-def _suffix(scenario: PlantScenario, seed: int | None, k_end: int, n: int) -> tuple:
-    """The read-only (w, vnoise) of the n samples after _prefix(scenario,
-    seed, k_end): both noise streams continued where the history left
-    them, which every episode of that history draws whatever its gain."""
-    w, vnoise = _continued(scenario, _prefix(scenario, seed, k_end)[4], n)
-    w.flags.writeable = vnoise.flags.writeable = False
-    return w, vnoise
+    n_tail = 0 if diverged else n_total - n_valid
+    samples, tail = out[:n_valid], _draw(scenario, streams, n_tail, n_tail)
+    for array in (samples, *tail):
+        array.flags.writeable = False
+    return samples, x, v, diverged, tail
 
 
 def run_episode(scenario: PlantScenario, action: GainAction,
@@ -435,28 +412,22 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     sample and the flag is set.
 
     No gain reaches the samples up to act_time, so a seed's history to
-    there is simulated once (_prefix), and the noise of the samples after
-    it is drawn once too (_suffix): each episode continues that history at
-    action.kp on that noise, and is the one a single pass gives, bit for
-    bit. Both memos are keyed on the scenario but its horizon, the seed and
-    act_time in steps, and _suffix also on its sample count; seed None
-    draws fresh entropy and is not memoised.
+    there, and the noise of the samples after it, are simulated and drawn
+    once (_history, memoised on the scenario and the seed): each episode
+    continues that history at action.kp on that noise, and is the one a
+    single pass gives, bit for bit. Seed None draws fresh entropy and is
+    not memoised.
     """
     dt = scenario.sim_dt
     n_total = scenario.n_samples
     if n_total < 1:
         raise PlantError(f"horizon {scenario.horizon} holds no sample of {dt} s")
-    k_end = min(int(round(scenario.act_time / dt)), n_total - 1)
-    key = replace(scenario, horizon=math.inf)
-    memo = seed is not None
-    samples, x, v, diverged, states = (_prefix if memo else _prefix.__wrapped__)(
-        key, seed, k_end)
+    history = _history if seed is not None else _history.__wrapped__
+    samples, x, v, diverged, (w, vnoise) = history(scenario, seed)
     out = np.empty(n_total)
     n_valid = len(samples)
     out[:n_valid] = samples
-    if not diverged and n_valid < n_total:
-        n = n_total - n_valid
-        w, vnoise = _suffix(key, seed, k_end, n) if memo else _continued(key, states, n)
+    if len(w):
         threshold = scenario.diverge_threshold
         n, x, v, crossing = _advance(x, v, transition(scenario, action.kp), w,
                                      threshold * threshold, out[n_valid:], vnoise,

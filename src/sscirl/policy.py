@@ -334,7 +334,10 @@ def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParamete
         pos += 4
         if pos + name_len + 4 > body_end:
             fail("truncated tensor name")
-        name = blob[pos:pos + name_len].decode()
+        try:
+            name = blob[pos:pos + name_len].decode()
+        except UnicodeDecodeError:
+            fail("tensor name is not UTF-8")
         pos += name_len
         (rank,) = struct.unpack_from("<I", blob, pos)
         pos += 4

@@ -159,6 +159,14 @@ def _before_act(raw: sigproc.SignalTrace, scenario: plant.PlantScenario) -> sigp
                                raw.sample_rate)
 
 
+def _filter_head(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
+                 config: TrainConfig) -> sigproc.FilterHead:
+    """The reward's filter stage after raw's samples before act_time, which
+    every episode continuing raw's history shares; raw starts at t = 0."""
+    return sigproc.filter_head(_before_act(raw, scenario), config.bandpass_spec,
+                               config.target_rate, config.filter_stage)
+
+
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> sigproc.SignalTrace:
     """Conditioned low-rate trace of raw's samples before act_time; raw
@@ -176,9 +184,11 @@ def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
 def canonical_observation(scenario: plant.PlantScenario,
                           config: TrainConfig) -> sigproc.Observation:
     """Deterministic reference observation: zero-noise episode, window at
-    the first index of observation_starts. The episode ends one sample past
-    act_time, since the observation reads only [0, act_time)."""
-    quiet = replace(scenario, noise_std=0.0, horizon=scenario.act_time + scenario.sim_dt)
+    the first index of observation_starts. The episode runs on
+    grid_oracle's scenario (reward_scenario without noise) at its seed, so
+    the two share one plant history; the observation reads only
+    [0, act_time)."""
+    quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     result = plant.run_episode(quiet, plant.GainAction(quiet.kp_unstable), seed=0)
     obs_trace = observation_trace(result.trace, scenario, config)
     i0 = observation_starts(scenario, config)[0]
@@ -236,11 +246,12 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     (common random numbers). The misses go to the environment as one
     batch, in iteration order, so a remote simulator can run the next
     episode while this one is scored; they are asked to end at
-    scenario.horizon (train passes its reward_scenario), and scored by
-    episode_reward with head (train passes the filter stage after the
-    pre-trace's samples before act_time, which each episode shares). Their
-    rewards enter the cache once all are scored: an epoch that raises
-    leaves it as it was.
+    scenario.horizon (train passes its reward_scenario, at whose horizon
+    it also ran the pre-trace, so the plant memoises one history), and
+    scored by episode_reward with head (train passes the filter stage
+    after the pre-trace's samples before act_time, which each episode
+    shares). Their rewards enter the cache once all are scored: an epoch
+    that raises leaves it as it was.
     """
     starts = observation_starts(scenario, config)
     # iteration by iteration: the window start, then the action noise
@@ -331,11 +342,13 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     works (e.g. the remote protocol adapter). It may also have
     run_episodes(jobs, until), taking a list of (kp, seed) and the time in
     seconds where the episodes may end, and yielding each job's
-    EpisodeResult in order; the pre-activation trace (until one sample past
-    act_time) and then each epoch's plant episodes go to it as one batch
-    each, else run_episode runs them one by one. An episode that runs past
-    until, up to its env's own horizon, gives the same log. The pair is
-    checked by config.validate before anything runs or is written.
+    EpisodeResult in order; the pre-activation trace and then each epoch's
+    plant episodes go to it as one batch each, all with until at the end
+    of the reward window (the pre-trace too, so that the plant simulates
+    the history they share once), else run_episode runs them one by one.
+    An episode that runs past until, up to its env's own horizon, gives
+    the same log. The pair is checked by config.validate before anything
+    runs or is written.
     """
     validate(scenario, config)
     cut = reward_scenario(scenario, config)
@@ -359,15 +372,14 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
 
     # canonical pre-activation measurement, shared by all iterations, whose
     # seed every training episode continues; per-iteration variety comes
-    # from the random window start
+    # from the random window start. It runs at the episodes' horizon, so
+    # the plant memoises one history for all of them
     [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
-                            scenario.act_time + scenario.sim_dt)
+                            cut.horizon)
     obs_trace = observation_trace(pre_result.trace, scenario, config)
     # every episode continuing that history filters on from here (an env
     # that ignores the seed gives other samples, which are filtered whole)
-    head = sigproc.filter_head(_before_act(pre_result.trace, scenario),
-                               config.bandpass_spec, config.target_rate,
-                               config.filter_stage)
+    head = _filter_head(pre_result.trace, scenario, config)
 
     best_reward = -math.inf
     best_params = params.copy()
@@ -457,7 +469,9 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
     _, unmit_energy = _energies(unmitigated, scenario, config)
 
     ratio = post_energy / unmit_energy if unmit_energy > 0 else math.inf
-    if math.isinf(unmit_energy) and math.isfinite(post_energy):
+    if mitigated.diverged:
+        ratio = math.inf
+    elif math.isinf(unmit_energy) and math.isfinite(post_energy):
         ratio = 0.0
     return MitigationReport(applied, pre_energy, post_energy, unmit_energy,
                             ratio, mitigated.diverged, unmitigated.diverged,
@@ -467,15 +481,18 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
 def grid_oracle(scenario: plant.PlantScenario,
                 config: TrainConfig) -> tuple[float, list[tuple[float, float]]]:
     """Exhaustive zero-noise reward sweep over the gain range at the cache
-    resolution; returns (best gain, [(gain, reward), ...])."""
+    resolution; returns (best gain, [(gain, reward), ...]). Every episode
+    continues one history, whose samples before act_time are filtered once."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     res = config.cache_resolution
     n = int(round((config.kp_max - config.kp_min) / res))
-    sweep = []
+    sweep, head = [], None
     for i in range(n + 1):
         kp = min(config.kp_min + i * res, config.kp_max)
         result = plant.run_episode(quiet, plant.GainAction(kp), seed=0)
-        reward = episode_reward(result, quiet, config)
+        if head is None:
+            head = _filter_head(result.trace, quiet, config)
+        reward = episode_reward(result, quiet, config, head)
         if reward is None:
             reward = -math.inf
         sweep.append((kp, reward))

@@ -186,6 +186,15 @@ class TestEvaluateAndOracle:
         assert code == cli.EXIT_ERROR
         assert "cannot load checkpoint" in capsys.readouterr().err
 
+    def test_evaluate_checkpoint_name_not_utf8(self, run_dir, tmp_path, capsys):
+        blob = bytearray((run_dir / "best.ckpt").read_bytes())
+        blob[12] = 0xFF  # the first byte of the first tensor's name
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(blob))
+        code = run_cli(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
+        assert code == cli.EXIT_ERROR
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_oracle_csv(self, tmp_path, capsys):
         out = tmp_path / "oracle.csv"
         code = run_cli(["oracle", "--out", str(out), "--kp_max", "1.0"])
@@ -905,12 +914,24 @@ class TestRemoteEnv:
             trainer.train(SCN, cfg, run_dir=d_remote, env=env)
         finally:
             env.close()
-        # the pre-trace to one sample past act_time, then one request per
-        # iteration to the end of the reward window
-        assert untils == [SCN.act_time + SCN.sim_dt] + \
-                         [trainer.reward_scenario(SCN, cfg).horizon] * 12
+        # the pre-trace, then one request per iteration, each to the end of
+        # the reward window
+        assert untils == [trainer.reward_scenario(SCN, cfg).horizon] * 13
         assert (d_local / "training_log.csv").read_bytes() == \
                (d_remote / "training_log.csv").read_bytes()
+
+    @pytest.mark.parametrize("where", ["local", "remote"])
+    def test_default_training_simulates_one_history(self, server, where):
+        # the pre-trace and every training episode ask for one history at
+        # one horizon; the in-process server's sessions share this memo
+        plant._history.cache_clear()
+        env = RemoteEnv(*server.address, scenario=SCN) if where == "remote" else None
+        try:
+            result = trainer.train(SCN, trainer.TrainConfig(), env=env)
+        finally:
+            if env is not None:
+                env.close()
+        assert plant._history.cache_info()[:2] == (result.plant_episodes - 1, 1)
 
     def test_error_reply_drains_the_reply_in_flight(self, server):
         # the second request is on the wire when the first is refused; its

@@ -123,9 +123,8 @@ def test_chunks_bound_the_filtered_work(monkeypatch):
         return lfilter(b, a, x, zi=zi)
 
     monkeypatch.setattr(plant.signal, "lfilter", counting)
-    # an earlier test may have run this history or drawn its suffix noise
-    plant._prefix.cache_clear()
-    plant._suffix.cache_clear()
+    # an earlier test may have run this history
+    plant._history.cache_clear()
     scn = plant.PlantScenario(zeta_stable=50.0, noise_std=0.0)
     result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
     assert result.diverged

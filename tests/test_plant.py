@@ -341,14 +341,9 @@ def _bits(result):
             result.diverged, result.diverged_at)
 
 
-def _clear_memos():
-    plant._prefix.cache_clear()
-    plant._suffix.cache_clear()
-
-
 def _memo_counts():
-    """(hits, misses) of the history memo and of the suffix-noise memo."""
-    return plant._prefix.cache_info()[:2], plant._suffix.cache_info()[:2]
+    """(hits, misses) of the history memo."""
+    return plant._history.cache_info()[:2]
 
 
 @pytest.mark.parametrize("overrides, kp", [
@@ -368,19 +363,14 @@ def _memo_counts():
 def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     scn = replace(DEFAULT, **overrides)
     seed = 3
-    _clear_memos()
+    plant._history.cache_clear()
     cold = run_episode(scn, GainAction(kp), seed)
-    # the history and suffix noise an episode at another gain drew serve this one
-    _clear_memos()
+    # the history an episode at another gain drew serves this one
+    plant._history.cache_clear()
     run_episode(scn, GainAction(scn.kp_unstable), seed)
     warm = run_episode(scn, GainAction(kp), seed)
-    # the suffix memo's one miss reads the history from _prefix (a hit); an
-    # episode that ends at its last history sample or diverges by then draws
-    # no suffix
-    k_end = min(round(scn.act_time / scn.sim_dt), scn.n_samples - 1)
-    drew = scn.n_samples > k_end + 1 and overrides is not DIVERGING
-    assert _memo_counts() == (((2, 1), (1, 1)) if drew else ((1, 1), (0, 0)))
-    # seed None draws fresh entropy, here pinned to the seed, and bypasses both memos
+    assert _memo_counts() == (1, 1)
+    # seed None draws fresh entropy, here pinned to the seed, and bypasses the memo
     counts = _memo_counts()
     real = np.random.SeedSequence
     monkeypatch.setattr(np.random, "SeedSequence",
@@ -402,13 +392,17 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
 @pytest.mark.parametrize("overrides", [{}, {"act_time": 5.003}, {"noise_std": 0.0}],
                          ids=["default", "off_grid_act", "zero_noise"])
 def test_suffix_noise_equals_one_pass_draws(overrides, n):
-    # the memoised noise after the history is what one draw of each stream
-    # over the whole episode gives there, and no caller can write it
-    scn = replace(DEFAULT, horizon=math.inf, **overrides)
-    seed = 7
+    # the memoised noise of the n samples after the history is what one
+    # draw of each stream over the whole episode gives there, and no caller
+    # can write it or the history
+    scn = replace(DEFAULT, **overrides)
     k_end = round(scn.act_time / scn.sim_dt)
-    _clear_memos()
-    w, vnoise = plant._suffix(scn, seed, k_end, n)
+    scn = replace(scn, horizon=(k_end + 1 + n) * scn.sim_dt)
+    assert scn.n_samples == k_end + 1 + n
+    seed = 7
+    plant._history.cache_clear()
+    samples, _, _, diverged, (w, vnoise) = plant._history(scn, seed)
+    assert not diverged and len(samples) == k_end + 1
     if scn.noise_std > 0:
         w_rng, v_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         scale = scn.noise_std / math.sqrt(scn.sim_dt)
@@ -417,23 +411,24 @@ def test_suffix_noise_equals_one_pass_draws(overrides, n):
     else:
         one_pass = (np.zeros(n), np.zeros(n))
     assert (w.tobytes(), vnoise.tobytes()) == tuple(a.tobytes() for a in one_pass)
-    assert not (w.flags.writeable or vnoise.flags.writeable)
-    again = plant._suffix(scn, seed, k_end, n)
-    assert again[0] is w and again[1] is vnoise
-    assert w.nbytes + vnoise.nbytes == 16 * n  # 160 kB at the training cut
+    assert not any(a.flags.writeable for a in (samples, w, vnoise))
+    again = plant._history(scn, seed)
+    assert again[0] is samples and again[4][0] is w and again[4][1] is vnoise
+    # 8 bytes a history sample, 16 a sample after it: 360 kB at the training cut
+    assert samples.nbytes == 8 * (k_end + 1) and w.nbytes + vnoise.nbytes == 16 * n
 
 
 def test_memoised_history_is_shared_safely_across_threads():
-    # sessions of one server run episodes on threads that share the memos;
-    # more seeds than either holds and two horizons (two suffix lengths per
-    # history), so entries are evicted while others read them
+    # sessions of one server run episodes on threads that share the memo;
+    # more histories than it holds (two horizons of each seed), so entries
+    # are evicted while others read them
     horizons = [replace(DEFAULT, horizon=DEFAULT.act_time + t) for t in (0.3, 0.5)]
-    n_seeds = max(plant._prefix.cache_info().maxsize, plant._suffix.cache_info().maxsize) + 3
+    n_seeds = plant._history.cache_info().maxsize + 3
     jobs = [(seed, kp, scn) for seed in range(n_seeds) for kp in (0.5, 3.5)
             for scn in horizons]
-    _clear_memos()
+    plant._history.cache_clear()
     expected = {job: _bits(run_episode(job[2], GainAction(job[1]), job[0])) for job in jobs}
-    _clear_memos()
+    plant._history.cache_clear()
     mismatches, start = [], threading.Barrier(6)
 
     def worker(offset):

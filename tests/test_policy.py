@@ -414,3 +414,14 @@ class TestCheckpoints:
         path.write_bytes(b"NOTACKPT" + b"\0" * 64)
         with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(path)
+
+    def test_name_that_is_not_utf8(self, tmp_path):
+        # byte 12 is the first byte of the first tensor's name
+        params = init_params(seed=27)
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(params, path)
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(path)

@@ -550,8 +550,7 @@ class TestEpisodeBatches:
         # the pre-trace is a batch of one, then one batch per epoch
         assert len(env.batches) == 1 + cfg.n_epoch
         assert env.batches[0] == [(SCN.kp_unstable, trainer._pretrace_seed(cfg.seed))]
-        assert env.untils[0] == SCN.act_time + SCN.sim_dt
-        assert set(env.untils[1:]) == {trainer.reward_scenario(SCN, cfg).horizon}
+        assert set(env.untils) == {trainer.reward_scenario(SCN, cfg).horizon}
         for batch, records in zip(env.batches[1:], epochs):
             assert batch == [(rec.action_applied, trainer._pretrace_seed(cfg.seed))
                              for rec in records if not rec.cached]
@@ -823,7 +822,7 @@ class TestWindowing:
 
     @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
     def test_canonical_observation_equals_full_horizon_one(self, stage):
-        # it runs its episode only one sample past act_time
+        # it runs its episode only to the end of the reward window
         cfg = TrainConfig(filter_stage=stage)
         quiet = replace(SCN, noise_std=0.0)
         full = plant.run_episode(quiet, plant.GainAction(SCN.kp_unstable), seed=0)
@@ -886,6 +885,18 @@ class TestEvaluate:
         assert report.unmitigated_post_energy == math.inf
         assert math.isfinite(report.post_energy) and report.energy_ratio == 0.0
 
+    def test_diverged_mitigated_episode_has_infinite_ratio(self):
+        # unstable above kp 1.0 and mistuned late: at kp_unstable both
+        # episodes diverge after act_time, so both post energies are inf
+        scn = plant.PlantScenario(kp_stable=0.5, kp_crit=1.0, mistune_time=4.5,
+                                  diverge_threshold=10.0)
+        cfg = small_config()
+        report = evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), scn, cfg,
+                          mitigate=False)
+        assert report.diverged and report.unmitigated_diverged
+        assert report.post_energy == report.unmitigated_post_energy == math.inf
+        assert report.energy_ratio == math.inf
+
 
 class TestOracle:
     def test_unique_optimum_at_lowest_gain(self):
@@ -895,6 +906,36 @@ class TestOracle:
         assert best == cfg.kp_min
         assert rewards.count(max(rewards)) == 1
         assert all(a > b for a, b in zip(rewards, rewards[1:]))
+
+    def test_shares_one_history_with_canonical_observation(self):
+        cfg = TrainConfig()
+        plant._history.cache_clear()
+        canonical_observation(SCN, cfg)
+        _, sweep = grid_oracle(SCN, cfg)
+        # one miss, then a hit for each of the sweep's 71 episodes
+        assert plant._history.cache_info()[:2] == (len(sweep), 1) == (71, 1)
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    def test_sweep_filters_on_from_one_head(self, stage, monkeypatch):
+        # no episode is filtered whole, and the sweep is the one whole
+        # filtering gives
+        cfg = TrainConfig(filter_stage=stage)
+        whole_filtered = []
+        real = sigproc.filtered_trace
+
+        def counting(*args):
+            whole_filtered.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(sigproc, "filtered_trace", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            headed = grid_oracle(SCN, cfg)
+            assert whole_filtered == []
+            monkeypatch.setattr(trainer, "_filter_head", lambda *args: None)
+            whole = grid_oracle(SCN, cfg)
+        assert len(whole_filtered) == len(whole[1]) == 71
+        assert repr(headed) == repr(whole)
 
 
 def test_unknown_filter_stage_rejected():
