@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import plant, policy, sigproc, trainer
-from .config import KEYS, ConfigError, resolve, write
+from .config import KEYS, ConfigError, check_gain, resolve, write
 from .envproto import EnvServer, RemoteEnv, ProtocolError
 
 EXIT_OK = 0
@@ -37,11 +37,18 @@ def _add_common(parser: argparse.ArgumentParser):
 
 def load_run_config(args) -> tuple[plant.PlantScenario, trainer.TrainConfig]:
     """Resolve config file plus CLI overrides into the two config objects;
-    a bad config exits 2 with a message naming the field."""
+    a bad config, a negative episode --seed, or a simulate --kp at which
+    the plant's transition is not finite (validate's rule for the
+    configured gains) exits 2 with a message naming the field or flag."""
     overrides = {key: value for key in KEYS
                  if (value := getattr(args, f"ov_{key}", None)) is not None}
     try:
-        return resolve(args.config, overrides)
+        scenario, config = resolve(args.config, overrides)
+        if vars(args).get("seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if "kp" in vars(args):
+            check_gain(scenario, "--kp", args.kp)
+        return scenario, config
     except ConfigError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_CONFIG)
@@ -52,9 +59,9 @@ def _make_env(spec: str, scenario: plant.PlantScenario):
     runs its own plant on the reward window, else a RemoteEnv."""
     if spec == "local":
         return None
-    if spec.startswith("remote:"):
-        _, host, port = spec.split(":")
-        return RemoteEnv(host, int(port), scenario=scenario)
+    kind, *address = spec.split(":")
+    if kind == "remote" and len(address) == 2 and address[1].isdecimal():
+        return RemoteEnv(address[0], int(address[1]), scenario=scenario)
     raise ValueError(f"bad --env {spec!r}; use 'local' or 'remote:HOST:PORT'")
 
 

@@ -196,6 +196,17 @@ def observation_starts(scenario: PlantScenario, config: TrainConfig) -> range:
     return range(first, -(-n_native // factor) - config.d_obs + 1)
 
 
+def check_gain(scenario: PlantScenario, key: str, kp: float) -> None:
+    """Raise ConfigError, naming key, unless the transition at kp is finite."""
+    try:
+        finite = all(map(math.isfinite, transition(scenario, kp)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key}: the plant's one-step transition at gain {kp} "
+                          f"is not finite")
+
+
 def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     """Raise ConfigError, naming the fields, unless a training of config
     on scenario can run to its end: finite values, a non-negative seed, a
@@ -211,14 +222,7 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     # damping is affine in the gain, so these four bound every segment's
     for key, part in (("kp_stable", scenario), ("kp_unstable", scenario),
                       ("kp_min", config), ("kp_max", config)):
-        kp = getattr(part, key)
-        try:
-            finite = all(map(math.isfinite, transition(scenario, kp)))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"{key}: the plant's one-step transition at gain {kp} "
-                              f"is not finite")
+        check_gain(scenario, key, getattr(part, key))
     for key, least in (("seed", 0), ("hidden_size", 1), ("d_obs", 1)):
         if getattr(config, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(config, key)}")

@@ -345,7 +345,7 @@ def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParamete
             fail("truncated dims")
         dims = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
         pos += 4 * rank
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)
         if pos + 8 * count > body_end:
             fail(f"truncated values for {name!r}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)

@@ -1,13 +1,15 @@
 """Signal conditioning for the oscillation-mitigation loop.
 
-Down-sampling with anti-aliasing, Butterworth band-pass filtering (also
-resumed from where a filter stage ended on a trace's first samples), the
-observation window type, and the oscillation-energy functional whose
-negation is the training reward.
+Down-sampling with anti-aliasing, Butterworth band-pass filtering, the
+filter stage that chains them (one runner, FilterHead, which resumes
+from where the stage ended on a trace's first samples), the observation
+window type, and the oscillation-energy functional whose negation is the
+training reward.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -201,7 +203,10 @@ def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> floa
     trace._require_nonempty("oscillation_energy")
     if not np.isfinite(p_nom):
         raise TraceError("p_nom must be finite")
-    n_end = int(round(horizon * trace.sample_rate))
+    if not 0 <= horizon < np.inf:
+        raise TraceError(f"horizon must be finite and non-negative, got {horizon}")
+    # capped at the length, which only has to be exceeded: round(inf) overflows
+    n_end = round(min(horizon * trace.sample_rate, len(trace)))
     if n_end > len(trace) - 1:
         raise TraceError(
             f"horizon {horizon} s exceeds trace duration {trace.duration} s"
@@ -226,93 +231,90 @@ def post_decimation_band(spec: BandpassSpec, target_rate: float) -> BandpassSpec
 
 def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
              stage: str = PRE_DECIMATION) -> tuple[SignalTrace, SignalTrace]:
-    """Full conditioning chain; returns (filtered, observed), where
-    filtered is filtered_trace's output.
-
-    pre_decimation (default): band-pass at the native rate, then decimate —
-    keeps band content above the decimated Nyquist alive through the filter.
-    `observed` is the decimation of the full-rate `filtered`.
-
-    post_decimation: decimate first, then band-pass at the low rate; both
-    returned traces are that low-rate output.
-    """
+    """Full conditioning chain: (filtered_trace's, observed's) trace.
+    pre_decimation (default) band-passes at the native rate, then decimates,
+    keeping band content above the decimated Nyquist alive through the
+    filter; post_decimation decimates first, so both traces are one."""
     filtered = filtered_trace(trace, spec, target_rate, stage)
-    return filtered, downsample(filtered, target_rate) if stage == PRE_DECIMATION \
-        else filtered
+    return filtered, observed(filtered, target_rate, stage)
+
+
+def observed(filtered: SignalTrace, target_rate: float,
+             stage: str = PRE_DECIMATION) -> SignalTrace:
+    """A stage's filtered trace at target_rate: decimated if pre_decimation."""
+    return downsample(filtered, target_rate) if stage == PRE_DECIMATION else filtered
 
 
 def filtered_trace(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
                    stage: str = PRE_DECIMATION) -> SignalTrace:
-    """The band-passed trace of the chosen filter stage: at the native rate
-    for pre_decimation; for post_decimation, at target_rate after
-    decimation, with f_max clamped to 0.95x the decimated Nyquist (a
-    warning is emitted when clamping occurs)."""
-    if stage == POST_DECIMATION:
-        trace = downsample(trace, target_rate)
-    return bandpass(trace, _stage_band(spec, target_rate, stage))
-
-
-def _stage_band(spec: BandpassSpec, target_rate: float, stage: str) -> BandpassSpec:
-    """The band-pass of the filter stage: spec for pre_decimation,
-    post_decimation_band for post_decimation (with a warning when it
-    clamps); TraceError for any other stage."""
-    if stage == PRE_DECIMATION:
-        return spec
-    if stage != POST_DECIMATION:
-        raise TraceError(f"unknown filter stage {stage!r}")
-    band = post_decimation_band(spec, target_rate)
-    if band.f_max != spec.f_max:
-        warnings.warn(
-            f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
-            f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=3)
-    return band
+    """filter_head's trace: the band-passed trace of the chosen filter stage
+    at the native rate for pre_decimation; for post_decimation, at
+    target_rate after decimation, with f_max clamped to 0.95x the decimated
+    Nyquist (a warning is emitted when clamping occurs)."""
+    trace._require_nonempty("filtered_trace")
+    return filter_head(trace, spec, target_rate, stage)[1]
 
 
 @dataclass(frozen=True, eq=False)
 class FilterHead:
-    """A filter stage after the first native samples of a trace from t = 0:
-    those samples (read-only), the filtered samples they gave (length, at
-    sample_rate), and the final (sos, state) of each sosfilt, so that the
-    trace's later samples filter on as in one pass over all of it."""
+    """A filter stage after a trace's first native samples from t = 0 (none
+    at t = 0): those samples (read-only), the filtered samples they gave
+    (length, at sample_rate), and the (sos, state) of the band-pass and, if
+    the stage decimates by factor, of the anti-alias low-pass, whose state
+    before any sample is downsample's steady state per unit first sample."""
 
     samples: np.ndarray
     length: int
     sample_rate: float
     band: tuple
-    alias: tuple | None  # the anti-alias low-pass, when post_decimation decimates
+    alias: tuple | None
     factor: int
 
     def filter_on(self, samples: np.ndarray) -> np.ndarray:
         """The filtered samples from index length on of the trace that is
-        self.samples followed by samples: filtered_trace's, bit for bit."""
-        if self.alias is not None:
-            sos, state = self.alias
-            smooth, _ = signal.sosfilt(sos, samples, zi=state)
-            samples = smooth[-len(self.samples) % self.factor::self.factor]
-        sos, state = self.band
-        return signal.sosfilt(sos, samples, zi=state)[0]
+        self.samples followed by samples: one pass's, bit for bit."""
+        return self._run(samples)[0]
+
+    def _run(self, samples: np.ndarray) -> tuple:
+        """(filtered samples, band, alias) after samples, which follow
+        self.samples: the stage's one runner (sosfilt refuses no samples)."""
+        seen, band, alias = len(self.samples), self.band, self.alias
+        if alias is not None and len(samples):
+            sos, state = alias
+            smooth, state = signal.sosfilt(sos, samples,
+                                           zi=state if seen else state * samples[0])
+            alias, samples = (sos, _read_only(state)), smooth[-seen % self.factor::self.factor]
+        if len(samples):
+            samples, state = signal.sosfilt(band[0], samples, zi=band[1])
+            band = (band[0], _read_only(state))
+        return samples, band, alias
 
 
 def filter_head(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
-                stage: str = PRE_DECIMATION) -> FilterHead:
-    """The FilterHead of filtered_trace's stage after trace's samples:
-    the band-pass from a zero state and, post_decimation, the anti-alias
-    low-pass from downsample's steady state and the decimation to every
-    factor-th sample."""
-    trace._require_nonempty("filter_head")
-    samples, rate, alias, factor = trace.samples, trace.sample_rate, None, 1
+                stage: str = PRE_DECIMATION) -> tuple[FilterHead, SignalTrace]:
+    """The FilterHead after trace's samples (at t = 0 for none) and the
+    filtered trace they gave: band-passed from a zero state, post_decimation
+    after downsample's low-pass and every factor-th sample from the first."""
+    if stage not in FILTER_STAGES:
+        raise TraceError(f"unknown filter stage {stage!r}")
+    rate, alias, factor, band = trace.sample_rate, None, 1, spec
     if stage == POST_DECIMATION:
         factor = decimation_factor(rate, target_rate)
-    band = _stage_band(spec, target_rate, stage)
+        band = post_decimation_band(spec, target_rate)
+        if band.f_max != spec.f_max:  # reported at the first caller outside this module
+            frame, level = sys._getframe(), 1
+            while frame.f_globals["__name__"] == __name__ and frame.f_back is not None:
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
+                          f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=level)
     if factor > 1:
         sos, zi_unit = _anti_alias(rate, target_rate)
-        smooth, state = signal.sosfilt(sos.copy(), samples, zi=zi_unit * samples[0])
-        alias = (sos.copy(), _read_only(state))
-        samples, rate = smooth[::factor], target_rate
+        alias, rate = (sos.copy(), zi_unit), target_rate
     sos = design_bandpass(band, rate).copy()
-    _, state = signal.sosfilt(sos, samples, zi=np.zeros((len(sos), 2)))
-    return FilterHead(_read_only(trace.samples.view()), len(samples), rate,
-                      (sos, _read_only(state)), alias, factor)
+    filtered, band, alias = FilterHead(trace.samples[:0], 0, rate, (
+        sos, _read_only(np.zeros((len(sos), 2)))), alias, factor)._run(trace.samples)
+    return (FilterHead(_read_only(trace.samples.view()), len(filtered), rate, band, alias,
+                       factor), SignalTrace(filtered, rate, trace.t0))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +342,13 @@ def read_trace_csv(path) -> SignalTrace:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise TraceError(f"empty trace CSV {path}")
+    if data.shape[1] != 2:
+        raise TraceError(f"trace CSV {path} has {data.shape[1]} columns, expected 2")
     times, values = data[:, 0], data[:, 1]
-    if len(times) > 1:
-        dts = np.diff(times)
-        dt = float(np.mean(dts))
-        if np.max(np.abs(dts - dt)) > UNIFORM_SPACING_TOL:
-            raise TraceError(f"non-uniform sample spacing in {path}")
-        rate = 1.0 / dt
-    else:
+    if len(times) < 2:
         raise TraceError(f"trace CSV {path} needs at least two samples")
-    return SignalTrace(values, rate, float(times[0]))
+    dts = np.diff(times)
+    dt = float(np.mean(dts))
+    if not dt > 0 or np.max(np.abs(dts - dt)) > UNIFORM_SPACING_TOL:
+        raise TraceError(f"non-uniform or non-increasing sample spacing in {path}")
+    return SignalTrace(values, 1.0 / dt, float(times[0]))

@@ -112,34 +112,33 @@ def clamp(value: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # reward and observation plumbing
 
+def _stage(config: TrainConfig) -> tuple:
+    """The filter stage's settings, as sigproc's stage functions take them."""
+    return config.bandpass_spec, config.target_rate, config.filter_stage
+
+
 def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
                    config: TrainConfig,
                    head: sigproc.FilterHead | None = None) -> float | None:
     """Negated oscillation energy of the filtered response over its
     reward_window. None when the trace, which starts at t = 0, holds fewer
-    than reward_samples (divergence).
-
-    head (optional) is the filter stage after samples the trace may start
-    with. When it does, and head's filtered samples end before the window,
-    only the samples after them are filtered, from head's state; the
-    reward is the same bit for bit. Otherwise the trace is filtered whole.
-    """
+    than reward_samples (divergence). The trace filters on from head, the
+    filter stage after samples it may start with, when it does and head's
+    filtered samples end before the window, else from the stage at t = 0:
+    the reward is the same bit for bit."""
     n = reward_samples(scenario, config)
     if len(result.trace) < n:
         return None
     # both filter stages are causal: filtering only the window's samples is exact
     samples = result.trace.samples[:n]
     window = reward_window(scenario, config)
-    if (head is not None and head.length <= window.start
-            and np.array_equal(samples[:len(head.samples)], head.samples)):
-        filtered = head.filter_on(samples[len(head.samples):])
-        start, rate = window.start - head.length, head.sample_rate
-    else:
-        trace = sigproc.filtered_trace(
-            sigproc.SignalTrace(samples, result.trace.sample_rate),
-            config.bandpass_spec, config.target_rate, config.filter_stage)
-        filtered, start, rate = trace.samples, window.start, trace.sample_rate
-    return -sigproc.energy(filtered[start:start + len(window)], rate)
+    if (head is None or head.length > window.start
+            or not np.array_equal(samples[:len(head.samples)], head.samples)):
+        head, _ = sigproc.filter_head(
+            sigproc.SignalTrace(samples[:0], result.trace.sample_rate), *_stage(config))
+    start = window.start - head.length
+    filtered = head.filter_on(samples[len(head.samples):])
+    return -sigproc.energy(filtered[start:start + len(window)], head.sample_rate)
 
 
 def reward_scenario(scenario: plant.PlantScenario,
@@ -153,32 +152,22 @@ def reward_scenario(scenario: plant.PlantScenario,
     return replace(scenario, horizon=n * scenario.sim_dt)
 
 
-def _before_act(raw: sigproc.SignalTrace, scenario: plant.PlantScenario) -> sigproc.SignalTrace:
-    """raw's samples before act_time; raw starts at t = 0."""
-    return sigproc.SignalTrace(raw.samples[:first_sample(scenario.act_time, raw.sample_rate)],
-                               raw.sample_rate)
-
-
-def _filter_head(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
-                 config: TrainConfig) -> sigproc.FilterHead:
-    """The reward's filter stage after raw's samples before act_time, which
-    every episode continuing raw's history shares; raw starts at t = 0."""
-    return sigproc.filter_head(_before_act(raw, scenario), config.bandpass_spec,
-                               config.target_rate, config.filter_stage)
-
-
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
-                      config: TrainConfig) -> sigproc.SignalTrace:
-    """Conditioned low-rate trace of raw's samples before act_time; raw
-    starts at t = 0. TraceError when it is too short for a window at every
-    index of observation_starts, as when raw diverged before act_time."""
-    _, observed = sigproc.pipeline(_before_act(raw, scenario), config.bandpass_spec,
-                                   config.target_rate, config.filter_stage)
+                      config: TrainConfig) -> tuple[sigproc.SignalTrace, sigproc.FilterHead]:
+    """Conditioned low-rate trace of raw's samples before act_time and the
+    FilterHead after them, from one pass of the filter stage: each episode
+    continuing raw's history filters on from there. raw starts at t = 0.
+    TraceError when the trace is too short for a window at every index of
+    observation_starts, as when raw diverged before act_time."""
+    rate = raw.sample_rate
+    head, filtered = sigproc.filter_head(sigproc.SignalTrace(
+        raw.samples[:first_sample(scenario.act_time, rate)], rate), *_stage(config))
+    observed = sigproc.observed(filtered, config.target_rate, config.filter_stage)
     need = observation_starts(scenario, config).stop - 1 + config.d_obs
     if len(observed) < need:
         raise sigproc.TraceError(f"pre-activation trace holds {len(observed)} low-rate "
                                  f"samples, its observation windows need {need}")
-    return observed
+    return observed, head
 
 
 def canonical_observation(scenario: plant.PlantScenario,
@@ -190,7 +179,7 @@ def canonical_observation(scenario: plant.PlantScenario,
     [0, act_time)."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     result = plant.run_episode(quiet, plant.GainAction(quiet.kp_unstable), seed=0)
-    obs_trace = observation_trace(result.trace, scenario, config)
+    obs_trace, _ = observation_trace(result.trace, scenario, config)
     i0 = observation_starts(scenario, config)[0]
     return sigproc.Observation(obs_trace.samples[i0:i0 + config.d_obs],
                                obs_trace.t0 + i0 / obs_trace.sample_rate)
@@ -371,15 +360,13 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     cache = EvalCache(config.cache_resolution)
 
     # canonical pre-activation measurement, shared by all iterations, whose
-    # seed every training episode continues; per-iteration variety comes
-    # from the random window start. It runs at the episodes' horizon, so
-    # the plant memoises one history for all of them
+    # seed every training episode continues (from head; an env that ignores
+    # the seed gives samples filtered from t = 0); per-iteration variety
+    # comes from the random window start. It runs at the episodes' horizon,
+    # so the plant memoises one history for all of them
     [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
                             cut.horizon)
-    obs_trace = observation_trace(pre_result.trace, scenario, config)
-    # every episode continuing that history filters on from here (an env
-    # that ignores the seed gives other samples, which are filtered whole)
-    head = _filter_head(pre_result.trace, scenario, config)
+    obs_trace, head = observation_trace(pre_result.trace, scenario, config)
 
     best_reward = -math.inf
     best_params = params.copy()
@@ -444,8 +431,7 @@ class MitigationReport:
 def _energies(result: plant.EpisodeResult, scenario, config) -> tuple[float, float]:
     """Filtered oscillation energy before reward_window's start and from it
     on, the latter infinite when the episode diverged (and so ended early)."""
-    filtered = sigproc.filtered_trace(result.trace, config.bandpass_spec,
-                                      config.target_rate, config.filter_stage)
+    filtered = sigproc.filtered_trace(result.trace, *_stage(config))
     act = reward_window(scenario, config).start
     pre_energy = sigproc.energy(filtered.samples[:act], filtered.sample_rate)
     if result.diverged:
@@ -491,10 +477,10 @@ def grid_oracle(scenario: plant.PlantScenario,
         kp = min(config.kp_min + i * res, config.kp_max)
         result = plant.run_episode(quiet, plant.GainAction(kp), seed=0)
         if head is None:
-            head = _filter_head(result.trace, quiet, config)
+            rate = result.trace.sample_rate
+            head, _ = sigproc.filter_head(sigproc.SignalTrace(
+                result.trace.samples[:first_sample(quiet.act_time, rate)], rate), *_stage(config))
         reward = episode_reward(result, quiet, config, head)
-        if reward is None:
-            reward = -math.inf
-        sweep.append((kp, reward))
+        sweep.append((kp, -math.inf if reward is None else reward))
     best = max(sweep, key=lambda pair: pair[1])[0]
     return best, sweep

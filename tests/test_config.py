@@ -208,7 +208,7 @@ def test_accepted_pair_observes_every_window_start(pair):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # post_decimation clamps f_max
         result = plant.run_episode(pre, plant.GainAction(pre.kp_unstable), seed=0)
-        samples = trainer.observation_trace(result.trace, quiet, cfg).samples
+        samples = trainer.observation_trace(result.trace, quiet, cfg)[0].samples
         obs = trainer.canonical_observation(quiet, cfg)
     for first in (starts[0], starts[-1], starts[-1] + 1):
         fits = len(samples[first:first + cfg.d_obs]) == cfg.d_obs

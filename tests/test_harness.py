@@ -91,6 +91,14 @@ class TestTrainCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["remote:a:b:c", "remote:h:notaport", "remote:h:\u00b2"])
+    def test_bad_env_names_the_flag(self, tmp_path, capsys, spec):
+        out = tmp_path / "r"
+        code = run_cli(["train", "--out", str(out), "--n_epoch", "1", "--env", spec])
+        assert code == cli.EXIT_ERROR
+        assert f"bad --env {spec!r}" in capsys.readouterr().err
+        assert not (out / "training_log.csv").exists()
+
     def test_config_file_reproduces_run(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run_cli(["train", "--out", str(first), "--seed", "7",
@@ -144,6 +152,28 @@ class TestSimulateCommand:
             outs[kp] = sigproc.energy(trace.samples[25000:], trace.sample_rate)
         assert outs[2.0] < outs[4.0]
 
+    @pytest.mark.parametrize("command", [["simulate", "--kp", "2.0"],
+                                         ["evaluate", "--checkpoint", "none.ckpt"]])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--seed", "-1", "--out", str(out)])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        assert "bad config: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kp", ["nan", "1e300", "inf"])
+    def test_gain_with_no_finite_transition_exits_2_naming_the_flag(self, tmp_path,
+                                                                    capsys, kp):
+        # validate's rule for the configured gains
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--kp", kp, "--out", str(out)])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        assert f"bad config: --kp: the plant's one-step transition at gain {float(kp)} " \
+            "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_sidecar(self, tmp_path, capsys):
         out = tmp_path / "boom"
         code = run_cli(["simulate", "--kp", "4.0", "--out", str(out),
@@ -194,6 +224,14 @@ class TestEvaluateAndOracle:
         code = run_cli(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
         assert code == cli.EXIT_ERROR
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_evaluate_checkpoint_dims_overflowing_int64(self, tmp_path, capsys):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"SSCIPG01" + struct.pack("<I", 2) + b"w1"
+                         + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + b"\0" * 64)
+        code = run_cli(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
+        assert code == cli.EXIT_ERROR
+        assert "cannot load checkpoint" in capsys.readouterr().err
 
     def test_oracle_csv(self, tmp_path, capsys):
         out = tmp_path / "oracle.csv"

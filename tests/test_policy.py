@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -424,4 +425,13 @@ class TestCheckpoints:
         blob[12] = 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_dims_whose_product_overflows_int64(self, tmp_path):
+        # (2**32 - 1)**2 values wrap in int64 arithmetic; exactly, they
+        # run past the end of the file
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(pol.CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"w1"
+                         + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1) + b"\0" * 64)
+        with pytest.raises(CheckpointError, match="truncated values for 'w1'"):
             load_checkpoint(path)

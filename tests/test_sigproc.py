@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sscirl import sigproc
 from sscirl.sigproc import (BandpassSpec, Observation, SignalTrace, TraceError,
@@ -147,6 +151,18 @@ class TestOscillationEnergy:
         with pytest.raises(TraceError, match="exceeds trace duration"):
             oscillation_energy(trace, 1.0, 0.506)
 
+    @pytest.mark.parametrize("horizon", [-0.5, -0.001, float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_horizon_must_be_finite_and_non_negative(self, horizon):
+        # 101 ones at 100 Hz: -0.5 s would integrate samples[:-49]
+        with pytest.raises(TraceError, match="horizon must be finite and non-negative"):
+            oscillation_energy(SignalTrace(np.ones(101), 100.0), 0.0, horizon)
+
+    def test_horizon_past_float_range_of_samples_exceeds_trace(self):
+        with pytest.raises(TraceError, match="exceeds trace duration"):
+            oscillation_energy(SignalTrace(np.ones(101), 100.0), 0.0, 1e307)
+        assert oscillation_energy(SignalTrace(np.ones(101), 100.0), 1.0, 0.0) == 0.0
+
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2000)
@@ -179,6 +195,13 @@ class TestPipeline:
         assert filtered.sample_rate == 100.0
         assert observed is filtered
 
+    @pytest.mark.parametrize("route", ["pipeline", "filtered_trace", "filter_head"])
+    def test_clamp_warning_names_the_calling_file(self, route):
+        with pytest.warns(UserWarning, match="clamped") as record:
+            getattr(sigproc, route)(sine(20.0, 5000.0, 1.0), BandpassSpec(15.0, 55.0, 4),
+                                    100.0, sigproc.POST_DECIMATION)
+        assert [w.filename for w in record] == [__file__]
+
     def test_unknown_stage(self):
         with pytest.raises(TraceError):
             sigproc.pipeline(sine(20.0, 5000.0, 1.0),
@@ -192,6 +215,74 @@ class TestPipeline:
         alone = sigproc.filtered_trace(trace, spec, 100.0, stage)
         assert np.array_equal(alone.samples, filtered.samples)
         assert (alone.sample_rate, alone.t0) == (filtered.sample_rate, filtered.t0)
+
+
+def by_primitives(trace, spec, target_rate, stage):
+    """The stage's filtered trace composed from downsample and bandpass."""
+    if stage == sigproc.PRE_DECIMATION:
+        return bandpass(trace, spec)
+    return bandpass(downsample(trace, target_rate),
+                    sigproc.post_decimation_band(spec, target_rate))
+
+
+NOISE = np.random.default_rng(11).standard_normal(1234) + 0.3
+
+
+class TestFilterStage:
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("target_rate", [100.0, 5000.0], ids=["decimating", "unit"])
+    def test_filtered_trace_is_the_primitives_bit_for_bit(self, stage, target_rate):
+        trace = SignalTrace(NOISE, 5000.0, t0=1.5)
+        spec = BandpassSpec(15.0, 55.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            mine = sigproc.filtered_trace(trace, spec, target_rate, stage)
+            ref = by_primitives(trace, spec, target_rate, stage)
+        assert mine.samples.tobytes() == ref.samples.tobytes()
+        assert (mine.sample_rate, mine.t0) == (ref.sample_rate, ref.t0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage=st.sampled_from(sigproc.FILTER_STAGES),
+           k=st.integers(0, len(NOISE)), cut=st.integers(0, len(NOISE)))
+    @example(stage=sigproc.POST_DECIMATION, k=0, cut=len(NOISE))
+    @example(stage=sigproc.POST_DECIMATION, k=537, cut=len(NOISE))
+    @example(stage=sigproc.PRE_DECIMATION, k=537, cut=len(NOISE))
+    def test_head_then_filter_on_is_one_pass(self, stage, k, cut):
+        # any split, k = 0 and k off the factor-50 decimation grid included
+        samples = NOISE[:max(k, cut)]
+        spec = BandpassSpec(15.0, 45.0, 4)
+        head, filtered = sigproc.filter_head(SignalTrace(samples[:k], 5000.0), spec,
+                                             100.0, stage)
+        whole = sigproc.filter_head(SignalTrace(samples, 5000.0), spec, 100.0, stage)[1]
+        assert head.length == len(filtered)
+        assert np.array_equal(head.samples, samples[:k])
+        joined = np.concatenate([filtered.samples, head.filter_on(samples[k:])])
+        assert joined.tobytes() == whole.samples.tobytes()
+        if len(samples):
+            assert whole.samples.tobytes() == by_primitives(
+                SignalTrace(samples, 5000.0), spec, 100.0, stage).samples.tobytes()
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    def test_empty_trace_gives_the_stage_at_t0(self, stage):
+        # the anti-alias low-pass starts at the steady state of the first
+        # sample it is given: a constant passes unchanged, as in downsample
+        spec = BandpassSpec(15.0, 45.0, 4)
+        head, filtered = sigproc.filter_head(SignalTrace(np.array([]), 5000.0), spec,
+                                             100.0, stage)
+        assert len(filtered) == head.length == len(head.samples) == 0
+        assert filtered.sample_rate == head.sample_rate == \
+            (100.0 if stage == sigproc.POST_DECIMATION else 5000.0)
+        assert head.filter_on(np.array([])).size == 0
+        ref = sigproc.filtered_trace(SignalTrace(NOISE, 5000.0), spec, 100.0, stage)
+        assert head.filter_on(NOISE).tobytes() == ref.samples.tobytes()
+        if stage == sigproc.POST_DECIMATION:
+            sos, state = head.alias
+            assert np.array_equal(state, sigproc.signal.sosfilt_zi(sos))
+
+    def test_filtered_trace_refuses_an_empty_trace(self):
+        with pytest.raises(TraceError, match="empty trace"):
+            sigproc.filtered_trace(SignalTrace(np.array([]), 5000.0),
+                                   BandpassSpec(15.0, 45.0, 4), 100.0)
 
 
 class TestDesignCache:
@@ -249,6 +340,19 @@ class TestCsvRoundTrip:
         path.write_text("t,value\n0.0,1.0\n0.01,1.0\n0.03,1.0\n")
         with pytest.raises(TraceError, match="non-uniform"):
             sigproc.read_trace_csv(path)
+
+    @pytest.mark.parametrize("body, match", [
+        ("1.0,0.5\n1.0,0.6\n1.0,0.7\n", "non-increasing sample spacing"),
+        ("0.02,0.5\n0.01,0.6\n0.0,0.7\n", "non-increasing sample spacing"),
+        ("0.0\n0.01\n", "1 columns, expected 2"),
+        ("0.0,1.0,2.0\n0.01,1.0,2.0\n", "3 columns, expected 2"),
+    ], ids=["repeated_times", "decreasing_times", "one_column", "three_columns"])
+    def test_malformed_body_rejected_naming_the_file(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + body)
+        with pytest.raises(TraceError, match=match) as exc:
+            sigproc.read_trace_csv(path)
+        assert str(path) in str(exc.value)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -41,7 +41,7 @@ def pinned_params(cfg, mu):
 def obs_trace():
     cfg = TrainConfig()
     result = plant.run_episode(QUIET, plant.GainAction(QUIET.kp_unstable), seed=0)
-    return trainer.observation_trace(result.trace, QUIET, cfg)
+    return trainer.observation_trace(result.trace, QUIET, cfg)[0]
 
 
 class TestCache:
@@ -214,8 +214,7 @@ def pretrace_head(scn, cfg, seed):
     act_time of the pre-trace at seed."""
     pre = plant.run_episode(replace(scn, horizon=scn.act_time + scn.sim_dt),
                             plant.GainAction(scn.kp_unstable), seed)
-    return sigproc.filter_head(trainer._before_act(pre.trace, scn), cfg.bandpass_spec,
-                               cfg.target_rate, cfg.filter_stage)
+    return trainer.observation_trace(pre.trace, scn, cfg)[1]
 
 
 class TestCarriedFilterState:
@@ -264,31 +263,33 @@ class TestCarriedFilterState:
     @pytest.mark.parametrize("seedless", [False, True], ids=["local", "ignores_seed"])
     def test_epoch_rewards_equal_full_filtering(self, monkeypatch, seedless):
         # a simulator that ignores the seed gives episodes that do not
-        # continue the pre-trace: each is filtered whole, and the log is
-        # what full filtering gives
-        calls = {"filter_on": 0, "filtered_trace": 0}
+        # continue the pre-trace: each filters on from the stage at t = 0,
+        # and the log is what filtering each from t = 0 gives
+        heads, filter_ons = [], []
+        real_head, real_on = sigproc.filter_head, sigproc.FilterHead.filter_on
 
-        def counted(owner, name):
-            real = getattr(owner, name)
+        def counting_head(trace, *args):
+            heads.append(len(trace))
+            return real_head(trace, *args)
 
-            def counting(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counting)
+        def counting_on(head, samples):
+            filter_ons.append(len(head.samples))
+            return real_on(head, samples)
 
         cfg = small_config(n_epoch=3, n_iter=4, cache_enabled=False)
         cut = reward_scenario(SCN, cfg)
         env = SeedlessEnv(cut) if seedless else SpyEnv(cut)
-        counted(sigproc.FilterHead, "filter_on")
-        counted(sigproc, "filtered_trace")
+        monkeypatch.setattr(sigproc, "filter_head", counting_head)
+        monkeypatch.setattr(sigproc.FilterHead, "filter_on", counting_on)
         result = train(SCN, cfg, env=env)
         pre, *episodes = env.traces
         assert len(episodes) == cfg.n_epoch * cfg.n_iter
-        # the observation filters the pre-trace once; each episode filters on
-        # from the carried state or, not continuing it, whole
-        assert calls == ({"filter_on": 0, "filtered_trace": 1 + len(episodes)} if seedless
-                         else {"filter_on": len(episodes), "filtered_trace": 1})
+        # one head over the pre-trace's samples before act_time, from which
+        # each episode filters on or, not continuing it, one head at t = 0
+        # per episode
         k_act = round(SCN.act_time / SCN.sim_dt)
+        assert heads == [k_act] + [0] * len(episodes) * seedless
+        assert filter_ons == [0 if seedless else k_act] * len(episodes)
         assert all(np.array_equal(t[:k_act], pre[:k_act]) for t in episodes) != seedless
         for e, row in enumerate(result.stats):
             rewards = np.array([episode_reward(
@@ -809,7 +810,7 @@ class TestWindowing:
         cfg = TrainConfig()
         result = plant.run_episode(QUIET, plant.GainAction(QUIET.kp_unstable), seed=0)
         short = sigproc.SignalTrace(result.trace.samples[:24_950], result.trace.sample_rate)
-        assert len(trainer.observation_trace(result.trace, QUIET, cfg)) == 500
+        assert len(trainer.observation_trace(result.trace, QUIET, cfg)[0]) == 500
         with pytest.raises(sigproc.TraceError, match="windows need 500"):
             trainer.observation_trace(short, QUIET, cfg)
 
@@ -828,7 +829,7 @@ class TestWindowing:
         full = plant.run_episode(quiet, plant.GainAction(SCN.kp_unstable), seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            expected = trainer.observation_trace(full.trace, SCN, cfg).samples[460:490]
+            expected = trainer.observation_trace(full.trace, SCN, cfg)[0].samples[460:490]
             obs = canonical_observation(SCN, cfg)
         assert obs.values.tobytes() == expected.tobytes()
         assert obs.window_start == 4.6
@@ -860,17 +861,17 @@ class TestEvaluate:
 
     def test_band_passes_each_episode_once(self, monkeypatch):
         lengths = []
-        real = sigproc.filtered_trace
+        real = sigproc.filter_head
 
         def counting(trace, *args):
             lengths.append(len(trace))
             return real(trace, *args)
 
-        monkeypatch.setattr(sigproc, "filtered_trace", counting)
+        monkeypatch.setattr(sigproc, "filter_head", counting)
         cfg = small_config()
         evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), SCN, cfg, seed=3)
-        # the canonical observation's samples before act_time, which
-        # sigproc.pipeline filters through filtered_trace, then each episode
+        # one head at t = 0 over the canonical observation's samples before
+        # act_time, then one over each episode, which filtered_trace builds
         k_act = config.first_sample(SCN.act_time, SCN.sample_rate)
         assert lengths == [k_act] + [SCN.n_samples] * 2
 
@@ -917,25 +918,40 @@ class TestOracle:
 
     @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
     def test_sweep_filters_on_from_one_head(self, stage, monkeypatch):
-        # no episode is filtered whole, and the sweep is the one whole
-        # filtering gives
+        # the sweep builds one head, over its history's samples before
+        # act_time; no episode filters on from the stage at t = 0, and the
+        # sweep is the one that doing so for every episode gives
         cfg = TrainConfig(filter_stage=stage)
-        whole_filtered = []
-        real = sigproc.filtered_trace
+        heads = []
+        real_head, real_reward = sigproc.filter_head, trainer.episode_reward
 
-        def counting(*args):
-            whole_filtered.append(len(args[0]))
-            return real(*args)
+        def counting(trace, *args):
+            heads.append(len(trace))
+            return real_head(trace, *args)
 
-        monkeypatch.setattr(sigproc, "filtered_trace", counting)
+        monkeypatch.setattr(sigproc, "filter_head", counting)
+        k_act = config.first_sample(SCN.act_time, SCN.sample_rate)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
             headed = grid_oracle(SCN, cfg)
-            assert whole_filtered == []
-            monkeypatch.setattr(trainer, "_filter_head", lambda *args: None)
-            whole = grid_oracle(SCN, cfg)
-        assert len(whole_filtered) == len(whole[1]) == 71
-        assert repr(headed) == repr(whole)
+            assert heads == [k_act]
+            heads.clear()
+            monkeypatch.setattr(trainer, "episode_reward", lambda *args: real_reward(*args[:3]))
+            from_zero = grid_oracle(SCN, cfg)
+        assert heads == [k_act] + [0] * len(from_zero[1]) == [k_act] + [0] * 71
+        assert repr(headed) == repr(from_zero)
+
+    def test_history_diverged_before_act_time_sweeps_to_minus_inf(self):
+        # canonical_observation has no windows there; the sweep still runs,
+        # every episode diverging before its reward window ends
+        scn = plant.PlantScenario(kp_stable=0.5, kp_crit=1.0, mistune_time=1.0,
+                                  diverge_threshold=10.0)
+        cfg = TrainConfig(kp_max=1.0)
+        with pytest.raises(sigproc.TraceError, match="windows need 500"):
+            canonical_observation(scn, cfg)
+        best, sweep = grid_oracle(scn, cfg)
+        assert best == 0.5 and len(sweep) == 11
+        assert all(reward == -math.inf for _, reward in sweep)
 
 
 def test_unknown_filter_stage_rejected():
