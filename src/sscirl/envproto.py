@@ -127,7 +127,7 @@ class _Session:
             return _error(msg.get("id", -1) if isinstance(msg, dict) else -1,
                           "parse", "message must carry id and kind")
         rid = msg["id"]
-        if not isinstance(rid, int):
+        if isinstance(rid, bool) or not isinstance(rid, int):
             return _error(-1, "parse", "id must be an integer")
         if self.last_id is not None and rid <= self.last_id:
             return _error(rid, "sequence",

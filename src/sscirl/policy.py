@@ -364,9 +364,14 @@ def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParamete
                 raise CheckpointError(
                     f"dimension mismatch for {key!r}: expected {shape}, "
                     f"found {found[key].shape}")
+        if not np.isfinite(found[name]).all():  # Adam's v may hold inf
+            fail(f"non-finite entry in {name!r}")
     if "step_count" not in found:
         fail("missing step_count")
+    step_count = found["step_count"]
+    if step_count.shape != () or not (0 <= step_count < np.inf and step_count % 1 == 0):
+        fail(f"step_count {step_count.tolist()!r} is not a non-negative integer")
 
     theta, m, v = (np.concatenate([found[prefix + n].ravel() for n in PARAM_NAMES])
                    for prefix in ("", "adam_m.", "adam_v."))
-    return PolicyParameters(obs_dim, hidden, theta, m, v, int(found["step_count"]))
+    return PolicyParameters(obs_dim, hidden, theta, m, v, int(step_count))

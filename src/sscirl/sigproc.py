@@ -231,11 +231,13 @@ def post_decimation_band(spec: BandpassSpec, target_rate: float) -> BandpassSpec
 
 def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
              stage: str = PRE_DECIMATION) -> tuple[SignalTrace, SignalTrace]:
-    """Full conditioning chain: (filtered_trace's, observed's) trace.
-    pre_decimation (default) band-passes at the native rate, then decimates,
-    keeping band content above the decimated Nyquist alive through the
-    filter; post_decimation decimates first, so both traces are one."""
-    filtered = filtered_trace(trace, spec, target_rate, stage)
+    """Full conditioning chain over a non-empty trace: (filter_head's,
+    observed's) trace. pre_decimation (default) band-passes at the native
+    rate, then decimates, keeping band content above the decimated Nyquist
+    alive through the filter; post_decimation decimates first, so both
+    traces are one."""
+    trace._require_nonempty("pipeline")
+    filtered = filter_head(trace, spec, target_rate, stage)[1]
     return filtered, observed(filtered, target_rate, stage)
 
 
@@ -243,16 +245,6 @@ def observed(filtered: SignalTrace, target_rate: float,
              stage: str = PRE_DECIMATION) -> SignalTrace:
     """A stage's filtered trace at target_rate: decimated if pre_decimation."""
     return downsample(filtered, target_rate) if stage == PRE_DECIMATION else filtered
-
-
-def filtered_trace(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
-                   stage: str = PRE_DECIMATION) -> SignalTrace:
-    """filter_head's trace: the band-passed trace of the chosen filter stage
-    at the native rate for pre_decimation; for post_decimation, at
-    target_rate after decimation, with f_max clamped to 0.95x the decimated
-    Nyquist (a warning is emitted when clamping occurs)."""
-    trace._require_nonempty("filtered_trace")
-    return filter_head(trace, spec, target_rate, stage)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,9 +331,14 @@ def read_trace_csv(path) -> SignalTrace:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise TraceError(f"bad trace CSV header {header!r}, expected {CSV_HEADER!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a non-numeric cell or a ragged row
+            raise TraceError(f"malformed trace CSV {path}: {exc}") from None
     if data.size == 0:
         raise TraceError(f"empty trace CSV {path}")
+    if not np.isfinite(data).all():
+        raise TraceError(f"trace CSV {path} holds non-finite values")
     if data.shape[1] != 2:
         raise TraceError(f"trace CSV {path} has {data.shape[1]} columns, expected 2")
     times, values = data[:, 0], data[:, 1]

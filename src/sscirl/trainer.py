@@ -66,21 +66,14 @@ class EvalCache:
         return len(self._rewards)
 
 
-def each_episode(env, jobs):
-    """The episode of each (kp, seed) job from env.run_episode, run one at a
-    time as it is pulled, in job order."""
-    for kp, seed in jobs:
-        yield env.run_episode(kp, seed)
-
-
 def run_jobs(env, jobs, until: float):
     """The episode of each (kp, seed) job, in job order: from
-    env.run_episodes(jobs, until) when env has it, else from each_episode.
-    until (seconds) is where the caller stops reading; an env may end its
-    episodes there, or run them longer."""
+    env.run_episodes(jobs, until) if env has it, else env.run_episode's,
+    each run as it is pulled. until (seconds) is where the caller stops
+    reading; an env may end its episodes there, or run them longer."""
     run_episodes = getattr(env, "run_episodes", None)
     if run_episodes is None:
-        return each_episode(env, jobs)
+        return (env.run_episode(kp, seed) for kp, seed in jobs)
     return run_episodes(jobs, until)
 
 
@@ -117,27 +110,44 @@ def _stage(config: TrainConfig) -> tuple:
     return config.bandpass_spec, config.target_rate, config.filter_stage
 
 
+def _history_head(trace: sigproc.SignalTrace, act_time: float,
+                  config: TrainConfig) -> tuple[sigproc.FilterHead, sigproc.SignalTrace]:
+    """filter_head over the samples before act_time of trace, which starts
+    at t = 0: the head every episode continuing its history filters on
+    from, and the filtered trace that pass gave."""
+    rate = trace.sample_rate
+    return sigproc.filter_head(sigproc.SignalTrace(
+        trace.samples[:first_sample(act_time, rate)], rate), *_stage(config))
+
+
+def _filter_on(samples: np.ndarray, sample_rate: float, head: sigproc.FilterHead | None,
+               config: TrainConfig) -> tuple[np.ndarray, sigproc.FilterHead]:
+    """The filtered samples from index head.length on of the trace of
+    samples (at sample_rate, from t = 0), one pass's bit for bit, and that
+    head: head if the samples start with its samples, else the t = 0 one."""
+    if head is None or not np.array_equal(samples[:len(head.samples)], head.samples):
+        head, _ = sigproc.filter_head(sigproc.SignalTrace(samples[:0], sample_rate),
+                                      *_stage(config))
+    return head.filter_on(samples[len(head.samples):]), head
+
+
 def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
                    config: TrainConfig,
                    head: sigproc.FilterHead | None = None) -> float | None:
     """Negated oscillation energy of the filtered response over its
     reward_window. None when the trace, which starts at t = 0, holds fewer
-    than reward_samples (divergence). The trace filters on from head, the
-    filter stage after samples it may start with, when it does and head's
-    filtered samples end before the window, else from the stage at t = 0:
+    than reward_samples (divergence). The trace filters on from head
+    (_filter_on) when head's filtered samples end before the window:
     the reward is the same bit for bit."""
     n = reward_samples(scenario, config)
     if len(result.trace) < n:
         return None
     # both filter stages are causal: filtering only the window's samples is exact
-    samples = result.trace.samples[:n]
     window = reward_window(scenario, config)
-    if (head is None or head.length > window.start
-            or not np.array_equal(samples[:len(head.samples)], head.samples)):
-        head, _ = sigproc.filter_head(
-            sigproc.SignalTrace(samples[:0], result.trace.sample_rate), *_stage(config))
+    filtered, head = _filter_on(result.trace.samples[:n], result.trace.sample_rate,
+                                head if head is not None and head.length <= window.start
+                                else None, config)
     start = window.start - head.length
-    filtered = head.filter_on(samples[len(head.samples):])
     return -sigproc.energy(filtered[start:start + len(window)], head.sample_rate)
 
 
@@ -154,14 +164,11 @@ def reward_scenario(scenario: plant.PlantScenario,
 
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> tuple[sigproc.SignalTrace, sigproc.FilterHead]:
-    """Conditioned low-rate trace of raw's samples before act_time and the
-    FilterHead after them, from one pass of the filter stage: each episode
-    continuing raw's history filters on from there. raw starts at t = 0.
-    TraceError when the trace is too short for a window at every index of
-    observation_starts, as when raw diverged before act_time."""
-    rate = raw.sample_rate
-    head, filtered = sigproc.filter_head(sigproc.SignalTrace(
-        raw.samples[:first_sample(scenario.act_time, rate)], rate), *_stage(config))
+    """Conditioned low-rate trace of raw's samples before act_time and
+    _history_head's head, from its one pass. TraceError when the trace is
+    too short for a window at every index of observation_starts, as when
+    raw diverged before act_time."""
+    head, filtered = _history_head(raw, scenario.act_time, config)
     observed = sigproc.observed(filtered, config.target_rate, config.filter_stage)
     need = observation_starts(scenario, config).stop - 1 + config.d_obs
     if len(observed) < need:
@@ -237,10 +244,9 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
     episode while this one is scored; they are asked to end at
     scenario.horizon (train passes its reward_scenario, at whose horizon
     it also ran the pre-trace, so the plant memoises one history), and
-    scored by episode_reward with head (train passes the filter stage
-    after the pre-trace's samples before act_time, which each episode
-    shares). Their rewards enter the cache once all are scored: an epoch
-    that raises leaves it as it was.
+    scored by episode_reward from head (train passes observation_trace's).
+    Their rewards enter the cache once all are scored: an epoch that
+    raises leaves it as it was.
     """
     starts = observation_starts(scenario, config)
     # iteration by iteration: the window start, then the action noise
@@ -337,13 +343,22 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     the history they share once), else run_episode runs them one by one.
     An episode that runs past until, up to its env's own horizon, gives
     the same log. The pair is checked by config.validate before anything
-    runs or is written.
+    runs, and the pre-activation trace runs and is conditioned before
+    anything is written: if either raises, run_dir is left as it was.
     """
     validate(scenario, config)
     cut = reward_scenario(scenario, config)
     own_env = env is None
     if env is None:
         env = LocalPlantEnv(cut)
+
+    # the canonical pre-activation measurement, shared by all iterations:
+    # every training episode continues its seed (from head, or from t = 0
+    # when an env ignores the seed) at its horizon, so the plant memoises
+    # one history; per-iteration variety comes from the random window start
+    [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
+                            cut.horizon)
+    obs_trace, head = observation_trace(pre_result.trace, scenario, config)
 
     run_dir = Path(run_dir) if run_dir is not None else None
     log_fh = None
@@ -358,15 +373,6 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     params = pol.init_params(config.d_obs, config.hidden_size,
                              seed=int(np.random.SeedSequence((config.seed, 0)).generate_state(1)[0]))
     cache = EvalCache(config.cache_resolution)
-
-    # canonical pre-activation measurement, shared by all iterations, whose
-    # seed every training episode continues (from head; an env that ignores
-    # the seed gives samples filtered from t = 0); per-iteration variety
-    # comes from the random window start. It runs at the episodes' horizon,
-    # so the plant memoises one history for all of them
-    [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
-                            cut.horizon)
-    obs_trace, head = observation_trace(pre_result.trace, scenario, config)
 
     best_reward = -math.inf
     best_params = params.copy()
@@ -389,7 +395,6 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
                 best_params = params.copy()
     finally:
         if log_fh is not None:
-            log_fh.flush()
             log_fh.close()
         if run_dir is not None and stats_rows:
             pol.save_checkpoint(best_params, run_dir / "best.ckpt")
@@ -417,48 +422,38 @@ class MitigationReport:
     trace: sigproc.SignalTrace = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
-        return {
-            "applied_gain": self.applied_gain,
-            "pre_energy": self.pre_energy,
-            "post_energy": self.post_energy,
-            "unmitigated_post_energy": self.unmitigated_post_energy,
-            "energy_ratio": self.energy_ratio,
-            "diverged": self.diverged,
-            "unmitigated_diverged": self.unmitigated_diverged,
-        }
-
-
-def _energies(result: plant.EpisodeResult, scenario, config) -> tuple[float, float]:
-    """Filtered oscillation energy before reward_window's start and from it
-    on, the latter infinite when the episode diverged (and so ended early)."""
-    filtered = sigproc.filtered_trace(result.trace, *_stage(config))
-    act = reward_window(scenario, config).start
-    pre_energy = sigproc.energy(filtered.samples[:act], filtered.sample_rate)
-    if result.diverged:
-        return pre_energy, math.inf
-    return pre_energy, sigproc.energy(filtered.samples[act:], filtered.sample_rate)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
 
 
 def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
-             config: TrainConfig, seed: int = 0,
+             config: TrainConfig, seed: int | None = 0,
              mitigate: bool = True) -> MitigationReport:
     """Run one deterministic-policy episode and compare its post-activation
-    oscillation energy to the unmitigated (gain stays mistuned) episode."""
-    obs = canonical_observation(scenario, config)
-    mu = pol.forward(params, obs).mu
+    oscillation energy to the unmitigated (gain stays mistuned) episode's:
+    the filtered energy before reward_window's start, and from it to the
+    episode's end (infinite when it diverged, and so ended early). Both
+    episodes run at seed and share the history before act_time, so one
+    head over the mitigated one's serves both (_filter_on)."""
+    mu = pol.forward(params, canonical_observation(scenario, config)).mu
     applied = clamp(mu, config.kp_min, config.kp_max) if mitigate else scenario.kp_unstable
 
     mitigated = plant.run_episode(scenario, plant.GainAction(applied), seed)
     unmitigated = plant.run_episode(scenario, plant.GainAction(scenario.kp_unstable), seed)
 
-    pre_energy, post_energy = _energies(mitigated, scenario, config)
-    _, unmit_energy = _energies(unmitigated, scenario, config)
+    act = reward_window(scenario, config).start
+    head, filtered = _history_head(mitigated.trace, scenario.act_time, config)
+    pre_energy = sigproc.energy(filtered.samples[:act], filtered.sample_rate)
 
-    ratio = post_energy / unmit_energy if unmit_energy > 0 else math.inf
-    if mitigated.diverged:
-        ratio = math.inf
-    elif math.isinf(unmit_energy) and math.isfinite(post_energy):
-        ratio = 0.0
+    def post_energy_of(result: plant.EpisodeResult) -> float:
+        if result.diverged:
+            return math.inf
+        on, used = _filter_on(result.trace.samples, result.trace.sample_rate, head, config)
+        return sigproc.energy(on[act - used.length:], used.sample_rate)
+
+    post_energy, unmit_energy = map(post_energy_of, (mitigated, unmitigated))
+
+    ratio = (post_energy / unmit_energy  # finite / inf is 0.0
+             if unmit_energy > 0 and not mitigated.diverged else math.inf)
     return MitigationReport(applied, pre_energy, post_energy, unmit_energy,
                             ratio, mitigated.diverged, unmitigated.diverged,
                             mitigated.trace)
@@ -468,7 +463,7 @@ def grid_oracle(scenario: plant.PlantScenario,
                 config: TrainConfig) -> tuple[float, list[tuple[float, float]]]:
     """Exhaustive zero-noise reward sweep over the gain range at the cache
     resolution; returns (best gain, [(gain, reward), ...]). Every episode
-    continues one history, whose samples before act_time are filtered once."""
+    continues one history, and each reward filters on from its _history_head."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     res = config.cache_resolution
     n = int(round((config.kp_max - config.kp_min) / res))
@@ -477,9 +472,7 @@ def grid_oracle(scenario: plant.PlantScenario,
         kp = min(config.kp_min + i * res, config.kp_max)
         result = plant.run_episode(quiet, plant.GainAction(kp), seed=0)
         if head is None:
-            rate = result.trace.sample_rate
-            head, _ = sigproc.filter_head(sigproc.SignalTrace(
-                result.trace.samples[:first_sample(quiet.act_time, rate)], rate), *_stage(config))
+            head, _ = _history_head(result.trace, quiet.act_time, config)
         reward = episode_reward(result, quiet, config, head)
         sweep.append((kp, -math.inf if reward is None else reward))
     best = max(sweep, key=lambda pair: pair[1])[0]

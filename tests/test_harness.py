@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from sscirl import cli, config, envproto, plant, sigproc, trainer
+from sscirl import cli, config, envproto, plant, policy, sigproc, trainer
 from sscirl.envproto import (MAX_REQUEST_BYTES, EnvServer, ProtocolError,
                              RemoteEnv, ServerError, _Session)
 
@@ -98,6 +98,16 @@ class TestTrainCommand:
         assert code == cli.EXIT_ERROR
         assert f"bad --env {spec!r}" in capsys.readouterr().err
         assert not (out / "training_log.csv").exists()
+
+    def test_pretrace_diverged_before_act_time_exits_1_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = run_cli(["train", "--out", str(out), "--n_epoch", "1",
+                        "--diverge_threshold", "0.05"])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("train failed: pre-activation trace holds")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file_reproduces_run(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -209,6 +219,32 @@ class TestEvaluateAndOracle:
                       (out / "report.txt").read_text().splitlines())
         assert float(report["applied_gain"]) == SCN.kp_unstable
         assert float(report["energy_ratio"]) == pytest.approx(1.0)
+
+    def test_evaluate_history_diverged_before_act_time_exits_1_in_one_line(
+            self, run_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        code = run_cli(["evaluate", "--checkpoint", str(run_dir / "best.ckpt"),
+                        "--out", str(out), "--diverge_threshold", "0.05"])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("evaluate failed: pre-activation trace holds")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_evaluate_checkpoint_with_nan_step_count(self, run_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        # a file with a valid checksum is still refused, in one line
+        real = policy._checkpoint_tensors
+        monkeypatch.setattr(policy, "_checkpoint_tensors", lambda params: [
+            (name, np.array(np.nan) if name == "step_count" else arr)
+            for name, arr in real(params)])
+        path = tmp_path / "nan.ckpt"
+        policy.save_checkpoint(policy.load_checkpoint(run_dir / "best.ckpt"), path)
+        code = run_cli(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (f"cannot load checkpoint: corrupt checkpoint "
+                                           f"{path}: step_count nan is not a non-negative "
+                                           f"integer\n")
 
     def test_evaluate_missing_checkpoint(self, tmp_path, capsys):
         code = run_cli(["evaluate", "--checkpoint", str(tmp_path / "no.ckpt"),
@@ -485,6 +521,14 @@ class TestProtocol:
         assert reply["kind"] == "error" and reply["code"] == "parse"
         reply = conn.send(id=1, kind="reset")
         assert reply["kind"] == "ok"
+
+    @pytest.mark.parametrize("rid", [True, False, 1.0, "1", None])
+    def test_non_integer_id_answered_with_parse(self, conn, rid):
+        # JSON true and false are not integer ids, though Python's bool is an int
+        reply = conn.send(id=rid, kind="measure")
+        assert reply == {"id": -1, "kind": "error", "code": "parse",
+                         "message": "id must be an integer"}
+        assert conn.send(id=1, kind="reset")["kind"] == "ok"
 
     def test_sequence_ids_enforced(self, conn):
         assert conn.send(id=5, kind="reset")["kind"] == "ok"

@@ -427,6 +427,42 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="not UTF-8"):
             load_checkpoint(path)
 
+    @staticmethod
+    def save_edited(monkeypatch, path, name, edit):
+        """A checkpoint with a valid checksum whose tensor name is edit(tensor)."""
+        real = pol._checkpoint_tensors
+        monkeypatch.setattr(pol, "_checkpoint_tensors", lambda params: [
+            (key, edit(arr) if key == name else arr) for key, arr in real(params)])
+        params = init_params(seed=28)
+        save_checkpoint(adam_step(params, np.full_like(params.theta, 0.01), lr=1e-3), path)
+
+    @pytest.mark.parametrize("name, edit, match", [
+        ("step_count", lambda a: np.array(np.nan), "step_count nan is not"),
+        ("step_count", lambda a: np.array(np.inf), "step_count inf is not"),
+        ("step_count", lambda a: np.array([1.0]), r"step_count \[1.0\] is not"),
+        ("step_count", lambda a: np.array(-3.0), "step_count -3.0 is not"),
+        ("step_count", lambda a: np.array(2.5), "step_count 2.5 is not"),
+        ("b1", lambda a: np.where(np.arange(a.size) == 3, np.nan, a),
+         "non-finite entry in 'b1'"),
+        ("w3_var", lambda a: np.where(np.arange(a.size) == 0, -np.inf, a),
+         "non-finite entry in 'w3_var'"),
+    ], ids=["nan_step", "inf_step", "1d_step", "negative_step", "fractional_step",
+            "nan_theta", "inf_theta"])
+    def test_checksum_valid_unusable_entry_rejected(self, tmp_path, monkeypatch,
+                                                    name, edit, match):
+        path = tmp_path / "p.ckpt"
+        self.save_edited(monkeypatch, path, name, edit)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_infinite_adam_moment_loads(self, tmp_path, monkeypatch):
+        # adam_step can leave v at inf, so the moments are loaded as stored
+        path = tmp_path / "p.ckpt"
+        self.save_edited(monkeypatch, path, "adam_v.b1", lambda a: np.full(a.shape, np.inf))
+        back = load_checkpoint(path)
+        assert np.isinf(back.v).sum() == back.tensors["b1"].size
+        assert back.step_count == 1
+
     def test_dims_whose_product_overflows_int64(self, tmp_path):
         # (2**32 - 1)**2 values wrap in int64 arithmetic; exactly, they
         # run past the end of the file

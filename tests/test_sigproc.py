@@ -195,7 +195,7 @@ class TestPipeline:
         assert filtered.sample_rate == 100.0
         assert observed is filtered
 
-    @pytest.mark.parametrize("route", ["pipeline", "filtered_trace", "filter_head"])
+    @pytest.mark.parametrize("route", ["pipeline", "filter_head"])
     def test_clamp_warning_names_the_calling_file(self, route):
         with pytest.warns(UserWarning, match="clamped") as record:
             getattr(sigproc, route)(sine(20.0, 5000.0, 1.0), BandpassSpec(15.0, 55.0, 4),
@@ -211,10 +211,12 @@ class TestPipeline:
     def test_filtered_trace_is_pipeline_filtered_half(self, stage):
         trace = sine(48.0, 5000.0, 2.0)
         spec = BandpassSpec(15.0, 45.0, 4)
-        filtered, _ = sigproc.pipeline(trace, spec, 100.0, stage)
-        alone = sigproc.filtered_trace(trace, spec, 100.0, stage)
+        filtered, observed = sigproc.pipeline(trace, spec, 100.0, stage)
+        alone = sigproc.filter_head(trace, spec, 100.0, stage)[1]
         assert np.array_equal(alone.samples, filtered.samples)
         assert (alone.sample_rate, alone.t0) == (filtered.sample_rate, filtered.t0)
+        assert np.array_equal(observed.samples,
+                              sigproc.observed(alone, 100.0, stage).samples)
 
 
 def by_primitives(trace, spec, target_rate, stage):
@@ -236,7 +238,7 @@ class TestFilterStage:
         spec = BandpassSpec(15.0, 55.0, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            mine = sigproc.filtered_trace(trace, spec, target_rate, stage)
+            mine = sigproc.filter_head(trace, spec, target_rate, stage)[1]
             ref = by_primitives(trace, spec, target_rate, stage)
         assert mine.samples.tobytes() == ref.samples.tobytes()
         assert (mine.sample_rate, mine.t0) == (ref.sample_rate, ref.t0)
@@ -273,16 +275,17 @@ class TestFilterStage:
         assert filtered.sample_rate == head.sample_rate == \
             (100.0 if stage == sigproc.POST_DECIMATION else 5000.0)
         assert head.filter_on(np.array([])).size == 0
-        ref = sigproc.filtered_trace(SignalTrace(NOISE, 5000.0), spec, 100.0, stage)
+        ref = sigproc.filter_head(SignalTrace(NOISE, 5000.0), spec, 100.0, stage)[1]
         assert head.filter_on(NOISE).tobytes() == ref.samples.tobytes()
         if stage == sigproc.POST_DECIMATION:
             sos, state = head.alias
             assert np.array_equal(state, sigproc.signal.sosfilt_zi(sos))
 
     def test_filtered_trace_refuses_an_empty_trace(self):
-        with pytest.raises(TraceError, match="empty trace"):
-            sigproc.filtered_trace(SignalTrace(np.array([]), 5000.0),
-                                   BandpassSpec(15.0, 45.0, 4), 100.0)
+        # filter_head takes one, as the stage at t = 0; pipeline does not
+        with pytest.raises(TraceError, match="pipeline: empty trace"):
+            sigproc.pipeline(SignalTrace(np.array([]), 5000.0),
+                             BandpassSpec(15.0, 45.0, 4), 100.0)
 
 
 class TestDesignCache:
@@ -346,7 +349,11 @@ class TestCsvRoundTrip:
         ("0.02,0.5\n0.01,0.6\n0.0,0.7\n", "non-increasing sample spacing"),
         ("0.0\n0.01\n", "1 columns, expected 2"),
         ("0.0,1.0,2.0\n0.01,1.0,2.0\n", "3 columns, expected 2"),
-    ], ids=["repeated_times", "decreasing_times", "one_column", "three_columns"])
+        ("0.0,abc\n0.01,1.0\n", "malformed trace CSV .*'abc'"),
+        ("0.0,1.0\n0.01\n", "malformed trace CSV .*columns changed"),
+        ("0.0,nan\n0.01,1.0\n", "non-finite values"),
+    ], ids=["repeated_times", "decreasing_times", "one_column", "three_columns",
+            "non_numeric_cell", "ragged_row", "nan_value"])
     def test_malformed_body_rejected_naming_the_file(self, tmp_path, body, match):
         path = tmp_path / "bad.csv"
         path.write_text("t,value\n" + body)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sscirl import config, plant, policy as pol, sigproc, trainer
+from sscirl import config, envproto, plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
                             episode_reward, evaluate, grid_oracle,
@@ -112,8 +112,8 @@ class TestReward:
         result = plant.run_episode(scn, plant.GainAction(kp), seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            full = sigproc.filtered_trace(result.trace, cfg.bandpass_spec,
-                                          cfg.target_rate, stage)
+            full, _ = sigproc.pipeline(result.trace, cfg.bandpass_spec,
+                                       cfg.target_rate, stage)
             reward = episode_reward(result, scn, cfg)
         x = full.samples[first:last + 1]
         assert reward == -np.trapezoid(x * x, dx=1.0 / full.sample_rate)
@@ -246,6 +246,22 @@ class TestCarriedFilterState:
         assert head.length <= config.reward_window(scn, cfg).start
         assert repr(carried) == repr(full)
         assert (full is None) == (len(result.trace) < cut.n_samples)
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    def test_head_past_the_window_start_is_not_filtered_on(self, stage):
+        # the episode starts with its samples, but filtered on from there the
+        # window's first samples would be missing: the reward filters from t = 0
+        cfg = TrainConfig(filter_stage=stage)
+        cut = reward_scenario(SCN, cfg)
+        result = plant.run_episode(cut, plant.GainAction(2.0), 3)
+        k = config.first_sample(SCN.act_time + 0.5, SCN.sample_rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            head, _ = sigproc.filter_head(sigproc.SignalTrace(
+                result.trace.samples[:k], SCN.sample_rate), *trainer._stage(cfg))
+            assert head.length > config.reward_window(SCN, cfg).start
+            assert repr(episode_reward(result, cut, cfg, head)) == \
+                repr(episode_reward(result, cut, cfg))
 
     @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
     @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
@@ -521,7 +537,7 @@ class BatchSpyEnv(LocalPlantEnv):
     def run_episodes(self, jobs, until):
         self.batches.append(list(jobs))
         self.untils.append(until)
-        return trainer.each_episode(self, jobs)
+        return (self.run_episode(kp, seed) for kp, seed in jobs)
 
 
 class OneByOneEnv:
@@ -561,7 +577,7 @@ class TestEpisodeBatches:
 
     def test_local_batch_runs_lazily_through_run_episode(self):
         env = SpyEnv(QUIET)
-        results = trainer.each_episode(env, [(2.0, 1), (3.0, 2)])
+        results = trainer.run_jobs(env, [(2.0, 1), (3.0, 2)], QUIET.horizon)
         assert env.seeds == []
         next(results)
         assert env.seeds == [1]
@@ -714,6 +730,28 @@ class TestTrain:
         else:
             assert saved == []
 
+    @pytest.mark.parametrize("failure", ["diverged", "env_error"])
+    def test_failed_pretrace_writes_nothing(self, tmp_path, failure):
+        # the pre-trace is conditioned before run_dir is written: a history
+        # that diverges before act_time, or an env that fails, leaves no
+        # config.cfg and no open training_log.csv
+        class Lost(LocalPlantEnv):
+            def run_episode(self, kp, seed):
+                raise envproto.ProtocolError("connection lost")
+
+        scn = replace(SCN, diverge_threshold=0.05) if failure == "diverged" else SCN
+        env = Lost(SCN) if failure == "env_error" else None
+        error = sigproc.TraceError if failure == "diverged" else envproto.ProtocolError
+        with pytest.raises(error, match="windows need 500|connection lost"):
+            train(scn, small_config(n_epoch=1), run_dir=tmp_path / "run", env=env)
+        assert not (tmp_path / "run").exists()
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "training_log.csv").write_text("kept\n")
+        with pytest.raises(error):
+            train(scn, small_config(n_epoch=1), run_dir=tmp_path / "run", env=env)
+        assert [f.name for f in (tmp_path / "run").iterdir()] == ["training_log.csv"]
+        assert (tmp_path / "run" / "training_log.csv").read_text() == "kept\n"
+
     def test_cache_disabled_runs_every_episode(self, tmp_path):
         cfg = small_config(cache_enabled=False)
         result = train(SCN, cfg, run_dir=tmp_path)
@@ -860,20 +898,64 @@ class TestEvaluate:
         assert report.energy_ratio == pytest.approx(1.0, rel=1e-6)
 
     def test_band_passes_each_episode_once(self, monkeypatch):
-        lengths = []
-        real = sigproc.filter_head
+        lengths, continued = [], []
+        real_head, real_on = sigproc.filter_head, sigproc.FilterHead.filter_on
 
         def counting(trace, *args):
             lengths.append(len(trace))
-            return real(trace, *args)
+            return real_head(trace, *args)
+
+        def counting_on(head, samples):
+            continued.append((len(head.samples), len(samples)))
+            return real_on(head, samples)
 
         monkeypatch.setattr(sigproc, "filter_head", counting)
+        monkeypatch.setattr(sigproc.FilterHead, "filter_on", counting_on)
         cfg = small_config()
         evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), SCN, cfg, seed=3)
-        # one head at t = 0 over the canonical observation's samples before
-        # act_time, then one over each episode, which filtered_trace builds
+        # one head over the canonical observation's samples before act_time,
+        # one over the mitigated episode's; both episodes filter on from it
         k_act = config.first_sample(SCN.act_time, SCN.sample_rate)
-        assert lengths == [k_act] + [SCN.n_samples] * 2
+        assert lengths == [k_act, k_act]
+        assert continued == [(k_act, SCN.n_samples - k_act)] * 2
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
+    @pytest.mark.parametrize("seed", [3, None], ids=["shared_history", "fresh_entropy"])
+    def test_energies_equal_whole_trace_filtering(self, monkeypatch, stage, act_time, seed):
+        # each energy is the one a pass over the whole episode gives, split
+        # at reward_window's start, bit for bit; at seed None the episodes
+        # share no history, so the unmitigated one filters from t = 0
+        scn = replace(SCN, act_time=act_time)
+        cfg = small_config(filter_stage=stage)
+        params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=0)
+        params.theta[:] = 0.0  # applies kp_min, not kp_unstable
+        episodes = []
+        real = plant.run_episode
+
+        def recording(*args, **kwargs):
+            episodes.append(real(*args, **kwargs))
+            return episodes[-1]
+
+        monkeypatch.setattr(plant, "run_episode", recording)
+        act = config.reward_window(scn, cfg).start
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # post_decimation clamps f_max
+            report = evaluate(params, scn, cfg, seed=seed)
+            _, mitigated, unmitigated = episodes  # after canonical_observation's
+            whole = [sigproc.filter_head(r.trace, *trainer._stage(cfg))[1]
+                     for r in (mitigated, unmitigated)]
+        assert report.trace is mitigated.trace
+        assert not (mitigated.diverged or unmitigated.diverged)
+        k_act = config.first_sample(act_time, scn.sample_rate)
+        assert np.array_equal(mitigated.trace.samples[:k_act],
+                              unmitigated.trace.samples[:k_act]) == (seed is not None)
+        energies = [(sigproc.energy(f.samples[:act], f.sample_rate),
+                     sigproc.energy(f.samples[act:], f.sample_rate)) for f in whole]
+        assert report.pre_energy == energies[0][0]
+        assert report.post_energy == energies[0][1]
+        assert report.unmitigated_post_energy == energies[1][1]
+        assert report.energy_ratio == energies[0][1] / energies[1][1]
 
     def test_diverged_unmitigated_episode_has_infinite_energy(self):
         # the unmitigated mode grows past 200 after act_time; kp_min damps it
