@@ -69,7 +69,7 @@ def cmd_train(args) -> int:
     scenario, config = load_run_config(args)
     try:
         env = _make_env(args.env, scenario)
-    except (ValueError, ProtocolError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -199,7 +199,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except sigproc.TraceError as exc:  # e.g. a history diverged before act_time
+    # a history diverged before act_time; an env server refused a request,
+    # could not be reached or broke the protocol
+    except (sigproc.TraceError, ProtocolError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,6 +15,7 @@ No autodiff framework is involved anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections.abc import Mapping
@@ -80,15 +81,23 @@ def _shapes(obs_dim: int, hidden: int) -> dict[str, tuple]:
     }
 
 
+@functools.cache
+def _spans(obs_dim: int, hidden: int) -> dict[str, slice]:
+    """Each tensor of PARAM_NAMES as its span of the flat vector, in that
+    order."""
+    shapes = _shapes(obs_dim, hidden)
+    spans, pos = {}, 0
+    for name in PARAM_NAMES:
+        spans[name] = slice(pos, pos + math.prod(shapes[name]))
+        pos = spans[name].stop
+    return spans
+
+
 def _views(flat: np.ndarray, obs_dim: int, hidden: int) -> dict[str, np.ndarray]:
     """Each tensor of PARAM_NAMES as a view into flat, in that order."""
     shapes = _shapes(obs_dim, hidden)
-    out, pos = {}, 0
-    for name in PARAM_NAMES:
-        size = math.prod(shapes[name])
-        out[name] = flat[pos:pos + size].reshape(shapes[name])
-        pos += size
-    return out
+    return {name: flat[span].reshape(shapes[name])
+            for name, span in _spans(obs_dim, hidden).items()}
 
 
 def _tensor_at(params: PolicyParameters, index: int) -> str:
@@ -149,21 +158,31 @@ def forward(params: PolicyParameters, obs) -> PolicyOutput:
                           f"({params.obs_dim},) nor (n, {params.obs_dim})")
     t = params.tensors
 
-    mean = rows.mean(axis=1, keepdims=True)
-    var_o = rows.var(axis=1, keepdims=True)
+    # one pass of ndarray.mean and ndarray.var's arithmetic: the variance
+    # is the mean square of the deviations xhat is scaled from
+    n = rows.shape[1]
+    dev = rows - np.add.reduce(rows, axis=1, keepdims=True) / n
+    var_o = np.add.reduce(np.square(dev), axis=1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var_o + LN_EPS)
-    xhat = (rows - mean) * inv_std
-    ln = t["ln_gain"] * xhat + t["ln_bias"]
+    xhat = dev * inv_std
+    ln = t["ln_gain"] * xhat
+    ln += t["ln_bias"]
 
-    z1 = ln @ t["w1"].T + t["b1"]
+    z1 = ln @ t["w1"].T
+    z1 += t["b1"]
     h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ t["w2"].T + t["b2"]
+    z2 = h1 @ t["w2"].T
+    z2 += t["b2"]
     h2 = np.maximum(z2, 0.0)
 
-    mu = h2 @ t["w3_mu"] + t["b3_mu"]
-    raw = h2 @ t["w3_var"] + t["b3_var"]
+    mu = h2 @ t["w3_mu"]
+    mu += t["b3_mu"]
+    raw = h2 @ t["w3_var"]
+    raw += t["b3_var"]
     # overflow-safe softplus: max(x, 0) + log1p(exp(-|x|))
-    var = np.maximum(raw, 0.0) + np.log1p(np.exp(-np.abs(raw))) + VAR_FLOOR
+    var = np.maximum(raw, 0.0)
+    var += np.log1p(np.exp(-np.abs(raw)))
+    var += VAR_FLOOR
 
     cache = {"xhat": xhat, "ln": ln, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
              "raw": raw}
@@ -209,21 +228,24 @@ def backward(params: PolicyParameters, out: PolicyOutput, actions,
     with np.errstate(over="ignore"):  # exp overflow: sigmoid -> 0, exactly
         d_raw = d_var / (1.0 + np.exp(-c["raw"]))  # softplus' = sigmoid
 
-    d_z2 = (np.outer(d_mu, t["w3_mu"]) + np.outer(d_raw, t["w3_var"])) * (c["z2"] > 0.0)
-    d_z1 = (d_z2 @ t["w2"]) * (c["z1"] > 0.0)
+    d_z2 = d_mu[:, np.newaxis] * t["w3_mu"]  # the outer products
+    d_z2 += d_raw[:, np.newaxis] * t["w3_var"]
+    d_z2 *= c["z2"] > 0.0
+    d_z1 = d_z2 @ t["w2"]
+    d_z1 *= c["z1"] > 0.0
     d_ln = d_z1 @ t["w1"]
     grad = np.empty_like(params.theta)
-    g = _views(grad, params.obs_dim, params.hidden)
-    g["ln_gain"][...] = (d_ln * c["xhat"]).sum(axis=0)
-    g["ln_bias"][...] = d_ln.sum(axis=0)
-    g["w1"][...] = d_z1.T @ c["ln"]
-    g["b1"][...] = d_z1.sum(axis=0)
-    g["w2"][...] = d_z2.T @ c["h1"]
-    g["b2"][...] = d_z2.sum(axis=0)
-    g["w3_mu"][...] = d_mu @ c["h2"]
-    g["b3_mu"][...] = d_mu.sum()
-    g["w3_var"][...] = d_raw @ c["h2"]
-    g["b3_var"][...] = d_raw.sum()
+    at = _spans(params.obs_dim, params.hidden)
+    np.add.reduce(d_ln * c["xhat"], axis=0, out=grad[at["ln_gain"]])
+    np.add.reduce(d_ln, axis=0, out=grad[at["ln_bias"]])
+    np.matmul(d_z1.T, c["ln"], out=grad[at["w1"]].reshape(t["w1"].shape))
+    np.add.reduce(d_z1, axis=0, out=grad[at["b1"]])
+    np.matmul(d_z2.T, c["h1"], out=grad[at["w2"]].reshape(t["w2"].shape))
+    np.add.reduce(d_z2, axis=0, out=grad[at["b2"]])
+    np.matmul(d_mu, c["h2"], out=grad[at["w3_mu"]])
+    grad[at["b3_mu"]] = np.add.reduce(d_mu)
+    np.matmul(d_raw, c["h2"], out=grad[at["w3_var"]])
+    grad[at["b3_var"]] = np.add.reduce(d_raw)
     finite = np.isfinite(grad)
     if not finite.all():
         raise PolicyError("non-finite gradient in layer "
@@ -264,16 +286,29 @@ def adam_step(params: PolicyParameters, grad: np.ndarray, lr: float,
     step_count = params.step_count + 1
     bc1 = 1.0 - beta1 ** step_count
     bc2 = 1.0 - beta2 ** step_count
-    m = beta1 * params.m + (1.0 - beta1) * grad
-    v = beta2 * params.v + (1.0 - beta2) * grad * grad
+    # the arithmetic of beta1 * m + (1 - beta1) * g,
+    # beta2 * v + (1 - beta2) * g * g and lr * (m / bc1) / (sqrt(v / bc2) + eps),
+    # in that order, with the temporaries kept in the new arrays
+    m = params.m * beta1
+    tmp = grad * (1.0 - beta1)
+    m += tmp
+    v = params.v * beta2
+    np.multiply(grad, 1.0 - beta2, out=tmp)
+    tmp *= grad
+    v += tmp
     with np.errstate(invalid="ignore"):  # non-finite handled just below
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        update = m / bc1
+        update *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update /= tmp
     finite = np.isfinite(update)
     if not finite.all():
         raise PolicyError("non-finite Adam update for "
                           f"{_tensor_at(params, int(np.argmin(finite)))!r}")
-    return PolicyParameters(params.obs_dim, params.hidden, params.theta + update,
-                            m, v, step_count)
+    update += params.theta
+    return PolicyParameters(params.obs_dim, params.hidden, update, m, v, step_count)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ through that same pass, and one gradient-ascent Adam step.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,53 +215,74 @@ class EpochStats:
     clamp_rate: float
 
     def csv_row(self) -> str:
-        return ",".join(map(repr, astuple(self)))
+        return ",".join([repr(getattr(self, name)) for name in _LOG_FIELDS])
 
 
-LOG_HEADER = ",".join(f.name for f in fields(EpochStats))
+_LOG_FIELDS = tuple(f.name for f in fields(EpochStats))
+LOG_HEADER = ",".join(_LOG_FIELDS)
 
 
-def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
-              rng: np.random.Generator, cache: EvalCache,
-              obs_trace: sigproc.SignalTrace, epoch: int, worst_reward: float | None,
-              head: sigproc.FilterHead | None = None,
+class _Pretrace:
+    """What a training run fixes about the history its episodes continue:
+    the scenario they run on (train's reward_scenario), their seed (the
+    pre-trace's), the head they filter on from (None: each from t = 0),
+    observation_starts, and in row k of windows the d_obs samples of the
+    observation trace from starts[k]."""
+
+    def __init__(self, scenario: plant.PlantScenario, config: TrainConfig, seed: int,
+                 obs_trace: sigproc.SignalTrace, head: sigproc.FilterHead | None = None):
+        self.scenario = scenario
+        self.seed = seed
+        self.head = head
+        self.starts = observation_starts(scenario, config)
+        self.windows = obs_trace.samples[
+            np.arange(self.starts.start, self.starts.stop)[:, np.newaxis]
+            + np.arange(config.d_obs)]
+
+
+def run_epoch(params: pol.PolicyParameters, env, pretrace: _Pretrace, config: TrainConfig,
+              rng: np.random.Generator, cache: EvalCache, epoch: int,
+              worst_reward: float | None,
               ) -> tuple[pol.PolicyParameters, EpochStats, list[EpisodeRecord]]:
     """n_iter iterations followed by one Adam ascent step on
     J = (1/n) sum_j R_j log pi(a_j | o_j), backpropagated from the forward
     pass that drew the actions.
 
     Iteration j draws a window start, an integer uniform over
-    observation_starts (both ends included), and then a standard-normal
-    eps_j from rng. The d_obs samples of obs_trace from each start are its
-    window. The n_iter windows go through one batched policy forward pass and
-    act a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
+    pretrace.starts (both ends included), and then a standard-normal
+    eps_j from rng; the start's row of pretrace.windows is its window. The
+    n_iter windows go through one batched policy forward pass and act
+    a_j = mu_j + sqrt(var_j) * eps_j. Each action is clamped into the
     safe range and takes its bucket's reward from the cache, else from this
-    epoch's first miss in the bucket, scored by a plant episode at the
-    pre-trace's seed: every episode continues the history obs_trace was
+    epoch's first miss in the bucket, scored by a plant episode at
+    pretrace.seed: every episode continues the history the windows were
     taken from, and episodes differ only by their gain from act_time on
     (common random numbers). The misses go to the environment as one
     batch, in iteration order, so a remote simulator can run the next
     episode while this one is scored; they are asked to end at
-    scenario.horizon (train passes its reward_scenario, at whose horizon
+    pretrace.scenario's horizon (train's reward_scenario, at whose horizon
     it also ran the pre-trace, so the plant memoises one history), and
-    scored by episode_reward from head (train passes observation_trace's).
-    Their rewards enter the cache once all are scored: an epoch that
-    raises leaves it as it was.
+    scored by episode_reward from pretrace.head. Their rewards enter the
+    cache once all are scored: an epoch that raises leaves it as it was.
     """
-    starts = observation_starts(scenario, config)
+    n = config.n_iter
+    lo, hi = config.kp_min, config.kp_max
+    first, stop = pretrace.starts.start, pretrace.starts.stop
+    draw_start, draw_eps = rng.integers, rng.standard_normal
     # iteration by iteration: the window start, then the action noise
-    i0, eps = map(np.array, zip(*[(rng.integers(starts.start, starts.stop),
-                                   rng.standard_normal()) for _ in range(config.n_iter)]))
-    windows = obs_trace.samples[i0[:, None] + np.arange(config.d_obs)]
-    out = pol.forward(params, windows)
-    actions = out.mu + np.sqrt(out.var) * eps
+    i0, eps = [], []
+    for _ in range(n):
+        i0.append(draw_start(first, stop))
+        eps.append(draw_eps())
+    i0 = np.array(i0)
+    out = pol.forward(params, pretrace.windows[i0 - first])
+    actions = out.mu + np.sqrt(out.var) * np.array(eps)
     log_probs = pol.gaussian_log_prob(actions, out.mu, out.var)
 
-    applied = [clamp(float(a), config.kp_min, config.kp_max) for a in actions]
+    raw = actions.tolist()
+    applied = [clamp(a, lo, hi) for a in raw]
     # with the cache off, every iteration is a bucket of its own
-    keys = [cache.bucket(kp) for kp in applied] if config.cache_enabled \
-        else range(len(applied))
-    seed = _pretrace_seed(config.seed)
+    keys = list(map(cache.bucket, applied)) if config.cache_enabled else range(n)
     known, first_miss = {}, {}
     for it, (key, kp) in enumerate(zip(keys, applied)):
         reward = cache.lookup(kp) if config.cache_enabled else None
@@ -269,45 +290,50 @@ def run_epoch(params: pol.PolicyParameters, env, scenario, config: TrainConfig,
             first_miss.setdefault(key, it)
         else:
             known[key] = reward
+    scenario, head = pretrace.scenario, pretrace.head
     # each miss's episode is scored as it is pulled and dropped before the
     # next; list() ends the batch (and so releases it) even when scoring raises
     scores = iter(list(map(
         lambda result: episode_reward(result, scenario, config, head),
-        run_jobs(env, [(applied[it], seed) for it in first_miss.values()],
+        run_jobs(env, [(applied[it], pretrace.seed) for it in first_miss.values()],
                  scenario.horizon))))
 
     # in iteration order: a divergence penalty depends on the worst reward before it
-    records = []
+    records, rewards = [], []
     worst = worst_reward
-    for it, key in enumerate(keys):
+    hits = clamped = 0
+    for start, a, kp, log_prob, var, key in zip(i0.tolist(), raw, applied,
+                                                 log_probs.tolist(), out.var.tolist(), keys):
         cached = key in known
-        if not cached:
+        if cached:
+            hits += 1
+        else:
             reward = next(scores)
             known[key] = divergence_penalty(worst) if reward is None else reward
         reward = known[key]
-        records.append(EpisodeRecord(int(i0[it]), float(actions[it]), applied[it],
-                                     float(log_probs[it]), reward,
-                                     float(out.var[it]), cached))
+        clamped += a != kp
+        records.append(EpisodeRecord(start, a, kp, log_prob, reward, var, cached))
+        rewards.append(reward)
         worst = reward if worst is None else min(worst, reward)
     if config.cache_enabled:
         for key, it in first_miss.items():
             cache.store(applied[it], known[key])
 
-    rewards = np.array([r.reward for r in records])
-    weights = rewards - rewards.mean() if config.baseline_enabled else rewards
+    rewards = np.array(rewards)
+    mean_reward = np.add.reduce(rewards) / n  # ndarray.mean's arithmetic
+    weights = rewards - mean_reward if config.baseline_enabled else rewards
     new_params = pol.adam_step(params, pol.backward(params, out, actions, weights),
                                config.lr)
 
-    n = len(records)
     stats = EpochStats(
         epoch=epoch + 1,
-        mean_reward=float(rewards.mean()),
-        min_reward=float(rewards.min()),
-        max_reward=float(rewards.max()),
-        mean_action=float(np.mean([r.action_applied for r in records])),
-        mean_var=float(np.mean([r.var for r in records])),
-        cache_hit_rate=sum(r.cached for r in records) / n,
-        clamp_rate=sum(r.action_raw != r.action_applied for r in records) / n,
+        mean_reward=float(mean_reward),
+        min_reward=float(np.minimum.reduce(rewards)),
+        max_reward=float(np.maximum.reduce(rewards)),
+        mean_action=float(np.add.reduce(applied) / n),
+        mean_var=float(np.add.reduce(out.var) / n),
+        cache_hit_rate=hits / n,
+        clamp_rate=clamped / n,
     )
     return new_params, stats, records
 
@@ -356,9 +382,10 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     # every training episode continues its seed (from head, or from t = 0
     # when an env ignores the seed) at its horizon, so the plant memoises
     # one history; per-iteration variety comes from the random window start
-    [pre_result] = run_jobs(env, [(scenario.kp_unstable, _pretrace_seed(config.seed))],
-                            cut.horizon)
-    obs_trace, head = observation_trace(pre_result.trace, scenario, config)
+    seed = _pretrace_seed(config.seed)
+    [pre_result] = run_jobs(env, [(scenario.kp_unstable, seed)], cut.horizon)
+    pretrace = _Pretrace(cut, config, seed,
+                         *observation_trace(pre_result.trace, scenario, config))
 
     run_dir = Path(run_dir) if run_dir is not None else None
     log_fh = None
@@ -375,24 +402,25 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     cache = EvalCache(config.cache_resolution)
 
     best_reward = -math.inf
-    best_params = params.copy()
+    best_params = params
     stats_rows: list[EpochStats] = []
     worst: float | None = None
 
     try:
         for epoch in range(config.n_epoch):
             params, stats, _ = run_epoch(
-                params, env, cut, config, rng, cache, obs_trace, epoch, worst, head)
+                params, env, pretrace, config, rng, cache, epoch, worst)
             worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
             stats_rows.append(stats)
             if log_fh is not None:
                 log_fh.write(stats.csv_row() + "\n")
                 log_fh.flush()
             # among epochs tied at the top reward, keep the latest: ties are
-            # common once every clamped action lands on kp_min
+            # common once every clamped action lands on kp_min. adam_step
+            # returns new arrays, so no later epoch changes a kept epoch's
             if stats.mean_reward >= best_reward:
                 best_reward = stats.mean_reward
-                best_params = params.copy()
+                best_params = params
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -403,7 +431,8 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
             env.close()
 
     episodes = getattr(env, "episode_count", -1)
-    return TrainResult(best_params, params, best_reward, stats_rows, run_dir,
+    # the one copy: best and last may be one epoch's parameters
+    return TrainResult(best_params.copy(), params, best_reward, stats_rows, run_dir,
                        cache, episodes)
 
 

@@ -109,6 +109,38 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_server_refusal_exits_1_in_one_line(self, tmp_path, capsys):
+        # the server admits the pre-trace at kp_unstable, then refuses the
+        # first epoch's gains, all above its kp_max
+        srv = EnvServer(SCN, port=0, kp_bounds=(0.5, 2.0))
+        serve(srv)
+        out = tmp_path / "r"
+        try:
+            host, port = srv.address
+            code = run_cli(["train", "--out", str(out), "--n_epoch", "3",
+                            "--kp_min", "2.5", "--env", f"remote:{host}:{port}"])
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("train failed: server error [bounds]: kp ")
+        assert err.count("\n") == 1
+        assert (out / "training_log.csv").read_text() == trainer.LOG_HEADER + "\n"
+        assert not (out / "best.ckpt").exists()
+
+    def test_unreachable_server_exits_1_in_one_line(self, tmp_path, capsys):
+        with socket.socket() as unserved:  # bound, not listening: refused
+            unserved.bind(("127.0.0.1", 0))
+            port = unserved.getsockname()[1]
+            code = run_cli(["train", "--out", str(tmp_path / "r"), "--n_epoch", "1",
+                            "--env", f"remote:127.0.0.1:{port}"])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("train failed: cannot connect to environment server at "
+                              f"127.0.0.1:{port}")
+        assert err.count("\n") == 1
+
     def test_config_file_reproduces_run(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run_cli(["train", "--out", str(first), "--seed", "7",

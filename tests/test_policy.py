@@ -345,6 +345,24 @@ class TestAdam:
             values.append(float(params.tensors["b3_mu"]))
         assert all(a > b for a, b in zip(values, values[1:]))  # ascent along g<0
 
+    def test_step_leaves_its_input_unchanged(self):
+        # the trainer keeps its best epoch's parameters by reference: no
+        # later step may write into them, nor into the gradient
+        rng = np.random.default_rng(23)
+        params = init_params(seed=23)
+        params = pol.PolicyParameters(params.obs_dim, params.hidden, params.theta,
+                                      rng.standard_normal(params.theta.size),
+                                      rng.random(params.theta.size), 3)
+        grad = rng.standard_normal(params.theta.size)
+        before = [a.copy() for a in (params.theta, params.m, params.v, grad)]
+        out = adam_step(params, grad, lr=1e-2)
+        for mine, old in zip((params.theta, params.m, params.v, grad), before):
+            assert mine.tobytes() == old.tobytes()
+        assert params.step_count == 3 and out.step_count == 4
+        for new in (out.theta, out.m, out.v):
+            assert not any(np.shares_memory(new, old)
+                           for old in (params.theta, params.m, params.v, grad))
+
     def test_rejects_nonfinite_update_leaving_params_unchanged(self):
         params = init_params(seed=22)
         before = [a.copy() for a in (params.theta, params.m, params.v)]

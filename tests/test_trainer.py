@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import epoch_reference
 from sscirl import config, envproto, plant, policy as pol, sigproc, trainer
 from sscirl.trainer import (EvalCache, LocalPlantEnv, TrainConfig,
                             canonical_observation, clamp, divergence_penalty,
@@ -37,6 +38,12 @@ def pinned_params(cfg, mu):
     return params
 
 
+def pretrace(scenario, cfg, obs_trace):
+    """run_epoch's record of a history: train's, for obs_trace taken from
+    scenario's pre-trace, with no head (each episode filters from t = 0)."""
+    return trainer._Pretrace(scenario, cfg, trainer._pretrace_seed(cfg.seed), obs_trace)
+
+
 @pytest.fixture(scope="module")
 def obs_trace():
     cfg = TrainConfig()
@@ -57,8 +64,8 @@ class TestCache:
         cache.store(2.0, -0.123)
         params = pinned_params(cfg, 2.0)
         rng = np.random.default_rng(0)
-        _, stats, records = run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace,
-                                      epoch=0, worst_reward=None)
+        _, stats, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng,
+                                      cache, epoch=0, worst_reward=None)
         assert all(rec.cached and rec.reward == -0.123 for rec in records)
         assert stats.cache_hit_rate == 1.0
         assert env.episode_count == 0
@@ -341,8 +348,8 @@ class TestRunEpoch:
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
         rng = np.random.default_rng(1)
-        _, _, records = run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace,
-                                  epoch=0, worst_reward=None)
+        _, _, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng,
+                                  cache, epoch=0, worst_reward=None)
         assert len(records) == 6
         assert all(rec.reward <= 0.0 for rec in records)
 
@@ -353,8 +360,8 @@ class TestRunEpoch:
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
         rng = np.random.default_rng(4)
-        _, _, records = run_epoch(params, LocalPlantEnv(QUIET), QUIET, cfg, rng,
-                                  cache, obs_trace, epoch=0, worst_reward=None)
+        _, _, records = run_epoch(params, LocalPlantEnv(QUIET), pretrace(QUIET, cfg, obs_trace),
+                                  cfg, rng, cache, epoch=0, worst_reward=None)
 
         replay = np.random.default_rng(4)
         starts = observation_starts(QUIET, cfg)
@@ -388,8 +395,8 @@ class TestRunEpoch:
         rng = np.random.default_rng(0)
         drawn = set()
         for epoch in range(40):
-            _, _, records = run_epoch(params, LocalPlantEnv(QUIET), QUIET, cfg, rng,
-                                      cache, obs_trace, epoch, worst_reward=None)
+            _, _, records = run_epoch(params, LocalPlantEnv(QUIET), pretrace(QUIET, cfg, obs_trace),
+                                      cfg, rng, cache, epoch, worst_reward=None)
             drawn.update(rec.window_start for rec in records)
         assert sorted(drawn) == list(range(460, 471))
 
@@ -405,8 +412,9 @@ class TestRunEpoch:
         monkeypatch.setattr(pol, "forward", lambda *a: outs.append(real(*a)) or outs[-1])
         env = LocalPlantEnv(QUIET)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=9)
-        _, _, records = run_epoch(params, env, QUIET, cfg, np.random.default_rng(11),
-                                  cache, obs_trace, epoch=0, worst_reward=None)
+        _, _, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg,
+                                  np.random.default_rng(11), cache, epoch=0,
+                                  worst_reward=None)
         (out,) = outs
         assert env.episode_count == 0
         resid = np.array([rec.action_raw for rec in records]) - out.mu
@@ -416,21 +424,21 @@ class TestRunEpoch:
     def test_every_episode_continues_the_pretrace_seed(self, obs_trace):
         # every action in one bucket: iteration 0 runs, the others hit
         cfg = small_config(n_iter=8)
-        pretrace = trainer._pretrace_seed(cfg.seed)
+        seed = trainer._pretrace_seed(cfg.seed)
         env = SpyEnv(QUIET)
-        _, _, records = run_epoch(pinned_params(cfg, 2.0), env, QUIET, cfg,
-                                  np.random.default_rng(5), EvalCache(cfg.cache_resolution),
-                                  obs_trace, epoch=3, worst_reward=None)
+        _, _, records = run_epoch(pinned_params(cfg, 2.0), env, pretrace(QUIET, cfg, obs_trace),
+                                  cfg, np.random.default_rng(5),
+                                  EvalCache(cfg.cache_resolution), epoch=3, worst_reward=None)
         assert [rec.cached for rec in records] == [False] + [True] * 7
-        assert env.seeds == [pretrace]
+        assert env.seeds == [seed]
 
         # cache off: every iteration runs, each at the same seed
         cfg = small_config(n_iter=8, cache_enabled=False)
         env = SpyEnv(QUIET)
-        run_epoch(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2), env, QUIET, cfg,
-                  np.random.default_rng(6), EvalCache(cfg.cache_resolution),
-                  obs_trace, epoch=3, worst_reward=None)
-        assert env.seeds == [pretrace] * 8
+        run_epoch(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2), env,
+                  pretrace(QUIET, cfg, obs_trace), cfg, np.random.default_rng(6),
+                  EvalCache(cfg.cache_resolution), epoch=3, worst_reward=None)
+        assert env.seeds == [seed] * 8
 
     def test_training_episodes_start_with_the_pretrace(self):
         # the samples up to act_time of every training episode are the
@@ -453,8 +461,8 @@ class TestRunEpoch:
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
         params.tensors["b3_mu"][...] = -10.0  # force clamping low
         rng = np.random.default_rng(2)
-        _, stats, records = run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace,
-                                      epoch=0, worst_reward=None)
+        _, stats, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng,
+                                      cache, epoch=0, worst_reward=None)
         for rec in records:
             assert rec.action_applied == clamp(rec.action_raw, cfg.kp_min, cfg.kp_max)
             assert rec.action_applied == cfg.kp_min
@@ -482,8 +490,9 @@ class TestRunEpoch:
         params = pinned_params(cfg, 10.0)
         cache = EvalCache(cfg.cache_resolution)
         env = LocalPlantEnv(hot)
-        _, _, records = run_epoch(params, env, hot, cfg, np.random.default_rng(3),
-                                  cache, obs_trace, epoch=0, worst_reward=-2.0)
+        _, _, records = run_epoch(params, env, pretrace(hot, cfg, obs_trace), cfg,
+                                  np.random.default_rng(3), cache, epoch=0,
+                                  worst_reward=-2.0)
         assert [rec.action_applied for rec in records] == [cfg.kp_max] * 4
         assert [rec.reward for rec in records] == rewards
         assert [rec.cached for rec in records] == cached
@@ -500,7 +509,7 @@ class TestRunEpoch:
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=5)
         rng = np.random.default_rng(7)
         new_params, stats, records = run_epoch(
-            params, env, QUIET, cfg, rng, cache, obs_trace, epoch=0,
+            params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng, cache, epoch=0,
             worst_reward=None)
         rec = records[0]
         obs = obs_trace.samples[rec.window_start:rec.window_start + cfg.d_obs]
@@ -519,8 +528,8 @@ class TestRunEpoch:
         params.tensors["w3_mu"][:] = 0.0
         params.tensors["b3_var"][...] = -30.0  # near-zero spread
         rng = np.random.default_rng(8)
-        new_params, stats, _ = run_epoch(params, env, QUIET, cfg, rng, cache,
-                                         obs_trace, epoch=0, worst_reward=None)
+        new_params, stats, _ = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg,
+                                         rng, cache, epoch=0, worst_reward=None)
         assert stats.min_reward == stats.max_reward == -0.5
         assert np.array_equal(new_params.theta, params.theta)
 
@@ -605,8 +614,8 @@ class TestEpisodeBatches:
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
         params.tensors["b3_mu"][...] = 2.0  # actions spread over buckets
         with pytest.raises(RuntimeError, match="simulator lost"):
-            run_epoch(params, Failing(QUIET), QUIET, cfg, np.random.default_rng(6),
-                      cache, obs_trace, epoch=0, worst_reward=None)
+            run_epoch(params, Failing(QUIET), pretrace(QUIET, cfg, obs_trace), cfg,
+                      np.random.default_rng(6), cache, epoch=0, worst_reward=None)
         assert len(cache) == 1 and cache.lookup(100.0) == -1.0
 
     def test_every_cache_entry_is_a_finished_reward(self, obs_trace):
@@ -630,8 +639,8 @@ class TestEpisodeBatches:
         params.tensors["b3_mu"][...] = 2.0  # actions spread over buckets
         env = Checking(QUIET)
         rng = np.random.default_rng(6)
-        epochs = [run_epoch(params, env, QUIET, cfg, rng, cache, obs_trace, epoch,
-                            worst_reward=None)[2] for epoch in range(3)]
+        epochs = [run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng, cache,
+                            epoch, worst_reward=None)[2] for epoch in range(3)]
         # the epochs repeat buckets, within one and across them
         assert any(rec.cached for rec in epochs[0])
         assert held[0] == 0 and max(held) > 0
@@ -692,6 +701,38 @@ class TestTrain:
         best = pol.load_checkpoint(tmp_path / "best.ckpt")
         assert best.step_count == 4
 
+    @pytest.mark.parametrize("rewards, best_epoch", [
+        ([-3.0, -1.0, -2.0, -1.0, -1.5], 4),  # tied with epoch 2, not last
+        ([-3.0, -2.0, -1.5, -1.2, -1.0], 5),  # the last epoch
+    ], ids=["tied_not_last", "last"])
+    def test_best_params_are_a_copy_of_their_epoch(self, tmp_path, monkeypatch,
+                                                   rewards, best_epoch):
+        # best_params and last_params share no array with each other or with
+        # any epoch's parameters, and no epoch's arrays change afterwards
+        scripted, epochs, snapshots = iter(rewards), [], []
+        real = trainer.run_epoch
+
+        def recording(*args):
+            params, stats, records = real(*args)
+            epochs.append(params)
+            snapshots.append(params.copy())
+            return params, replace(stats, mean_reward=next(scripted)), records
+
+        monkeypatch.setattr(trainer, "run_epoch", recording)
+        result = train(SCN, small_config(), run_dir=tmp_path)
+        assert result.last_params is epochs[-1]
+        best = snapshots[best_epoch - 1]
+        saved = pol.load_checkpoint(tmp_path / "best.ckpt")
+        for name in ("theta", "m", "v"):
+            kept = getattr(result.best_params, name)
+            assert not np.shares_memory(kept, getattr(result.last_params, name))
+            assert not any(np.shares_memory(kept, getattr(p, name)) for p in epochs)
+            assert kept.tobytes() == getattr(best, name).tobytes() \
+                == getattr(saved, name).tobytes()
+            assert all(getattr(p, name).tobytes() == getattr(q, name).tobytes()
+                       for p, q in zip(epochs, snapshots))
+        assert result.best_params.step_count == saved.step_count == best_epoch
+
     def test_best_checkpoint_acts_at_optimum_on_tied_seed(self):
         # at this seed 68+ epochs tie at the top reward; the first of them
         # acted at 2.17, the latest clamps to the most-damped gain kp_min
@@ -707,12 +748,10 @@ class TestTrain:
         saved = []
         real = trainer.run_epoch
 
-        def failing(params, env, scenario, config, rng, cache, obs_trace,
-                    epoch, *rest):
+        def failing(params, env, pretrace, config, rng, cache, epoch, *rest):
             if epoch == fail_at:
                 raise RuntimeError("simulator lost")
-            return real(params, env, scenario, config, rng, cache, obs_trace,
-                        epoch, *rest)
+            return real(params, env, pretrace, config, rng, cache, epoch, *rest)
 
         monkeypatch.setattr(trainer, "run_epoch", failing)
         monkeypatch.setattr(pol, "save_checkpoint", lambda params, path:
@@ -785,6 +824,131 @@ class TestTrain:
         result = train(SCN, cfg, run_dir=tmp_path)
         n_buckets = round((cfg.kp_max - cfg.kp_min) / cfg.cache_resolution) + 1
         assert result.plant_episodes <= n_buckets + cfg.n_epoch
+
+
+class MemoEnv(LocalPlantEnv):
+    """The local plant, running one episode per gain bucket and seed and
+    handing it out again for every gain in the bucket: with the cache off,
+    an epoch then costs what it does with the cache on."""
+
+    def __init__(self, scenario, resolution):
+        super().__init__(scenario)
+        self.resolution = resolution
+        self.episodes = {}
+
+    def run_episode(self, kp, seed):
+        key = (round(kp / self.resolution), seed)
+        if key not in self.episodes:
+            self.episodes[key] = super().run_episode(kp, seed)
+        return self.episodes[key]
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_same_epoch(new, ref):
+    """run_epoch's results, bit for bit: the parameters, the log row and
+    every record, each field with its type."""
+    (p_new, stats_new, records_new), (p_ref, stats_ref, records_ref) = new, ref
+    for name in ("theta", "m", "v"):
+        assert same_bits(getattr(p_new, name), getattr(p_ref, name)), name
+    assert p_new.step_count == p_ref.step_count
+    assert repr(astuple(stats_new)) == repr(astuple(stats_ref))
+    assert repr([astuple(r) for r in records_new]) == repr([astuple(r) for r in records_ref])
+
+
+class TestReferenceEpochs:
+    """run_epoch, forward, backward and adam_step against the plain form
+    they had before they were tuned (tests/epoch_reference.py): the same
+    bits, epoch after epoch."""
+
+    # post_decimation clamps the default band below the 50 Hz Nyquist, with a warning
+    @pytest.mark.filterwarnings("ignore:band-pass upper cutoff")
+    @pytest.mark.parametrize("baseline", [False, True], ids=["raw", "baseline"])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache_on", "cache_off"])
+    @pytest.mark.parametrize("stage", ["pre_decimation", "post_decimation"])
+    def test_default_run_matches_reference(self, monkeypatch, stage, cache, baseline):
+        cfg = TrainConfig(filter_stage=stage, cache_enabled=cache,
+                          baseline_enabled=baseline, seed=7)
+        cut = reward_scenario(SCN, cfg)
+        seed = trainer._pretrace_seed(cfg.seed)
+        pre = plant.run_episode(cut, plant.GainAction(SCN.kp_unstable), seed)
+        obs_trace, head = trainer.observation_trace(pre.trace, SCN, cfg)
+        record = trainer._Pretrace(cut, cfg, seed, obs_trace, head)
+        env = MemoEnv(cut, cfg.cache_resolution)
+        # one reward per episode the env hands out, shared by both sides
+        rewards, real_reward = {}, trainer.episode_reward
+
+        def memo_reward(result, *args):
+            if id(result) not in rewards:
+                rewards[id(result)] = real_reward(result, *args)
+            return rewards[id(result)]
+
+        monkeypatch.setattr(trainer, "episode_reward", memo_reward)
+        p_new = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=11)
+        p_ref = p_new.copy()
+        rng_new, rng_ref = (np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
+                            for _ in range(2))
+        cache_new, cache_ref = EvalCache(cfg.cache_resolution), EvalCache(cfg.cache_resolution)
+        worst = None
+        for epoch in range(cfg.n_epoch):
+            new = run_epoch(p_new, env, record, cfg, rng_new, cache_new, epoch, worst)
+            ref = epoch_reference.run_epoch(p_ref, env, cut, cfg, rng_ref, cache_ref,
+                                            obs_trace, epoch, worst, head)
+            assert_same_epoch(new, ref)
+            (p_new, stats, _), (p_ref, _, _) = new, ref
+            worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
+        assert cfg.n_epoch == 200
+        assert repr(cache_new._rewards) == repr(cache_ref._rewards)
+        assert len(cache_new) == (len(env.episodes) if cache else 0)
+        assert rng_new.standard_normal() == rng_ref.standard_normal()
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache_on", "cache_off"])
+    def test_divergence_penalty_epoch_matches_reference(self, obs_trace, cache):
+        hot = plant.PlantScenario(zeta_stable=0.05, noise_std=0.0)
+        cfg = TrainConfig(cache_enabled=cache)
+        params = pinned_params(cfg, 10.0)  # every action clamps to kp_max and diverges
+        new = run_epoch(params, LocalPlantEnv(hot), pretrace(hot, cfg, obs_trace), cfg,
+                        np.random.default_rng(3), EvalCache(cfg.cache_resolution),
+                        epoch=0, worst_reward=-2.0)
+        ref = epoch_reference.run_epoch(params, LocalPlantEnv(hot), hot, cfg,
+                                        np.random.default_rng(3),
+                                        EvalCache(cfg.cache_resolution), obs_trace,
+                                        epoch=0, worst_reward=-2.0)
+        assert_same_epoch(new, ref)
+        assert [r.reward for r in new[2]] == \
+            ([-20.0] * 8 if cache else [-20.0 * 10 ** k for k in range(5)] + [-1e6] * 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_policy_steps_match_reference(self, seed):
+        # batches of 1 to 16 windows, a single window, observations from
+        # 1e-8 to 1e4 in scale, parameters and moments away from init
+        rng = np.random.default_rng(seed)
+        params = pol.init_params(seed=seed)
+        params.theta[:] += 3.0 * rng.standard_normal(params.theta.size)
+        params = pol.PolicyParameters(params.obs_dim, params.hidden, params.theta,
+                                      rng.standard_normal(params.theta.size),
+                                      rng.random(params.theta.size), seed * 7)
+        for n in (1, 2, 8, 16):
+            rows = 10.0 ** rng.uniform(-8, 4) * (rng.standard_normal((n, 30))
+                                                 + rng.standard_normal())
+            new, ref = pol.forward(params, rows), epoch_reference.forward(params, rows)
+            assert same_bits(new.mu, ref.mu) and same_bits(new.var, ref.var)
+            assert all(same_bits(new.cache[k], ref.cache[k]) for k in ref.cache)
+            single, single_ref = (f(params, rows[0]) for f in (pol.forward,
+                                                             epoch_reference.forward))
+            assert (single.mu, single.var) == (single_ref.mu, single_ref.var)
+            actions = ref.mu + np.sqrt(ref.var) * rng.standard_normal(n)
+            weights = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n)
+            grad = pol.backward(params, new, actions, weights)
+            assert same_bits(grad, epoch_reference.backward(params, ref, actions, weights))
+            lr = 10.0 ** rng.uniform(-5, -1)
+            stepped, stepped_ref = (f(params, grad, lr) for f in (pol.adam_step,
+                                                                 epoch_reference.adam_step))
+            for name in ("theta", "m", "v"):
+                assert same_bits(getattr(stepped, name), getattr(stepped_ref, name))
+            assert stepped.step_count == stepped_ref.step_count
 
 
 @pytest.fixture(scope="module")
