@@ -110,8 +110,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sigproc.write_trace_csv(result.trace, out / "raw.csv")
-    filtered, observed = sigproc.pipeline(result.trace, config.bandpass_spec,
-                                          config.target_rate, config.filter_stage)
+    filtered = sigproc.filter_head(result.trace, config.bandpass_spec,
+                                   config.target_rate, config.filter_stage)[1]
+    observed = sigproc.observed(filtered, config.target_rate, config.filter_stage)
     sigproc.write_trace_csv(filtered, out / "filtered.csv")
     sigproc.write_trace_csv(observed, out / "decimated.csv")
     if result.diverged:
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("simulate", help="single open-loop episode + pipeline CSVs")
+    p = sub.add_parser("simulate",
+                       help="single open-loop episode + raw, filtered and observed CSVs")
     p.add_argument("--kp", type=float, required=True)
     p.add_argument("--out", default="runs/simulate")
     p.add_argument("--seed", type=int, default=0)

@@ -210,11 +210,6 @@ def transition(scenario: PlantScenario, kp: float) -> tuple:
                        scenario.sim_dt)
 
 
-# samples per lfilter call: bounds the temporaries, and a diverging segment
-# stops within one chunk of the step that crossed the bound
-_CHUNK = 4096
-
-
 def _advance(x: float, v: float, coeffs, w: np.ndarray, thr2: float,
              out: np.ndarray | None = None, vnoise: np.ndarray | None = None,
              p_nom: float = 0.0) -> tuple:
@@ -225,8 +220,10 @@ def _advance(x: float, v: float, coeffs, w: np.ndarray, thr2: float,
     numerators [b1, a12*b2 - a22*b1] (x) and [b2, a21*b1 - a11*b2] (v).
     Their initial conditions are those of the back-stepped state A^-1 s
     with a zero past input, which reduce to the zero-input first step
-    (A s) and -det A * s. When out is given, out[j] = p_nom + x + vnoise[j]
-    receives the position after step j + 1.
+    (A s) and -det A * s. The whole segment is one lfilter call for each;
+    past a crossing its samples may run to inf and nan, which nothing
+    reads. When out is given, out[j] = p_nom + x + vnoise[j] receives the
+    position after step j + 1.
 
     Returns (n, x, v, crossing): the n steps taken before the first state
     whose squared norm exceeds thr2 (len(w) if none did), the state after
@@ -235,27 +232,23 @@ def _advance(x: float, v: float, coeffs, w: np.ndarray, thr2: float,
     a11, a12, a21, a22, b1, b2 = coeffs
     det = a11 * a22 - a12 * a21
     den = (1.0, -(a11 + a22), det)
-    num_x = (b1, a12 * b2 - a22 * b1)
-    num_v = (b2, a21 * b1 - a11 * b2)
-    zx = np.array([a11 * x + a12 * v, -det * x])
-    zv = np.array([a21 * x + a22 * v, -det * v])
-    for i in range(0, len(w), _CHUNK):
-        wc = w[i:i + _CHUNK]
-        xs, zx = signal.lfilter(num_x, den, wc, zi=zx)
-        vs, zv = signal.lfilter(num_v, den, wc, zi=zv)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r2 = xs * xs
-            r2 += vs * vs
-            crossed = np.flatnonzero(r2 > thr2)
-        m = int(crossed[0]) if crossed.size else len(wc)
-        if out is not None:
-            np.add(xs[:m], p_nom, out=out[i:i + m])
-            out[i:i + m] += vnoise[i:i + m]
-        if m:
-            x, v = float(xs[m - 1]), float(vs[m - 1])
-        if m < len(wc):
-            return i + m, x, v, (float(xs[m]), float(vs[m]))
-    return len(w), x, v, None
+    xs, _ = signal.lfilter((b1, a12 * b2 - a22 * b1), den, w,
+                           zi=np.array([a11 * x + a12 * v, -det * x]))
+    vs, _ = signal.lfilter((b2, a21 * b1 - a11 * b2), den, w,
+                           zi=np.array([a21 * x + a22 * v, -det * v]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = xs * xs
+        r2 += vs * vs
+        crossed = np.flatnonzero(r2 > thr2)
+    n = int(crossed[0]) if crossed.size else len(w)
+    if out is not None:
+        np.add(xs[:n], p_nom, out=out[:n])
+        out[:n] += vnoise[:n]
+    if n:
+        x, v = float(xs[n - 1]), float(vs[n - 1])
+    if n < len(w):
+        return n, x, v, (float(xs[n]), float(vs[n]))
+    return n, x, v, None
 
 
 def simulate_segments(x, v, seg_mats, seg_steps, w, vnoise, p_nom, threshold, out):

@@ -333,19 +333,19 @@ def _checksum(arrays) -> int:
 
 
 def save_checkpoint(params: PolicyParameters, path) -> None:
-    items = _checkpoint_tensors(params)
+    """Write the checkpoint in one call: per tensor, its name, rank, dims
+    and values, then the checksum of all values (one sum mod 2^64, as
+    _checksum takes it tensor by tensor)."""
+    parts, values = [CHECKPOINT_MAGIC], []
+    for name, arr in _checkpoint_tensors(params):
+        encoded = name.encode()
+        arr = np.asarray(arr, dtype="<f8")  # keeps 0-d rank
+        parts += [struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
+                              arr.ndim, *arr.shape), arr.tobytes()]
+        values.append(arr.ravel())
+    parts.append(struct.pack("<Q", _checksum([np.concatenate(values)])))
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        for name, arr in items:
-            encoded = name.encode()
-            arr = np.asarray(arr, dtype="<f8")  # keeps 0-d rank
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr).tobytes())
-        fh.write(struct.pack("<Q", _checksum(arr for _, arr in items)))
+        fh.write(b"".join(parts))
 
 
 def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParameters:

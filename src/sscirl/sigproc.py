@@ -174,11 +174,10 @@ def design_bandpass(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
 
 
 def bandpass(trace: SignalTrace, spec: BandpassSpec) -> SignalTrace:
-    """Causal single-pass Butterworth band-pass with zero initial state."""
+    """Causal single-pass Butterworth band-pass with zero initial state:
+    the pre_decimation stage's filtered trace (filter_head)."""
     trace._require_nonempty("bandpass")
-    sos = design_bandpass(spec, trace.sample_rate)
-    return SignalTrace(signal.sosfilt(sos.copy(), trace.samples), trace.sample_rate,
-                       trace.t0)
+    return filter_head(trace, spec, trace.sample_rate)[1]
 
 
 def bandpass_gain(spec: BandpassSpec, sample_rate: float, freqs) -> np.ndarray:
@@ -215,7 +214,7 @@ def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# observation pipeline
+# filter stages
 
 PRE_DECIMATION = "pre_decimation"
 POST_DECIMATION = "post_decimation"
@@ -227,18 +226,6 @@ def post_decimation_band(spec: BandpassSpec, target_rate: float) -> BandpassSpec
     to 0.95x the decimated Nyquist; TraceError unless f_min stays below."""
     return BandpassSpec(spec.f_min, min(spec.f_max, 0.95 * (0.5 * target_rate)),
                         spec.order)
-
-
-def pipeline(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
-             stage: str = PRE_DECIMATION) -> tuple[SignalTrace, SignalTrace]:
-    """Full conditioning chain over a non-empty trace: (filter_head's,
-    observed's) trace. pre_decimation (default) band-passes at the native
-    rate, then decimates, keeping band content above the decimated Nyquist
-    alive through the filter; post_decimation decimates first, so both
-    traces are one."""
-    trace._require_nonempty("pipeline")
-    filtered = filter_head(trace, spec, target_rate, stage)[1]
-    return filtered, observed(filtered, target_rate, stage)
 
 
 def observed(filtered: SignalTrace, target_rate: float,
@@ -313,7 +300,6 @@ def filter_head(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
 # CSV serialization
 
 CSV_HEADER = "t,value"
-UNIFORM_SPACING_TOL = 1e-9  # seconds
 
 
 def write_trace_csv(trace: SignalTrace, path) -> None:
@@ -323,29 +309,3 @@ def write_trace_csv(trace: SignalTrace, path) -> None:
         fh.write(CSV_HEADER + "\n")
         for t, x in zip(times, trace.samples):
             fh.write(f"{float(t)!r},{float(x)!r}\n")
-
-
-def read_trace_csv(path) -> SignalTrace:
-    """Parse a trace CSV, verifying uniform sample spacing."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise TraceError(f"bad trace CSV header {header!r}, expected {CSV_HEADER!r}")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:  # a non-numeric cell or a ragged row
-            raise TraceError(f"malformed trace CSV {path}: {exc}") from None
-    if data.size == 0:
-        raise TraceError(f"empty trace CSV {path}")
-    if not np.isfinite(data).all():
-        raise TraceError(f"trace CSV {path} holds non-finite values")
-    if data.shape[1] != 2:
-        raise TraceError(f"trace CSV {path} has {data.shape[1]} columns, expected 2")
-    times, values = data[:, 0], data[:, 1]
-    if len(times) < 2:
-        raise TraceError(f"trace CSV {path} needs at least two samples")
-    dts = np.diff(times)
-    dt = float(np.mean(dts))
-    if not dt > 0 or np.max(np.abs(dts - dt)) > UNIFORM_SPACING_TOL:
-        raise TraceError(f"non-uniform or non-increasing sample spacing in {path}")
-    return SignalTrace(values, 1.0 / dt, float(times[0]))

@@ -186,8 +186,8 @@ def test_reward_window_starts_at_act_time_and_spans_t_reward(pair):
                               scenario.sample_rate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # post_decimation clamps f_max
-        filtered, _ = sigproc.pipeline(raw, cfg.bandpass_spec, cfg.target_rate,
-                                       cfg.filter_stage)
+        _, filtered = sigproc.filter_head(raw, cfg.bandpass_spec, cfg.target_rate,
+                                          cfg.filter_stage)
     rate = filtered.sample_rate
     assert window.start - 1 < scenario.act_time * rate - 1e-9 <= window.start
     assert len(window) - 1 == round(cfg.t_reward * rate)

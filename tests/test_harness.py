@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -32,6 +33,14 @@ MIXED = replace(SCN, kp_stable=0.5, kp_crit=1.0, mistune_time=4.5,
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def read_csv(path) -> sigproc.SignalTrace:
+    """The trace write_trace_csv wrote to path, its rate from the first
+    two times."""
+    assert path.read_text().startswith(sigproc.CSV_HEADER + "\n")
+    times, values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    return sigproc.SignalTrace(values, 1.0 / (times[1] - times[0]), times[0])
 
 
 class TestTrainCommand:
@@ -174,9 +183,9 @@ class TestSimulateCommand:
     def test_writes_three_csvs(self, tmp_path):
         out = tmp_path / "sim"
         assert run_cli(["simulate", "--kp", "4.0", "--out", str(out)]) == 0
-        raw = sigproc.read_trace_csv(out / "raw.csv")
-        filtered = sigproc.read_trace_csv(out / "filtered.csv")
-        decimated = sigproc.read_trace_csv(out / "decimated.csv")
+        raw = read_csv(out / "raw.csv")
+        filtered = read_csv(out / "filtered.csv")
+        decimated = read_csv(out / "decimated.csv")
         assert len(raw) == round(SCN.horizon / SCN.sim_dt)
         assert len(raw) == len(filtered)
         assert decimated.sample_rate == pytest.approx(100.0)
@@ -189,10 +198,34 @@ class TestSimulateCommand:
         for kp in (2.0, 4.0):
             out = tmp_path / f"kp{kp}"
             run_cli(["simulate", "--kp", str(kp), "--out", str(out)])
-            trace = sigproc.read_trace_csv(out / "filtered.csv")
+            trace = read_csv(out / "filtered.csv")
             # from act_time = 5.0 s, sample 25,000 at 5 kHz, to the end
             outs[kp] = sigproc.energy(trace.samples[25000:], trace.sample_rate)
         assert outs[2.0] < outs[4.0]
+
+    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("overrides", [{}, {"zeta_stable": "50", "noise_std": "0"}],
+                             ids=["stable", "explosive"])
+    def test_csvs_are_the_stage_traces(self, tmp_path, stage, overrides):
+        # filtered.csv is the stage's filtered trace and decimated.csv what
+        # it observes, bit for bit; the explosive mode diverges just after
+        # mistune_time, past which its kernel runs to inf, and warns of none
+        out = tmp_path / "sim"
+        overrides = {**overrides, "filter_stage": stage}
+        flags = [arg for key, value in overrides.items() for arg in (f"--{key}", value)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # post_decimation clamps f_max
+            assert run_cli(["simulate", "--kp", "2.0", "--out", str(out)] + flags) == 0
+            scn, cfg = config.resolve(None, overrides)
+            result = plant.run_episode(scn, plant.GainAction(2.0), seed=0)
+            filtered = sigproc.filter_head(result.trace, cfg.bandpass_spec,
+                                           cfg.target_rate, stage)[1]
+        observed = sigproc.observed(filtered, cfg.target_rate, stage)
+        assert (out / "diverged.txt").exists() == result.diverged == (len(overrides) > 1)
+        assert read_csv(out / "raw.csv").samples.tobytes() == result.trace.samples.tobytes()
+        for name, trace in (("filtered.csv", filtered), ("decimated.csv", observed)):
+            assert read_csv(out / name).samples.tobytes() == trace.samples.tobytes()
 
     @pytest.mark.parametrize("command", [["simulate", "--kp", "2.0"],
                                          ["evaluate", "--checkpoint", "none.ckpt"]])

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kernel_reference
 import sscirl
@@ -112,9 +114,9 @@ def test_explosive_divergence_found_at_first_crossing():
     assert np.linalg.norm(result.final_state) > scn.diverge_threshold
 
 
-def test_chunks_bound_the_filtered_work(monkeypatch):
-    # each lfilter call takes at most one chunk, and a diverging episode
-    # filters no further than the chunk that crossed the bound
+def _count_lfilter_pairs(monkeypatch):
+    """A list that receives the length of every lfilter call's input, in
+    pairs (position, velocity)."""
     sizes = []
     lfilter = plant.signal.lfilter
 
@@ -123,34 +125,117 @@ def test_chunks_bound_the_filtered_work(monkeypatch):
         return lfilter(b, a, x, zi=zi)
 
     monkeypatch.setattr(plant.signal, "lfilter", counting)
-    # an earlier test may have run this history
+    return sizes
+
+
+def test_one_lfilter_pair_per_segment(monkeypatch):
+    scn = plant.PlantScenario()
+    k_mistune = round(scn.mistune_time / scn.sim_dt)
+    k_act = round(scn.act_time / scn.sim_dt)
+    sizes = _count_lfilter_pairs(monkeypatch)
+    # cold: the two history segments, then the suffix; warm: the suffix
     plant._history.cache_clear()
+    plant.run_episode(scn, plant.GainAction(2.0), seed=0)
+    plant.run_episode(scn, plant.GainAction(2.5), seed=0)
+    assert sizes == [k_mistune] * 2 + [k_act - k_mistune] * 2 \
+        + [scn.n_samples - 1 - k_act] * 4
+    sizes.clear()
+    plant.step(plant.initial_state(scn), scn, np.random.default_rng(0), n_steps=20000)
+    assert sizes == [20000] * 2
+
+
+def test_explosive_divergence_filters_each_segment_once(monkeypatch):
+    # the crossing segment is filtered to its end in one pass, and the
+    # episode still ends at the step loop's first crossing
     scn = plant.PlantScenario(zeta_stable=50.0, noise_std=0.0)
-    result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
-    assert result.diverged
-    assert max(sizes) == plant._CHUNK
-    assert sum(sizes) // 2 < len(result.trace) + plant._CHUNK
+    mats, steps, w, vnoise = _episode_workload(scn, scn.kp_unstable, 0)
+    n_ref, *_ = _run(kernel_reference, scn.disturbance_amp, 0.0, mats, steps, w, vnoise,
+                     scn.p_nom, scn.diverge_threshold)
+    sizes = _count_lfilter_pairs(monkeypatch)
+    plant._history.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
+    assert sizes == [steps[0]] * 2 + [steps[1]] * 2
+    assert result.diverged and len(result.trace) == n_ref
 
 
-@pytest.mark.parametrize("crossing", [1, 4096, 4097, 4098])
-def test_divergence_at_chunk_edges(crossing):
-    # an overdamped unstable mode (zeta = -1.05) that first exceeds every
-    # earlier state norm at step `crossing`; put the bound just below it
+# crossing step of the workload below, whose first segment is 40 steps long
+SEGMENT_EDGES = {"first_step": 1, "last_step": 40, "after_switch": 41}
+
+
+@pytest.mark.parametrize("crossing", SEGMENT_EDGES.values(), ids=SEGMENT_EDGES.keys())
+def test_divergence_at_segment_edges(crossing):
+    # an overdamped unstable mode (zeta = -1.05, then -1.575 after the gain
+    # switch at step 40) that first exceeds every earlier state norm at step
+    # `crossing`; put the bound just below it
     scn = plant.PlantScenario(zeta_stable=1.05, noise_std=0.0)
-    a11, a12, a21, a22, _, _ = plant.transition(scn, scn.kp_unstable)
+    mats = [plant.transition(scn, kp) for kp in (scn.kp_unstable, 4.5)]
+    steps = [40, 40]
     x, v = scn.disturbance_amp, 0.0
     norms = [math.hypot(x, v)]
-    for _ in range(crossing):
+    for k in range(crossing):
+        a11, a12, a21, a22, _, _ = mats[k // steps[0]]
         x, v = a11 * x + a12 * v, a21 * x + a22 * v
         norms.append(math.hypot(x, v))
     assert norms[-1] > max(norms[:-1]) and math.isfinite(norms[-1])
-    bound = math.sqrt(max(norms[:-1]) * norms[-1])
-    scn = replace(scn, diverge_threshold=bound)
-    steps = [crossing + 10]
-    w, vnoise = np.zeros(steps[0]), np.zeros(steps[0] + 1)
-    n_valid, diverged = _assert_agree(
-        scn, [plant.transition(scn, scn.kp_unstable)], steps, w, vnoise)
+    scn = replace(scn, diverge_threshold=math.sqrt(max(norms[:-1]) * norms[-1]))
+    w, vnoise = np.zeros(sum(steps)), np.zeros(sum(steps) + 1)
+    n_valid, diverged = _assert_agree(scn, mats, steps, w, vnoise)
     assert diverged and n_valid == crossing
+
+
+def _chunked_advance(x, v, coeffs, w, thr2, out, vnoise, p_nom, chunk):
+    """plant._advance as it was when it filtered a segment in lfilter calls
+    of at most chunk samples, carrying the filter state between them."""
+    a11, a12, a21, a22, b1, b2 = coeffs
+    det = a11 * a22 - a12 * a21
+    den = (1.0, -(a11 + a22), det)
+    num_x = (b1, a12 * b2 - a22 * b1)
+    num_v = (b2, a21 * b1 - a11 * b2)
+    zx = np.array([a11 * x + a12 * v, -det * x])
+    zv = np.array([a21 * x + a22 * v, -det * v])
+    for i in range(0, len(w), chunk):
+        wc = w[i:i + chunk]
+        xs, zx = plant.signal.lfilter(num_x, den, wc, zi=zx)
+        vs, zv = plant.signal.lfilter(num_v, den, wc, zi=zv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = xs * xs
+            r2 += vs * vs
+            crossed = np.flatnonzero(r2 > thr2)
+        m = int(crossed[0]) if crossed.size else len(wc)
+        np.add(xs[:m], p_nom, out=out[i:i + m])
+        out[i:i + m] += vnoise[i:i + m]
+        if m:
+            x, v = float(xs[m - 1]), float(vs[m - 1])
+        if m < len(wc):
+            return i + m, x, v, (float(xs[m]), float(vs[m]))
+    return len(w), x, v, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(zeta_stable=st.sampled_from([0.002, 0.5, 50.0]), kp=st.floats(0.5, 4.5),
+       length=st.integers(1, 3000), chunk_frac=st.floats(0.0, 1.0),
+       log_bound=st.floats(-2.0, 8.0), seed=st.integers(0, 2**32 - 1))
+@example(zeta_stable=0.002, kp=2.0, length=3000, chunk_frac=0.3, log_bound=0.0, seed=0)
+@example(zeta_stable=0.5, kp=4.0, length=3000, chunk_frac=0.3, log_bound=0.0, seed=0)
+@example(zeta_stable=50.0, kp=4.0, length=3000, chunk_frac=0.0, log_bound=6.0, seed=0)
+def test_one_pass_equals_chunked_segment(zeta_stable, kp, length, chunk_frac,
+                                         log_bound, seed):
+    # any chunk size from 1 to the segment's length, over segments that
+    # cross the bound and segments that do not: samples, step count, state
+    # and crossing bit for bit
+    scn = plant.PlantScenario(zeta_stable=zeta_stable, noise_std=1e-3)
+    chunk = 1 + round(chunk_frac * (length - 1))
+    w, vnoise = _noise(scn, length, seed)
+    vnoise = vnoise[1:]
+    thr2 = (10.0 ** log_bound) ** 2
+    args = (scn.disturbance_amp, 0.0, plant.transition(scn, kp), w, thr2)
+    mine, ref = np.full(length, np.nan), np.full(length, np.nan)
+    got = plant._advance(*args, mine, vnoise, scn.p_nom)
+    want = _chunked_advance(*args, ref, vnoise, scn.p_nom, chunk)
+    assert got == want
+    assert mine.tobytes() == ref.tobytes()
 
 
 def test_step_n_matches_single_steps_and_draw_order():

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sscirl import policy as pol
 from sscirl.policy import (CheckpointError, PolicyError, adam_step, backward,
@@ -380,7 +382,54 @@ INIT_CKPT_SHA256 = "f663da5f560c61170b218381a22aff687706a4f5a1f0646579c8ab269528
 STEP_CKPT_SHA256 = "3352ca549087760aa093541c29539d3893ee49790626d9298fdb30da6b91172b"
 
 
+def write_per_tensor(params, path):
+    """save_checkpoint as it was when it wrote each field of each tensor in
+    a write call of its own and summed the tensors one by one."""
+    items = pol._checkpoint_tensors(params)
+    with open(path, "wb") as fh:
+        fh.write(pol.CHECKPOINT_MAGIC)
+        for name, arr in items:
+            encoded = name.encode()
+            arr = np.asarray(arr, dtype="<f8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(np.ascontiguousarray(arr).tobytes())
+        total = 0
+        for _, arr in items:
+            bits = np.ascontiguousarray(arr, dtype="<f8").view("<u8")
+            total = (total + int(bits.sum(dtype=np.uint64) if bits.size else 0)) % (1 << 64)
+        fh.write(struct.pack("<Q", total))
+
+
 class TestCheckpoints:
+    # each example overwrites the files of the last
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(30, 64), (5, 3), (1, 1)]),
+           step_count=st.integers(1, 2**40), n_inf=st.integers(1, 3))
+    def test_one_write_equals_per_tensor_writes(self, tmp_path, seed, shape, step_count,
+                                                n_inf):
+        # values of every scale and sign, so the sum wraps mod 2^64, and an
+        # inf in Adam's v, as adam_step can leave it
+        rng = np.random.default_rng(seed)
+        params = init_params(*shape, seed=seed)
+        size = params.theta.size
+        theta, m, v = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+                       for _ in range(3))
+        v = np.abs(v)
+        v[rng.integers(0, size, n_inf)] = np.inf
+        params = pol.PolicyParameters(*shape, theta, m, v, step_count)
+        save_checkpoint(params, tmp_path / "one.ckpt")
+        write_per_tensor(params, tmp_path / "many.ckpt")
+        assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "many.ckpt").read_bytes()
+        back = load_checkpoint(tmp_path / "one.ckpt", *shape)
+        for mine, theirs in ((back.theta, theta), (back.m, m), (back.v, v)):
+            assert mine.tobytes() == theirs.tobytes()
+        assert back.step_count == step_count
+
     def test_bytes_pinned(self, tmp_path):
         params = init_params(seed=0)
         save_checkpoint(params, tmp_path / "init.ckpt")

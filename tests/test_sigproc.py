@@ -105,6 +105,15 @@ class TestBandpass:
                + b * bandpass(SignalTrace(y, 5000.0), self.SPEC).samples)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
+    @pytest.mark.parametrize("n", [1, 2, 100, 25001])
+    def test_is_one_sosfilt_pass_from_rest(self, n):
+        # the stage runner's pass equals sosfilt without initial state
+        trace = SignalTrace(NOISE[np.arange(n) % len(NOISE)], 5000.0, t0=1.5)
+        mine = bandpass(trace, self.SPEC)
+        sos = sigproc.design_bandpass(self.SPEC, 5000.0).copy()
+        assert mine.samples.tobytes() == sigproc.signal.sosfilt(sos, trace.samples).tobytes()
+        assert (mine.sample_rate, mine.t0) == (5000.0, 1.5)
+
     def test_impulse_response_decays(self):
         rate = 5000.0
         n = int(10 * rate / self.SPEC.f_min)
@@ -189,13 +198,12 @@ class TestPipeline:
     def test_post_decimation_clamps_and_warns(self):
         trace = sine(20.0, 5000.0, 4.0)
         with pytest.warns(UserWarning, match="clamped"):
-            filtered, observed = sigproc.pipeline(
-                trace, BandpassSpec(15.0, 55.0, 4), 100.0,
-                stage=sigproc.POST_DECIMATION)
+            filtered = sigproc.filter_head(trace, BandpassSpec(15.0, 55.0, 4), 100.0,
+                                           stage=sigproc.POST_DECIMATION)[1]
         assert filtered.sample_rate == 100.0
-        assert observed is filtered
+        assert sigproc.observed(filtered, 100.0, sigproc.POST_DECIMATION) is filtered
 
-    @pytest.mark.parametrize("route", ["pipeline", "filter_head"])
+    @pytest.mark.parametrize("route", ["filter_head"])
     def test_clamp_warning_names_the_calling_file(self, route):
         with pytest.warns(UserWarning, match="clamped") as record:
             getattr(sigproc, route)(sine(20.0, 5000.0, 1.0), BandpassSpec(15.0, 55.0, 4),
@@ -203,20 +211,9 @@ class TestPipeline:
         assert [w.filename for w in record] == [__file__]
 
     def test_unknown_stage(self):
-        with pytest.raises(TraceError):
-            sigproc.pipeline(sine(20.0, 5000.0, 1.0),
-                             BandpassSpec(15.0, 55.0, 4), 100.0, stage="bogus")
-
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
-    def test_filtered_trace_is_pipeline_filtered_half(self, stage):
-        trace = sine(48.0, 5000.0, 2.0)
-        spec = BandpassSpec(15.0, 45.0, 4)
-        filtered, observed = sigproc.pipeline(trace, spec, 100.0, stage)
-        alone = sigproc.filter_head(trace, spec, 100.0, stage)[1]
-        assert np.array_equal(alone.samples, filtered.samples)
-        assert (alone.sample_rate, alone.t0) == (filtered.sample_rate, filtered.t0)
-        assert np.array_equal(observed.samples,
-                              sigproc.observed(alone, 100.0, stage).samples)
+        with pytest.raises(TraceError, match="unknown filter stage 'bogus'"):
+            sigproc.filter_head(sine(20.0, 5000.0, 1.0),
+                                BandpassSpec(15.0, 55.0, 4), 100.0, stage="bogus")
 
 
 def by_primitives(trace, spec, target_rate, stage):
@@ -282,10 +279,9 @@ class TestFilterStage:
             assert np.array_equal(state, sigproc.signal.sosfilt_zi(sos))
 
     def test_filtered_trace_refuses_an_empty_trace(self):
-        # filter_head takes one, as the stage at t = 0; pipeline does not
-        with pytest.raises(TraceError, match="pipeline: empty trace"):
-            sigproc.pipeline(SignalTrace(np.array([]), 5000.0),
-                             BandpassSpec(15.0, 45.0, 4), 100.0)
+        # filter_head takes one, as the stage at t = 0; bandpass does not
+        with pytest.raises(TraceError, match="bandpass: empty trace"):
+            bandpass(SignalTrace(np.array([]), 5000.0), BandpassSpec(15.0, 45.0, 4))
 
 
 class TestDesignCache:
@@ -302,11 +298,15 @@ class TestDesignCache:
         sigproc._anti_alias.cache_clear()
         trace = sine(20.0, 5000.0, 1.0)
         spec = BandpassSpec(15.0, 55.0, 4)
-        first = sigproc.pipeline(trace, spec, 100.0)
+
+        def conditioned():
+            return sigproc.observed(sigproc.filter_head(trace, spec, 100.0)[1], 100.0)
+
+        first = conditioned()
         for _ in range(3):
-            again = sigproc.pipeline(trace, spec, 100.0)
+            again = conditioned()
         assert len(calls) == 2  # the band-pass and the anti-alias low-pass
-        assert np.array_equal(first[1].samples, again[1].samples)
+        assert np.array_equal(first.samples, again.samples)
         bandpass_gain(spec, 5000.0, [48.0])
         downsample(trace, 100.0)
         assert len(calls) == 2
@@ -333,37 +333,7 @@ class TestCsvRoundTrip:
         trace = sine(7.0, 5000.0, 1.0)
         path = tmp_path / "trace.csv"
         sigproc.write_trace_csv(trace, path)
-        back = sigproc.read_trace_csv(path)
-        assert back.sample_rate == pytest.approx(5000.0, abs=1e-6)
-        assert np.array_equal(back.samples, trace.samples)
-        assert back.t0 == trace.t0
-
-    def test_nonuniform_spacing_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,value\n0.0,1.0\n0.01,1.0\n0.03,1.0\n")
-        with pytest.raises(TraceError, match="non-uniform"):
-            sigproc.read_trace_csv(path)
-
-    @pytest.mark.parametrize("body, match", [
-        ("1.0,0.5\n1.0,0.6\n1.0,0.7\n", "non-increasing sample spacing"),
-        ("0.02,0.5\n0.01,0.6\n0.0,0.7\n", "non-increasing sample spacing"),
-        ("0.0\n0.01\n", "1 columns, expected 2"),
-        ("0.0,1.0,2.0\n0.01,1.0,2.0\n", "3 columns, expected 2"),
-        ("0.0,abc\n0.01,1.0\n", "malformed trace CSV .*'abc'"),
-        ("0.0,1.0\n0.01\n", "malformed trace CSV .*columns changed"),
-        ("0.0,nan\n0.01,1.0\n", "non-finite values"),
-    ], ids=["repeated_times", "decreasing_times", "one_column", "three_columns",
-            "non_numeric_cell", "ragged_row", "nan_value"])
-    def test_malformed_body_rejected_naming_the_file(self, tmp_path, body, match):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,value\n" + body)
-        with pytest.raises(TraceError, match=match) as exc:
-            sigproc.read_trace_csv(path)
-        assert str(path) in str(exc.value)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,v\n0.0,1.0\n")
-        with pytest.raises(TraceError, match="header"):
-            sigproc.read_trace_csv(path)
-
+        assert path.read_text().startswith(sigproc.CSV_HEADER + "\n")
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert back[:, 0].tobytes() == trace.times().tobytes()
+        assert back[:, 1].tobytes() == trace.samples.tobytes()

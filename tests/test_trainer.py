@@ -119,8 +119,8 @@ class TestReward:
         result = plant.run_episode(scn, plant.GainAction(kp), seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            full, _ = sigproc.pipeline(result.trace, cfg.bandpass_spec,
-                                       cfg.target_rate, stage)
+            _, full = sigproc.filter_head(result.trace, cfg.bandpass_spec,
+                                          cfg.target_rate, stage)
             reward = episode_reward(result, scn, cfg)
         x = full.samples[first:last + 1]
         assert reward == -np.trapezoid(x * x, dx=1.0 / full.sample_rate)
@@ -993,6 +993,40 @@ class TestLearning:
         real = pol.adam_step
         monkeypatch.setattr(pol, "adam_step", lambda params, grad, lr: real(params, -grad, lr))
         assert best_checkpoint_gap(tmp_path, seed, oracle_gain) > 0.25
+
+
+class PeakEnv(LocalPlantEnv):
+    """A plant whose reward peaks inside the gain range, at optimum: every
+    episode runs at kp_stable, and its samples from act_time on are scaled
+    about p_nom by sqrt(1 + 4 (kp - optimum)^2)."""
+
+    def __init__(self, scenario, optimum):
+        super().__init__(scenario)
+        self.optimum = optimum
+        self.first = config.first_sample(scenario.act_time, scenario.sample_rate)
+
+    def run_episode(self, kp, seed):
+        result = super().run_episode(self.scenario.kp_stable, seed)
+        samples = result.trace.samples.copy()
+        after = samples[self.first:]
+        after -= self.scenario.p_nom
+        after *= math.sqrt(1.0 + 4.0 * (kp - self.optimum) ** 2)
+        after += self.scenario.p_nom
+        return replace(result, trace=sigproc.SignalTrace(samples, result.trace.sample_rate))
+
+
+class TestInteriorOptimum:
+    # A constant policy cannot pass for both optima. With the baseline,
+    # 8 of 8 seeds land within 0.25 of each; without it (the default), 5.
+    @pytest.mark.parametrize("optimum", [1.5, 2.5])
+    def test_best_params_find_the_optimum(self, optimum):
+        hits = 0
+        for seed in range(8):
+            cfg = TrainConfig(seed=seed, baseline_enabled=True)
+            result = train(SCN, cfg, env=PeakEnv(reward_scenario(SCN, cfg), optimum))
+            mu = pol.forward(result.best_params, canonical_observation(SCN, cfg)).mu
+            hits += abs(clamp(mu, cfg.kp_min, cfg.kp_max) - optimum) <= 0.25
+        assert hits >= 6
 
 
 class TestWindowing:
