@@ -2,12 +2,20 @@
 
 Configuration is flat `key = value` text covering both the plant scenario
 and the training settings; any key can be overridden on the command line
-with `--<key> <value>`.
+with `--<key> <value>`. `main` resolves it once and hands it to the
+command.
+
+`main` alone turns a refusal into one line on stderr and an exit code: a
+config that cannot be used (ConfigError) exits 2 as `bad config: ...`, a
+checkpoint that cannot be read exits 1 as `cannot load checkpoint: ...`,
+and a run that cannot go on (TraceError, ProtocolError, PolicyError,
+OSError) exits 1 as `<command> failed: ...`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -36,22 +44,20 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def load_run_config(args) -> tuple[plant.PlantScenario, trainer.TrainConfig]:
-    """Resolve config file plus CLI overrides into the two config objects;
-    a bad config, a negative episode --seed, or a simulate --kp at which
-    the plant's transition is not finite (validate's rule for the
-    configured gains) exits 2 with a message naming the field or flag."""
+    """Resolve config file plus CLI overrides into the two config objects.
+    ConfigError names the field or flag of a bad config, a negative episode
+    --seed, a serve --port outside [0, 65535] or a simulate --kp at which
+    the plant's transition is not finite (validate's rule for the gains)."""
     overrides = {key: value for key in KEYS
                  if (value := getattr(args, f"ov_{key}", None)) is not None}
-    try:
-        scenario, config = resolve(args.config, overrides)
-        if vars(args).get("seed", 0) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        if "kp" in vars(args):
-            check_gain(scenario, "--kp", args.kp)
-        return scenario, config
-    except ConfigError as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BAD_CONFIG)
+    scenario, config = resolve(args.config, overrides)
+    if vars(args).get("seed", 0) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= vars(args).get("port", 0) <= 65535:
+        raise ConfigError(f"--port must be in [0, 65535], got {args.port}")
+    if "kp" in vars(args):
+        check_gain(scenario, "--kp", args.kp)
+    return scenario, config
 
 
 def _make_env(spec: str, scenario: plant.PlantScenario):
@@ -60,18 +66,14 @@ def _make_env(spec: str, scenario: plant.PlantScenario):
     if spec == "local":
         return None
     kind, *address = spec.split(":")
-    if kind == "remote" and len(address) == 2 and address[1].isdecimal():
+    if kind == "remote" and len(address) == 2 and address[1].isdecimal() \
+            and int(address[1]) <= 65535:
         return RemoteEnv(address[0], int(address[1]), scenario=scenario)
-    raise ValueError(f"bad --env {spec!r}; use 'local' or 'remote:HOST:PORT'")
+    raise ProtocolError(f"bad --env {spec!r}; use 'local' or 'remote:HOST:PORT'")
 
 
-def cmd_train(args) -> int:
-    scenario, config = load_run_config(args)
-    try:
-        env = _make_env(args.env, scenario)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
+def cmd_train(args, scenario, config) -> None:
+    env = _make_env(args.env, scenario)
     try:
         result = trainer.train(scenario, config, run_dir=args.out, env=env)
     finally:
@@ -82,17 +84,10 @@ def cmd_train(args) -> int:
           f"{result.best_reward:.6g}; final mean action {last.mean_action:.4f}; "
           f"plant episodes {result.plant_episodes}")
     print(f"run directory: {result.run_dir}")
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    scenario, config = load_run_config(args)
-    try:
-        params = policy.load_checkpoint(args.checkpoint, config.d_obs,
-                                        config.hidden_size)
-    except (OSError, policy.CheckpointError) as exc:
-        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_evaluate(args, scenario, config) -> None:
+    params = policy.load_checkpoint(args.checkpoint, config.d_obs, config.hidden_size)
     report = trainer.evaluate(params, scenario, config, seed=args.seed,
                               mitigate=not args.no_mitigation)
     out = Path(args.out)
@@ -101,11 +96,9 @@ def cmd_evaluate(args) -> int:
     sigproc.write_trace_csv(report.trace, out / "episode.csv")
     for key, value in report.as_dict().items():
         print(f"{key} = {value!r}")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    scenario, config = load_run_config(args)
+def cmd_simulate(args, scenario, config) -> None:
     result = plant.run_episode(scenario, plant.GainAction(args.kp), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,27 +113,18 @@ def cmd_simulate(args) -> int:
         print(f"warning: trace truncated, state diverged at "
               f"{result.diverged_at:.4f} s")
     print(f"wrote raw/filtered/decimated CSVs to {out}")
-    return EXIT_OK
 
 
-def cmd_serve(args) -> int:
-    scenario, config = load_run_config(args)
+def cmd_serve(args, scenario, config) -> None:
     server = EnvServer(scenario, args.host, args.port,
                        kp_bounds=(config.kp_min, config.kp_max))
     host, port = server.address
     print(f"serving plant environment on {host}:{port}")
-    try:
+    with server, contextlib.suppress(KeyboardInterrupt):
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    scenario, config = load_run_config(args)
+def cmd_oracle(args, scenario, config) -> None:
     best, sweep = trainer.grid_oracle(scenario, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -150,7 +134,6 @@ def cmd_oracle(args) -> int:
             fh.write(f"{kp!r},{reward!r}\n")
     print(f"oracle optimum gain: {best}")
     print(f"sweep written to {out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="runs/train", help="run directory")
     p.add_argument("--env", default="local",
                    help="'local' or 'remote:HOST:PORT'")
-    _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="mitigation report for a checkpoint")
@@ -173,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-mitigation", action="store_true",
                    help="emit the unmitigated baseline episode instead")
-    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate",
@@ -181,32 +162,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kp", type=float, required=True)
     p.add_argument("--out", default="runs/simulate")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("serve", help="serve the plant over the line protocol")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7351)
-    _add_common(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("oracle", help="grid-search reward sweep over gains")
     p.add_argument("--out", default="runs/oracle.csv")
-    _add_common(p)
     p.set_defaults(func=cmd_oracle)
+    for p in sub.choices.values():  # after each command's own flags
+        _add_common(p)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    # a history diverged before act_time; an env server refused a request,
-    # could not be reached or broke the protocol
-    except (sigproc.TraceError, ProtocolError) as exc:
+        args.func(args, *load_run_config(args))
+        return EXIT_OK
+    except ConfigError as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_CONFIG)
+    except policy.CheckpointError as exc:
+        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
+    except (sigproc.TraceError, ProtocolError, policy.PolicyError, OSError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -209,16 +209,21 @@ def check_gain(scenario: PlantScenario, key: str, kp: float) -> None:
 
 def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     """Raise ConfigError, naming the fields, unless a training of config
-    on scenario can run to its end: finite values, a non-negative seed, a
-    positive learning rate and network, a target rate dividing the native
-    rate, a band-pass the stage's rate can carry (clamped post-decimation),
-    a finite plant transition at every gain an episode runs, a non-empty
-    observation_starts from index 0 or later, and a positive t_reward whose
-    reward_samples an episode holds."""
+    on scenario can run to its end: finite values, a cache_resolution
+    giving every gain a finite bucket index and the oracle a finite step
+    count, a non-negative seed, a positive learning rate and network, a
+    target rate dividing the native rate, a band-pass the stage's rate can
+    carry (clamped post-decimation), a finite plant transition at every
+    gain an episode runs, a non-empty observation_starts from index 0 or
+    later, and a positive t_reward whose reward_samples an episode holds."""
     for part in (scenario, config):
         for key, value in asdict(part).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+    if not all(math.isfinite(kp / config.cache_resolution) for kp in
+               (config.kp_min, config.kp_max, config.kp_max - config.kp_min)):
+        raise ConfigError(f"cache_resolution {config.cache_resolution!r} puts a cache "
+                          "bucket index or the oracle's step count past 1e308")
     # damping is affine in the gain, so these four bound every segment's
     for key, part in (("kp_stable", scenario), ("kp_unstable", scenario),
                       ("kp_min", config), ("kp_max", config)):

@@ -72,7 +72,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import plant
-from .config import coerce
+from .config import TrainConfig, coerce
 from .sigproc import SignalTrace
 
 
@@ -88,7 +88,7 @@ class ServerError(ProtocolError):
         self.code = code
 
 
-DEFAULT_KP_BOUNDS = (0.5, 4.0)
+DEFAULT_KP_BOUNDS = (TrainConfig.kp_min, TrainConfig.kp_max)
 MAX_REQUEST_BYTES = 64 * 1024
 MAX_SESSIONS = 32
 TRACE_ENCODINGS = ("json", "f64le")
@@ -346,7 +346,11 @@ class RemoteEnv:
         self._fh = self._sock.makefile("rwb")
         self._seq = 0
         if self.scenario is not None:
-            self.request("reset", scenario=asdict(self.scenario))
+            try:
+                self.request("reset", scenario=asdict(self.scenario))
+            except BaseException:
+                self.close()  # _fh is None: no open connection
+                raise
 
     def request(self, kind: str, **payload) -> dict:
         """Send one request and return its reply. A trace that arrives as

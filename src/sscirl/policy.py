@@ -143,12 +143,13 @@ def _obs_values(obs) -> np.ndarray:
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite output raises
 def forward(params: PolicyParameters, obs) -> PolicyOutput:
     """Evaluate mean and variance heads, retaining intermediates.
 
     obs is one observation (an Observation or a length-obs_dim vector) or
     an (n, obs_dim) array of n of them, evaluated in one pass; one
-    observation is evaluated as a stack of one.
+    observation is evaluated as a stack of one; a non-finite output raises.
     """
     o = _obs_values(obs)
     single = o.ndim == 1
@@ -183,11 +184,13 @@ def forward(params: PolicyParameters, obs) -> PolicyOutput:
     var = np.maximum(raw, 0.0)
     var += np.log1p(np.exp(-np.abs(raw)))
     var += VAR_FLOOR
+    if single:
+        mu, var = float(mu[0]), float(var[0])
+    if not np.isfinite((mu, var)).all():
+        raise PolicyError("non-finite policy output: the weights overflow the layers")
 
     cache = {"xhat": xhat, "ln": ln, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
              "raw": raw}
-    if single:
-        return PolicyOutput(float(mu[0]), float(var[0]), cache)
     return PolicyOutput(mu, var, cache)
 
 
@@ -350,8 +353,11 @@ def save_checkpoint(params: PolicyParameters, path) -> None:
 
 def load_checkpoint(path, obs_dim: int = 30, hidden: int = 64) -> PolicyParameters:
     """Read a checkpoint, validating magic, shapes, and checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(str(exc)) from exc
 
     def fail(msg):
         raise CheckpointError(f"corrupt checkpoint {path}: {msg}")

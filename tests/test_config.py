@@ -278,6 +278,8 @@ UNRUNNABLE = [
     ("t_reward", {"t_reward": 5.0}),
     ("t_reward", {"t_reward": 0.0}),
     ("t_reward", {"t_reward": -1.0}),
+    # 0.5 / 1e-310 overflows: no cache bucket index, no oracle step count
+    ("cache_resolution", {"cache_resolution": 1e-310}),
     # zeta = -10,000 at kp_unstable (+25,000 at kp_min runs), and -2,999:
     # the transition's entries pass 1e308
     ("kp_unstable", {"zeta_stable": 1e4}),

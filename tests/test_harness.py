@@ -346,6 +346,72 @@ class TestEvaluateAndOracle:
         assert "oracle optimum gain: 0.5" in capsys.readouterr().out
 
 
+class TestRefusals:
+    """Failures `cli.main` reports in one stderr line, with no traceback."""
+
+    def test_serve_on_a_bound_port_exits_1_in_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(EnvServer, "serve_forever",
+                            lambda self: pytest.fail("bound a port in use"))
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            code = run_cli(["serve", "--port", str(taken.getsockname()[1])])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("serve failed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_out_of_range_exits_2_naming_the_flag(self, capsys, port):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["serve", "--port", port])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == \
+            f"bad config: --port must be in [0, 65535], got {port}\n"
+
+    def test_env_port_out_of_range_names_the_flag(self, tmp_path, capsys):
+        spec = "remote:127.0.0.1:70000"
+        code = run_cli(["train", "--out", str(tmp_path / "r"), "--env", spec])
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"train failed: bad --env {spec!r}; use 'local' or 'remote:HOST:PORT'\n"
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--n_epoch", "1", "--n_iter", "1"], ["simulate", "--kp", "2.0"],
+        ["oracle", "--kp_max", "0.6"], ["evaluate", "--checkpoint"]],
+        ids=lambda command: command[0])
+    def test_out_under_a_file_exits_1_in_one_line(self, run_dir, tmp_path, capsys,
+                                                  command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if command[0] == "evaluate":
+            command = command + [str(run_dir / "best.ckpt")]
+        code = run_cli(command + ["--out", str(blocker / "sub" / "out")])
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command[0]} failed: ") and err.count("\n") == 1
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("cache", ["on", "off"])
+    def test_overflowing_policy_exits_1_in_one_line(self, tmp_path, capsys, cache):
+        # the first Adam step at lr 1e100 makes the next forward pass overflow
+        code = run_cli(["train", "--out", str(tmp_path / "r"), "--n_epoch", "3",
+                        "--n_iter", "2", "--lr", "1e100", "--cache_enabled", cache])
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "train failed: non-finite policy output: the weights overflow the layers\n"
+
+    @pytest.mark.parametrize("command", ["train", "oracle"])
+    def test_too_fine_cache_resolution_exits_2_before_writing(self, tmp_path, capsys,
+                                                              command):
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--out", str(out / "out"), "--cache_resolution", "1e-310"])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("bad config: cache_resolution 1e-310 ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # line protocol
 
@@ -982,6 +1048,23 @@ class TestRemoteEnv:
         assert remote.diverged and local.diverged
         assert np.array_equal(remote.trace.samples, local.trace.samples)
         assert remote.diverged_at == local.diverged_at
+
+    def test_refused_reset_leaves_no_open_connection(self, server, monkeypatch):
+        # a reset refused on connect, in the constructor or on the reconnect
+        # of a retry, closes the socket it went out on
+        opened, connect = [], socket.create_connection
+        monkeypatch.setattr(envproto.socket, "create_connection",
+                            lambda *a, **kw: opened.append(connect(*a, **kw)) or opened[-1])
+        longer = replace(SCN, horizon=2 * SCN.horizon)  # past the served horizon
+        with pytest.raises(ServerError, match=r"\[args\]"):
+            RemoteEnv(*server.address, scenario=longer)
+        env = RemoteEnv(*server.address)
+        env.close()
+        env.scenario = longer
+        with pytest.raises(ServerError, match=r"\[args\]"):
+            env.run_episode(2.0, 5)
+        assert env._fh is None and env._sock is None
+        assert len(opened) == 3 and all(s.fileno() == -1 for s in opened)
 
     def test_server_down_raises(self):
         with socket.socket() as s:

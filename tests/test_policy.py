@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestForward:
         for shape in ((8, 29), (0, 30), (2, 8, 30)):
             with pytest.raises(PolicyError):
                 forward(init_params(seed=0), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(30,), (8, 30)])
+    def test_overflowing_output_rejected_without_warnings(self, shape):
+        # finite weights so large that the layers overflow: no mean reaches
+        # the caller as inf or NaN, and numpy's overflow warnings stay quiet
+        params = init_params(seed=0)
+        params.theta[...] *= 1e100
+        assert np.isfinite(params.theta).all()
+        obs = random_obs(np.random.default_rng(4), math.prod(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PolicyError, match="non-finite policy output"):
+                forward(params, obs.reshape(shape))
 
 
 class TestLogProb:
@@ -405,6 +419,14 @@ def write_per_tensor(params, path):
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_is_a_checkpoint_error(self, tmp_path, kind):
+        path = tmp_path / "best.ckpt"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_checkpoint(path)
+
     # each example overwrites the files of the last
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
