@@ -27,16 +27,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BAD_CONFIG = 2
 
-_ALIASES = {"epochs": "n_epoch", "iters": "n_iter"}
-
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key = value config file")
-    pairs = [(key, key) for key in KEYS]
-    pairs += list(_ALIASES.items())
-    for flag, target in pairs:
+    for key in KEYS:
         try:
-            parser.add_argument(f"--{flag}", dest=f"ov_{target}", metavar="V",
+            parser.add_argument(f"--{key}", dest=f"ov_{key}", metavar="V",
                                 help=argparse.SUPPRESS)
         except argparse.ArgumentError:
             # subcommand claims this flag for itself (e.g. --seed)
@@ -99,7 +95,7 @@ def cmd_evaluate(args, scenario, config) -> None:
 
 
 def cmd_simulate(args, scenario, config) -> None:
-    result = plant.run_episode(scenario, plant.GainAction(args.kp), args.seed)
+    result = plant.run_episode(scenario, args.kp, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sigproc.write_trace_csv(result.trace, out / "raw.csv")

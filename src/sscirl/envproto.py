@@ -38,6 +38,11 @@ included, gets "args" naming it. The episode a reset asks for may hold
 at most as many samples, round(horizon / sim_dt), as the served
 scenario's; a longer one gets "args" and the session keeps its scenario.
 
+Every `set_gain` and `run_episode` kp must lie in the server's kp_bounds;
+any other, NaN included, gets "bounds". The trainer asks only for gains
+in its [kp_min, kp_max], its pre-activation trace at kp_unstable clamped
+into that range (no commanded gain reaches the samples before act_time).
+
 A `run_episode` with `until` (seconds) ends the episode there: it runs the
 session's scenario at horizon min(until, horizon). Episode noise is
 prefix-stable, so the trace is the prefix of the full one. The plant
@@ -108,13 +113,12 @@ class _Session:
         self.state = plant.initial_state(scenario)
         self.rng = np.random.default_rng(seed)
 
-    def _in_bounds(self, kp: float) -> bool:
+    def _bounds_error(self, rid, kp: float) -> dict | None:
+        """The refusal of a gain outside kp_bounds (NaN included), else None."""
         lo, hi = self.kp_bounds
-        return lo <= kp <= hi  # false for NaN
-
-    def _bounds_error(self, rid, kp):
-        lo, hi = self.kp_bounds
-        return _error(rid, "bounds", f"kp {kp} outside [{lo}, {hi}]")
+        if not lo <= kp <= hi:
+            return _error(rid, "bounds", f"kp {kp} outside [{lo}, {hi}]")
+        return None
 
     def handle(self, msg: dict) -> tuple[dict, bytes]:
         """The reply line to one request, and the raw bytes that follow it
@@ -150,9 +154,9 @@ class _Session:
                 return _ok(rid, {"t": self.state.t})
             if kind == "set_gain":
                 kp = _number(msg, "kp")
-                if not self._in_bounds(kp):
-                    return self._bounds_error(rid, kp)
-                self.state = plant.apply_gain(self.state, plant.GainAction(kp))
+                if refusal := self._bounds_error(rid, kp):
+                    return refusal
+                self.state = replace(self.state, active_kp=kp)
                 return _ok(rid, {"active_kp": kp})
             if kind == "step":
                 n = _integer(msg, "n_steps")
@@ -180,9 +184,8 @@ class _Session:
                 if encoding not in TRACE_ENCODINGS:
                     return _error(rid, "args", f"encoding must be one of "
                                                f"{TRACE_ENCODINGS}, got {encoding!r}")
-                # the trainer asks for its pre-activation trace at kp_unstable
-                if not (self._in_bounds(kp) or kp == self.scenario.kp_unstable):
-                    return self._bounds_error(rid, kp)
+                if refusal := self._bounds_error(rid, kp):
+                    return refusal
                 scenario = self.scenario
                 if "until" in msg:
                     until = _number(msg, "until")
@@ -190,7 +193,7 @@ class _Session:
                         return _error(rid, "args", f"until must be a finite time after "
                                                    f"act_time {scenario.act_time}, got {until}")
                     scenario = replace(scenario, horizon=min(until, scenario.horizon))
-                result = plant.run_episode(scenario, plant.GainAction(kp), seed)
+                result = plant.run_episode(scenario, kp, seed)
                 trace = result.trace
                 reply = {"id": rid, "kind": "trace", "rate": trace.sample_rate,
                          "t0": trace.t0, "diverged": result.diverged}

@@ -40,13 +40,6 @@ class DivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GainAction:
-    """Scalar outer-loop proportional gain command."""
-
-    kp: float
-
-
-@dataclass(frozen=True)
 class PlantScenario:
     """Surrogate grid configuration.
 
@@ -317,11 +310,6 @@ def step(state: PlantState, scenario: PlantScenario,
     return end
 
 
-def apply_gain(state: PlantState, action: GainAction) -> PlantState:
-    """Switch the active gain; mode state is continuous across the switch."""
-    return PlantState(state.t, state.mode_state.copy(), action.kp)
-
-
 def measure(state: PlantState, scenario: PlantScenario,
             rng: np.random.Generator | None = None) -> float:
     """Per-unit active power sample: nominal point plus the mode displacement."""
@@ -392,12 +380,12 @@ def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     return samples, x, v, diverged, tail
 
 
-def run_episode(scenario: PlantScenario, action: GainAction,
+def run_episode(scenario: PlantScenario, kp: float,
                 seed: int | None = None) -> EpisodeResult:
     """Simulate the full mistuning timeline at the native rate.
 
     Gains: kp_stable on [0, mistune_time), kp_unstable on
-    [mistune_time, act_time), action.kp from act_time on. Deterministic for
+    [mistune_time, act_time), the commanded kp from act_time on. Deterministic for
     a given seed. The process noise w and the measurement noise vnoise come
     from two child streams of SeedSequence(seed), so an episode at a
     shorter horizon is, bit for bit, the prefix of the same-seed episode at
@@ -407,7 +395,7 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     No gain reaches the samples up to act_time, so a seed's history to
     there, and the noise of the samples after it, are simulated and drawn
     once (_history, memoised on the scenario and the seed): each episode
-    continues that history at action.kp on that noise, and is the one a
+    continues that history at kp on that noise, and is the one a
     single pass gives, bit for bit. Seed None draws fresh entropy and is
     not memoised.
     """
@@ -422,7 +410,7 @@ def run_episode(scenario: PlantScenario, action: GainAction,
     out[:n_valid] = samples
     if len(w):
         threshold = scenario.diverge_threshold
-        n, x, v, crossing = _advance(x, v, transition(scenario, action.kp), w,
+        n, x, v, crossing = _advance(x, v, transition(scenario, kp), w,
                                      threshold * threshold, out[n_valid:], vnoise,
                                      scenario.p_nom)
         n_valid += n

@@ -66,17 +66,6 @@ class EvalCache:
         return len(self._rewards)
 
 
-def run_jobs(env, jobs, until: float):
-    """The episode of each (kp, seed) job, in job order: from
-    env.run_episodes(jobs, until) if env has it, else env.run_episode's,
-    each run as it is pulled. until (seconds) is where the caller stops
-    reading; an env may end its episodes there, or run them longer."""
-    run_episodes = getattr(env, "run_episodes", None)
-    if run_episodes is None:
-        return (env.run_episode(kp, seed) for kp, seed in jobs)
-    return run_episodes(jobs, until)
-
-
 class LocalPlantEnv:
     """In-process environment: direct surrogate plant episodes."""
 
@@ -86,7 +75,13 @@ class LocalPlantEnv:
 
     def run_episode(self, kp: float, seed: int | None) -> plant.EpisodeResult:
         self.episode_count += 1
-        return plant.run_episode(self.scenario, plant.GainAction(kp), seed)
+        return plant.run_episode(self.scenario, kp, seed)
+
+    def run_episodes(self, jobs, until: float):
+        """run_episode of each (kp, seed) job, in job order, each run as it
+        is pulled; every episode runs to the scenario's horizon, whatever
+        until asks."""
+        return (self.run_episode(kp, seed) for kp, seed in jobs)
 
     def close(self):
         pass
@@ -185,7 +180,7 @@ def canonical_observation(scenario: plant.PlantScenario,
     the two share one plant history; the observation reads only
     [0, act_time)."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
-    result = plant.run_episode(quiet, plant.GainAction(quiet.kp_unstable), seed=0)
+    result = plant.run_episode(quiet, quiet.kp_unstable, seed=0)
     obs_trace, _ = observation_trace(result.trace, scenario, config)
     i0 = observation_starts(scenario, config)[0]
     return sigproc.Observation(obs_trace.samples[i0:i0 + config.d_obs],
@@ -295,8 +290,8 @@ def run_epoch(params: pol.PolicyParameters, env, pretrace: _Pretrace, config: Tr
     # next; list() ends the batch (and so releases it) even when scoring raises
     scores = iter(list(map(
         lambda result: episode_reward(result, scenario, config, head),
-        run_jobs(env, [(applied[it], pretrace.seed) for it in first_miss.values()],
-                 scenario.horizon))))
+        env.run_episodes([(applied[it], pretrace.seed) for it in first_miss.values()],
+                         scenario.horizon))))
 
     # in iteration order: a divergence penalty depends on the worst reward before it
     records, rewards = [], []
@@ -354,23 +349,28 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     """Full training run with best-model tracking and CSV logging.
 
     run_dir (optional) receives training_log.csv, the resolved config
-    snapshot, and best.ckpt (the latest of the epochs tied at the top mean
-    reward) and last.ckpt, both written once when the run ends, provided an
+    snapshot, and best.ckpt (the parameters that acted in the latest of
+    the epochs tied at the top mean reward) and last.ckpt (those after the
+    last Adam step), both written once when the run ends, provided an
     epoch finished. Episodes are read only up to the end of the reward
-    window, so they run on reward_scenario(scenario, config). env defaults
-    to the in-process plant on that scenario; any object with
-    run_episode(kp, seed) -> EpisodeResult, its trace starting at t = 0,
-    works (e.g. the remote protocol adapter). It may also have
-    run_episodes(jobs, until), taking a list of (kp, seed) and the time in
-    seconds where the episodes may end, and yielding each job's
-    EpisodeResult in order; the pre-activation trace and then each epoch's
-    plant episodes go to it as one batch each, all with until at the end
-    of the reward window (the pre-trace too, so that the plant simulates
-    the history they share once), else run_episode runs them one by one.
-    An episode that runs past until, up to its env's own horizon, gives
-    the same log. The pair is checked by config.validate before anything
-    runs, and the pre-activation trace runs and is conditioned before
-    anything is written: if either raises, run_dir is left as it was.
+    window, so they run on reward_scenario(scenario, config).
+
+    env defaults to the in-process plant on that scenario (LocalPlantEnv);
+    any object with these works, as the remote protocol adapter does:
+    run_episodes(jobs, until), taking a list of (kp, seed) jobs, each kp in
+    [kp_min, kp_max], and the time in seconds where the episodes may end,
+    and yielding each job's EpisodeResult, its trace starting at t = 0, in
+    job order; episode_count, the episodes it has run; and close(), which
+    ends it (train closes only the env it made). The pre-activation trace, at
+    kp_unstable clamped into [kp_min, kp_max] (no commanded gain reaches
+    the samples it reads), and then each epoch's plant episodes go to it
+    as one batch each, all with until at the end of the reward window (the
+    pre-trace too, so that the plant simulates the history they share
+    once). An episode that runs past until, up to its env's own horizon,
+    gives the same log. The pair is checked by config.validate before
+    anything runs, and the pre-activation trace runs and is conditioned
+    before anything is written: if either raises, run_dir is left as it
+    was.
     """
     validate(scenario, config)
     cut = reward_scenario(scenario, config)
@@ -383,7 +383,8 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     # when an env ignores the seed) at its horizon, so the plant memoises
     # one history; per-iteration variety comes from the random window start
     seed = _pretrace_seed(config.seed)
-    [pre_result] = run_jobs(env, [(scenario.kp_unstable, seed)], cut.horizon)
+    kp = clamp(scenario.kp_unstable, config.kp_min, config.kp_max)
+    [pre_result] = env.run_episodes([(kp, seed)], cut.horizon)
     pretrace = _Pretrace(cut, config, seed,
                          *observation_trace(pre_result.trace, scenario, config))
 
@@ -408,19 +409,21 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
 
     try:
         for epoch in range(config.n_epoch):
+            acted = params
             params, stats, _ = run_epoch(
-                params, env, pretrace, config, rng, cache, epoch, worst)
+                acted, env, pretrace, config, rng, cache, epoch, worst)
             worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
             stats_rows.append(stats)
             if log_fh is not None:
                 log_fh.write(stats.csv_row() + "\n")
                 log_fh.flush()
-            # among epochs tied at the top reward, keep the latest: ties are
-            # common once every clamped action lands on kp_min. adam_step
-            # returns new arrays, so no later epoch changes a kept epoch's
+            # keep the parameters that earned the reward, and among epochs
+            # tied at the top, the latest: ties are common once every clamped
+            # action lands on kp_min. adam_step returns new arrays, so no
+            # later epoch changes a kept epoch's
             if stats.mean_reward >= best_reward:
                 best_reward = stats.mean_reward
-                best_params = params
+                best_params = acted
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -430,10 +433,9 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
         if own_env:
             env.close()
 
-    episodes = getattr(env, "episode_count", -1)
-    # the one copy: best and last may be one epoch's parameters
+    # the one copy: the result's best_params share no array with an epoch's
     return TrainResult(best_params.copy(), params, best_reward, stats_rows, run_dir,
-                       cache, episodes)
+                       cache, env.episode_count)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +468,8 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
     mu = pol.forward(params, canonical_observation(scenario, config)).mu
     applied = clamp(mu, config.kp_min, config.kp_max) if mitigate else scenario.kp_unstable
 
-    mitigated = plant.run_episode(scenario, plant.GainAction(applied), seed)
-    unmitigated = plant.run_episode(scenario, plant.GainAction(scenario.kp_unstable), seed)
+    mitigated = plant.run_episode(scenario, applied, seed)
+    unmitigated = plant.run_episode(scenario, scenario.kp_unstable, seed)
 
     act = reward_window(scenario, config).start
     head, filtered = _history_head(mitigated.trace, scenario.act_time, config)
@@ -499,7 +501,7 @@ def grid_oracle(scenario: plant.PlantScenario,
     sweep, head = [], None
     for i in range(n + 1):
         kp = min(config.kp_min + i * res, config.kp_max)
-        result = plant.run_episode(quiet, plant.GainAction(kp), seed=0)
+        result = plant.run_episode(quiet, kp, seed=0)
         if head is None:
             head, _ = _history_head(result.trace, quiet.act_time, config)
         reward = episode_reward(result, quiet, config, head)

@@ -121,7 +121,7 @@ def run_epoch(params, env, scenario, config, rng, cache, obs_trace, epoch,
             known[key] = reward
     scores = iter(list(map(
         lambda result: trainer.episode_reward(result, scenario, config, head),
-        trainer.run_jobs(env, [(applied[it], seed) for it in first_miss.values()],
+        env.run_episodes([(applied[it], seed) for it in first_miss.values()],
                          scenario.horizon))))
 
     records = []

@@ -159,7 +159,7 @@ def test_accepted_pair_rewards_its_episodes(pair):
     # no noise and no initial disturbance: the mode stays at rest and the
     # episode cannot diverge
     quiet = replace(default_mode(scenario), disturbance_amp=0.0)
-    gain = plant.GainAction(quiet.kp_stable)
+    gain = quiet.kp_stable
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # post_decimation clamps f_max
         full = plant.run_episode(quiet, gain, seed=0)
@@ -207,7 +207,7 @@ def test_accepted_pair_observes_every_window_start(pair):
     pre = replace(quiet, horizon=quiet.act_time + quiet.sim_dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # post_decimation clamps f_max
-        result = plant.run_episode(pre, plant.GainAction(pre.kp_unstable), seed=0)
+        result = plant.run_episode(pre, pre.kp_unstable, seed=0)
         samples = trainer.observation_trace(result.trace, quiet, cfg)[0].samples
         obs = trainer.canonical_observation(quiet, cfg)
     for first in (starts[0], starts[-1], starts[-1] + 1):

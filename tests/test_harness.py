@@ -86,6 +86,13 @@ class TestTrainCommand:
         assert exc.value.code == cli.EXIT_BAD_CONFIG
         assert "bad config" in capsys.readouterr().err
 
+    def test_second_spelling_of_a_config_flag_exits_2(self, tmp_path):
+        # one flag per config key: --epochs is not --n_epoch
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--out", str(tmp_path / "r"), "--epochs", "3"])
+        assert exc.value.code == cli.EXIT_BAD_CONFIG
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--cache_enabled", "ture"), ("--n_epoch", "1e3"), ("--seed", "-1"),
         ("--hidden_size", "0"), ("--lr", "nan"), ("--d_obs", "50"),
@@ -119,8 +126,8 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_server_refusal_exits_1_in_one_line(self, tmp_path, capsys):
-        # the server admits the pre-trace at kp_unstable, then refuses the
-        # first epoch's gains, all above its kp_max
+        # the pre-trace's gain, kp_unstable clamped into [2.5, 4.0], lies
+        # above the server's kp_max: refused before anything is written
         srv = EnvServer(SCN, port=0, kp_bounds=(0.5, 2.0))
         serve(srv)
         out = tmp_path / "r"
@@ -133,10 +140,9 @@ class TestTrainCommand:
             srv.server_close()
         assert code == cli.EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("train failed: server error [bounds]: kp ")
+        assert err.startswith("train failed: server error [bounds]: kp 4.0 ")
         assert err.count("\n") == 1
-        assert (out / "training_log.csv").read_text() == trainer.LOG_HEADER + "\n"
-        assert not (out / "best.ckpt").exists()
+        assert not out.exists()
 
     def test_unreachable_server_exits_1_in_one_line(self, tmp_path, capsys):
         with socket.socket() as unserved:  # bound, not listening: refused
@@ -218,7 +224,7 @@ class TestSimulateCommand:
             warnings.simplefilter("ignore", UserWarning)  # post_decimation clamps f_max
             assert run_cli(["simulate", "--kp", "2.0", "--out", str(out)] + flags) == 0
             scn, cfg = config.resolve(None, overrides)
-            result = plant.run_episode(scn, plant.GainAction(2.0), seed=0)
+            result = plant.run_episode(scn, 2.0, seed=0)
             filtered = sigproc.filter_head(result.trace, cfg.bandpass_spec,
                                            cfg.target_rate, stage)[1]
         observed = sigproc.observed(filtered, cfg.target_rate, stage)
@@ -400,6 +406,17 @@ class TestRefusals:
         assert capsys.readouterr().err == \
             "train failed: non-finite policy output: the weights overflow the layers\n"
 
+    def test_overflowing_run_leaves_a_best_checkpoint_evaluate_accepts(self, tmp_path):
+        # best.ckpt holds the parameters the first epoch acted with, before
+        # the Adam step that overflowed
+        out = tmp_path / "r"
+        code = run_cli(["train", "--out", str(out), "--n_epoch", "3",
+                        "--n_iter", "2", "--lr", "1e100"])
+        assert code == cli.EXIT_ERROR
+        code = run_cli(["evaluate", "--checkpoint", str(out / "best.ckpt"),
+                        "--out", str(tmp_path / "eval")])
+        assert code == 0
+
     @pytest.mark.parametrize("command", ["train", "oracle"])
     def test_too_fine_cache_resolution_exits_2_before_writing(self, tmp_path, capsys,
                                                               command):
@@ -496,6 +513,10 @@ class TestProtocol:
     def test_set_gain_out_of_bounds(self, conn):
         reply = conn.send(id=1, kind="set_gain", kp=10.0)
         assert reply["kind"] == "error" and reply["code"] == "bounds"
+        # a kp_max below the scenario's kp_unstable refuses kp_unstable too
+        session = envproto._Session(SCN, kp_bounds=(0.5, 3.5))
+        reply, _ = session.handle({"id": 1, "kind": "set_gain", "kp": SCN.kp_unstable})
+        assert reply["kind"] == "error" and reply["code"] == "bounds"
 
     @pytest.mark.parametrize("kind", ["reset", "run_episode"])
     @pytest.mark.parametrize("seed", [-1, 7.0, True, None, "7", [1, 2], {"a": 1}])
@@ -549,6 +570,11 @@ class TestProtocol:
     def test_run_episode_out_of_bounds(self, conn):
         reply = conn.send(id=1, kind="run_episode", kp=-50.0, seed=0)
         assert reply["kind"] == "error" and reply["code"] == "bounds"
+        # no gain is exempt: kp_unstable above a served kp_max is refused
+        session = envproto._Session(SCN, kp_bounds=(0.5, 3.5))
+        for rid, kp in enumerate([SCN.kp_unstable, 3.9, 3.5 + 1e-12], start=1):
+            reply, _ = session.handle({"id": rid, "kind": "run_episode", "kp": kp, "seed": 0})
+            assert reply["kind"] == "error" and reply["code"] == "bounds"
 
     def test_run_episode_nan_gain(self, conn):
         reply = conn.send_raw('{"id": 1, "kind": "run_episode", "kp": NaN}')
@@ -556,27 +582,9 @@ class TestProtocol:
         reply = conn.send(id=2, kind="set_gain", kp=float("nan"))
         assert reply["kind"] == "error" and reply["code"] == "bounds"
 
-    def test_run_episode_admits_kp_unstable(self):
-        # the trainer's pre-activation trace runs at kp_unstable, which may
-        # lie outside the server's bounds
-        srv = EnvServer(SCN, port=0, kp_bounds=(0.5, 3.5))
-        serve(srv)
-        c = Conn(srv.address)
-        try:
-            reply = c.send(id=1, kind="run_episode", kp=SCN.kp_unstable, seed=0)
-            assert reply["kind"] == "trace" and SCN.kp_unstable > 3.5
-            reply = c.send(id=2, kind="run_episode", kp=3.9, seed=0)
-            assert reply["kind"] == "error" and reply["code"] == "bounds"
-            reply = c.send(id=3, kind="set_gain", kp=SCN.kp_unstable)
-            assert reply["kind"] == "error" and reply["code"] == "bounds"
-        finally:
-            c.close()
-            srv.shutdown()
-            srv.server_close()
-
     def test_run_episode_matches_local(self, conn):
         reply = conn.send(id=1, kind="run_episode", kp=2.0, seed=5)
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        local = plant.run_episode(SCN, 2.0, seed=5)
         assert reply["kind"] == "trace"
         assert np.array_equal(np.array(reply["samples"]), local.trace.samples)
         assert reply["diverged"] == local.diverged
@@ -586,7 +594,7 @@ class TestProtocol:
         ids=["normal", "kp_unstable", "diverged"])
     def test_run_episode_f64le_matches_local(self, conn, kp, overrides):
         scn = replace(SCN, **overrides)
-        local = plant.run_episode(scn, plant.GainAction(kp), seed=5)
+        local = plant.run_episode(scn, kp, seed=5)
         assert conn.send(id=1, kind="reset", scenario=overrides)["kind"] == "ok"
         reply = conn.send(id=2, kind="run_episode", kp=kp, seed=5, encoding="f64le")
         assert reply["kind"] == "trace" and "samples" not in reply
@@ -605,7 +613,7 @@ class TestProtocol:
         reply = conn.send(id=1, kind="run_episode", kp=2.0, seed=5, until=until,
                           encoding="f64le")
         assert reply["kind"] == "trace" and reply["nbytes"] == 8 * n
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5).trace.samples
+        local = plant.run_episode(SCN, 2.0, seed=5).trace.samples
         assert reply["bytes"] == local[:n].astype("<f8").tobytes()
 
     def test_run_episode_until_capped_at_the_reset_horizon(self, conn):
@@ -716,7 +724,7 @@ class TestProtocol:
         assert reply["kind"] == "ok"
         assert reply["payload"]["t"] == pytest.approx(50 * SCN.sim_dt)
         reply = conn.send(id=4, kind="run_episode", kp=2, seed=5, encoding="f64le")
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        local = plant.run_episode(SCN, 2.0, seed=5)
         assert reply["bytes"] == local.trace.samples.tobytes()
 
     def test_benchmark_cosimulation_requests_are_served(self, conn):
@@ -736,8 +744,7 @@ class TestProtocol:
     def test_state_after_divergence_is_last_finite(self, conn):
         overrides = {"zeta_stable": 0.05, "diverge_threshold": 20.0, "noise_std": 0.0}
         scn = replace(SCN, **overrides)
-        start = plant.apply_gain(plant.initial_state(scn),
-                                 plant.GainAction(scn.kp_unstable))
+        start = replace(plant.initial_state(scn), active_kp=scn.kp_unstable)
         with pytest.raises(plant.DivergedError) as err:
             plant.step(start, scn, n_steps=5000)
         last = err.value.state
@@ -761,7 +768,7 @@ class TestProtocol:
         reply = conn.send(id=1, kind="reset", scenario={"f_osc": "47.5"}, seed=0)
         assert reply["kind"] == "ok"
         reply = conn.send(id=2, kind="run_episode", kp=2.0, seed=5)
-        local = plant.run_episode(replace(SCN, f_osc=47.5), plant.GainAction(2.0), seed=5)
+        local = plant.run_episode(replace(SCN, f_osc=47.5), 2.0, seed=5)
         assert reply["samples"] == local.trace.samples.tolist()
 
     @pytest.mark.parametrize("overrides, field", [
@@ -953,7 +960,7 @@ class SessionModel(RuleBasedStateMachine):
         reply, _ = self.handle(gap, "set_gain", kp=kp)
         if self.refused_for_bounds(reply, kp):
             return
-        self.state = plant.apply_gain(self.state, plant.GainAction(kp))
+        self.state = replace(self.state, active_kp=kp)
         assert same(reply, {"id": self.last_id, "kind": "ok",
                             "payload": {"active_kp": kp}})
 
@@ -991,7 +998,7 @@ class SessionModel(RuleBasedStateMachine):
             return
         horizon = SHORT.horizon if until is None else min(until, SHORT.horizon)
         result = plant.run_episode(replace(self.scenario, horizon=horizon),
-                                   plant.GainAction(kp), seed)
+                                   kp, seed)
         expected = {"id": self.last_id, "kind": "trace", "rate": SHORT.sample_rate,
                     "t0": 0.0, "diverged": result.diverged}
         if encoding == "json":
@@ -1032,7 +1039,7 @@ class TestRemoteEnv:
             remote = env.run_episode(2.0, 5)
         finally:
             env.close()
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        local = plant.run_episode(SCN, 2.0, seed=5)
         assert np.array_equal(remote.trace.samples, local.trace.samples)
         assert remote.trace.sample_rate == local.trace.sample_rate
         assert env.episode_count == 1
@@ -1044,7 +1051,7 @@ class TestRemoteEnv:
             remote = env.run_episode(scn.kp_unstable, 5)
         finally:
             env.close()
-        local = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=5)
+        local = plant.run_episode(scn, scn.kp_unstable, seed=5)
         assert remote.diverged and local.diverged
         assert np.array_equal(remote.trace.samples, local.trace.samples)
         assert remote.diverged_at == local.diverged_at
@@ -1080,7 +1087,7 @@ class TestRemoteEnv:
             result = env.run_episode(2.0, 5)
         finally:
             env.close()
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        local = plant.run_episode(SCN, 2.0, seed=5)
         assert np.array_equal(result.trace.samples, local.trace.samples)
 
     def test_remote_training_log_matches_local(self, server, tmp_path):
@@ -1092,6 +1099,23 @@ class TestRemoteEnv:
         env.close()
         assert (d_local / "training_log.csv").read_bytes() == \
                (d_remote / "training_log.csv").read_bytes()
+
+    def test_training_against_a_server_bounded_below_kp_unstable_matches_local(
+            self, tmp_path):
+        cfg = trainer.TrainConfig(n_epoch=5, n_iter=2, seed=11, kp_max=3.5)
+        srv = EnvServer(SCN, port=0, kp_bounds=(cfg.kp_min, cfg.kp_max))
+        serve(srv)
+        env = RemoteEnv(*srv.address, scenario=SCN)
+        d_local, d_remote = tmp_path / "local", tmp_path / "remote"
+        try:
+            trainer.train(SCN, cfg, run_dir=d_remote, env=env)
+        finally:
+            env.close()
+            srv.shutdown()
+            srv.server_close()
+        trainer.train(SCN, cfg, run_dir=d_local)
+        for name in ("training_log.csv", "best.ckpt", "last.ckpt"):
+            assert (d_local / name).read_bytes() == (d_remote / name).read_bytes()
 
     @pytest.mark.parametrize("scn, seed", [(SCN, 11), (MIXED, 0)],
                              ids=["cache_off", "diverging_in_batch"])
@@ -1176,7 +1200,7 @@ class TestRemoteEnv:
             assert env._sock is sock
         finally:
             env.close()
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=6)
+        local = plant.run_episode(SCN, 2.0, seed=6)
         assert np.array_equal(result.trace.samples, local.trace.samples)
         assert env.episode_count == 1
 
@@ -1205,7 +1229,7 @@ class TestRemoteEnv:
         finally:
             env.close()
         for result, kp, seed in ((first, 2.0, 1), (again, 2.5, 4)):
-            local = plant.run_episode(SCN, plant.GainAction(kp), seed=seed)
+            local = plant.run_episode(SCN, kp, seed=seed)
             assert np.array_equal(result.trace.samples, local.trace.samples)
         assert env.episode_count == 2
 
@@ -1293,7 +1317,7 @@ TRACE = {"kind": "trace", "rate": SCN.sample_rate, "t0": 0.0, "diverged": False}
 class TestRemoteEnvPayloads:
     def test_decodes_json_list_from_external_simulator(self, stub):
         # a simulator that ignores `encoding` and sends a float list
-        local = plant.run_episode(SCN, plant.GainAction(2.0), seed=5)
+        local = plant.run_episode(SCN, 2.0, seed=5)
         srv = stub(**TRACE, samples=local.trace.samples.tolist())
         env = RemoteEnv(*srv.server_address, scenario=SCN)
         try:

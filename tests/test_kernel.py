@@ -76,7 +76,7 @@ def test_run_episode_uses_the_kernel_workload():
     mats, steps, w, vnoise = _episode_workload(scn, 2.0, 9)
     *_, out = _run(kernel_reference, scn.disturbance_amp, 0.0, mats, steps, w,
                    vnoise, scn.p_nom, scn.diverge_threshold)
-    samples = plant.run_episode(scn, plant.GainAction(2.0), seed=9).trace.samples
+    samples = plant.run_episode(scn, 2.0, seed=9).trace.samples
     assert np.max(np.abs(samples - out)) <= REL_TOL * np.max(np.abs(out - scn.p_nom))
 
 
@@ -105,7 +105,7 @@ def test_explosive_divergence_found_at_first_crossing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         n_valid, diverged = _assert_agree(scn, *workload)
-        result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
+        result = plant.run_episode(scn, scn.kp_unstable, seed=0)
     assert diverged
     assert round(scn.mistune_time / scn.sim_dt) < n_valid \
         < round(scn.mistune_time / scn.sim_dt) + 100
@@ -135,8 +135,8 @@ def test_one_lfilter_pair_per_segment(monkeypatch):
     sizes = _count_lfilter_pairs(monkeypatch)
     # cold: the two history segments, then the suffix; warm: the suffix
     plant._history.cache_clear()
-    plant.run_episode(scn, plant.GainAction(2.0), seed=0)
-    plant.run_episode(scn, plant.GainAction(2.5), seed=0)
+    plant.run_episode(scn, 2.0, seed=0)
+    plant.run_episode(scn, 2.5, seed=0)
     assert sizes == [k_mistune] * 2 + [k_act - k_mistune] * 2 \
         + [scn.n_samples - 1 - k_act] * 4
     sizes.clear()
@@ -155,7 +155,7 @@ def test_explosive_divergence_filters_each_segment_once(monkeypatch):
     plant._history.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = plant.run_episode(scn, plant.GainAction(scn.kp_unstable), seed=0)
+        result = plant.run_episode(scn, scn.kp_unstable, seed=0)
     assert sizes == [steps[0]] * 2 + [steps[1]] * 2
     assert result.diverged and len(result.trace) == n_ref
 

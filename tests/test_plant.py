@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscirl import plant
-from sscirl.plant import (DivergedError, GainAction, PlantError, PlantScenario,
-                          PlantState, apply_gain, damping_of_gain, initial_state,
-                          measure, mode_eigenvalues, run_episode, step, transition)
+from sscirl.plant import (DivergedError, PlantError, PlantScenario, PlantState,
+                          damping_of_gain, initial_state, measure, mode_eigenvalues,
+                          run_episode, step, transition)
 
 # the stated calibration anchors: damping ratio 0.05 at the nominal gain
 ANCHOR = PlantScenario(zeta_stable=0.05)
@@ -195,9 +195,12 @@ class TestStep:
 
 
 class TestApplyGain:
+    """A gain switch is the state with another active_kp, as the protocol
+    server's set_gain makes it."""
+
     def test_state_continuous_across_switch(self):
         state = PlantState(1.0, np.array([0.01, -0.3]), 2.0)
-        out = apply_gain(state, GainAction(4.0))
+        out = replace(state, active_kp=4.0)
         assert out.active_kp == 4.0
         assert np.array_equal(out.mode_state, state.mode_state)
         assert out.t == state.t
@@ -205,7 +208,7 @@ class TestApplyGain:
     def test_idempotent_reapply(self):
         scn = DEFAULT
         s1 = initial_state(scn)
-        s2 = apply_gain(s1, GainAction(s1.active_kp))
+        s2 = replace(s1, active_kp=s1.active_kp)
         for _ in range(100):
             s1 = step(s1, scn)
             s2 = step(s2, scn)
@@ -213,7 +216,7 @@ class TestApplyGain:
 
     def test_mistuned_gain_grows_envelope(self):
         scn = DEFAULT
-        state = apply_gain(initial_state(scn), GainAction(scn.kp_unstable))
+        state = replace(initial_state(scn), active_kp=scn.kp_unstable)
         start = np.linalg.norm(state.mode_state)
         for _ in range(int(2.0 / scn.sim_dt)):
             state = step(state, scn)
@@ -230,7 +233,7 @@ class TestMeasure:
         assert measure(state, DEFAULT) == pytest.approx(DEFAULT.p_nom + 0.02)
 
     def test_stable_run_oscillates_at_mode_frequency(self):
-        result = run_episode(DEFAULT, GainAction(2.0), seed=5)
+        result = run_episode(DEFAULT, 2.0, seed=5)
         dev = result.trace.samples - DEFAULT.p_nom
         spectrum = np.abs(np.fft.rfft(dev * np.hanning(len(dev))))
         freqs = np.fft.rfftfreq(len(dev), d=DEFAULT.sim_dt)
@@ -239,7 +242,7 @@ class TestMeasure:
 
 class TestRunEpisode:
     def test_sample_count_and_rate(self):
-        result = run_episode(DEFAULT, GainAction(2.0), seed=0)
+        result = run_episode(DEFAULT, 2.0, seed=0)
         assert len(result.trace) == int(5000 * DEFAULT.horizon)
         assert result.trace.sample_rate == 5000.0
         assert not result.diverged
@@ -247,8 +250,8 @@ class TestRunEpisode:
     def test_mitigated_energy_much_smaller_than_unmitigated(self):
         from sscirl.sigproc import energy
         quiet = plant.PlantScenario(noise_std=0.0)
-        good = run_episode(quiet, GainAction(2.0), seed=0).trace
-        bad = run_episode(quiet, GainAction(4.0), seed=0).trace
+        good = run_episode(quiet, 2.0, seed=0).trace
+        bad = run_episode(quiet, 4.0, seed=0).trace
         def post_energy(tr):
             # from act_time = 5.0 s, sample 25,000 at 5 kHz, to the end
             return energy(tr.samples[25000:], tr.sample_rate, quiet.p_nom)
@@ -256,7 +259,7 @@ class TestRunEpisode:
 
     def test_unmitigated_envelope_grows_after_mistune(self):
         quiet = plant.PlantScenario(noise_std=0.0)
-        trace = run_episode(quiet, GainAction(4.0), seed=0).trace
+        trace = run_episode(quiet, 4.0, seed=0).trace
         dev = np.abs(trace.samples - quiet.p_nom)
         # peak envelope per second is monotone after the mistune
         seconds = [dev[int(s * 5000):int((s + 1) * 5000)].max()
@@ -266,15 +269,15 @@ class TestRunEpisode:
     def test_horizon_at_mistune_is_noise_floor(self):
         from sscirl.sigproc import oscillation_energy
         scn = plant.PlantScenario(mistune_time=0.5, act_time=0.8, horizon=1.0)
-        trace = run_episode(scn, GainAction(2.0), seed=0).trace
+        trace = run_episode(scn, 2.0, seed=0).trace
         # only the initial disturbance and noise: bounded well below the
         # unstable-growth scale
         energy = oscillation_energy(trace, scn.p_nom, 0.9)
         assert energy < 1e-3
 
     def test_determinism_bit_identical(self):
-        a = run_episode(DEFAULT, GainAction(1.3), seed=99).trace.samples
-        b = run_episode(DEFAULT, GainAction(1.3), seed=99).trace.samples
+        a = run_episode(DEFAULT, 1.3, seed=99).trace.samples
+        b = run_episode(DEFAULT, 1.3, seed=99).trace.samples
         assert np.array_equal(a, b)
 
     def test_post_activation_energy_increasing_in_gain(self):
@@ -282,7 +285,7 @@ class TestRunEpisode:
         quiet = plant.PlantScenario(noise_std=0.0)
         energies = []
         for kp in np.linspace(0.5, 4.0, 8):
-            trace = run_episode(quiet, GainAction(kp), seed=0).trace
+            trace = run_episode(quiet, kp, seed=0).trace
             # from act_time = 5.0 s, sample 25,000 at 5 kHz, to the end
             energies.append(energy(trace.samples[25000:], trace.sample_rate, quiet.p_nom))
         assert all(a < b for a, b in zip(energies, energies[1:]))
@@ -290,7 +293,7 @@ class TestRunEpisode:
     def test_divergence_truncates_trace(self):
         # 0.05 damping magnitude at 48 Hz blows past the bound mid-episode
         scn = plant.PlantScenario(zeta_stable=0.05, diverge_threshold=1e3)
-        result = run_episode(scn, GainAction(4.0), seed=0)
+        result = run_episode(scn, 4.0, seed=0)
         assert result.diverged
         assert result.diverged_at is not None
         assert len(result.trace) < int(5000 * scn.horizon)
@@ -307,7 +310,7 @@ def test_shorter_horizon_is_a_prefix(seed, kp, lengths, overrides):
     # cutting the horizon cuts the episode and nothing else
     short, long = sorted(lengths)
     scn = replace(DEFAULT, **overrides)
-    a, b = (run_episode(replace(scn, horizon=n * scn.sim_dt), GainAction(kp), seed)
+    a, b = (run_episode(replace(scn, horizon=n * scn.sim_dt), kp, seed)
             for n in (short, long))
     assert a.trace.samples.tobytes() == b.trace.samples[:len(a.trace)].tobytes()
     if b.diverged and len(b.trace) < short:
@@ -364,18 +367,18 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     scn = replace(DEFAULT, **overrides)
     seed = 3
     plant._history.cache_clear()
-    cold = run_episode(scn, GainAction(kp), seed)
+    cold = run_episode(scn, kp, seed)
     # the history an episode at another gain drew serves this one
     plant._history.cache_clear()
-    run_episode(scn, GainAction(scn.kp_unstable), seed)
-    warm = run_episode(scn, GainAction(kp), seed)
+    run_episode(scn, scn.kp_unstable, seed)
+    warm = run_episode(scn, kp, seed)
     assert _memo_counts() == (1, 1)
     # seed None draws fresh entropy, here pinned to the seed, and bypasses the memo
     counts = _memo_counts()
     real = np.random.SeedSequence
     monkeypatch.setattr(np.random, "SeedSequence",
                         lambda entropy=None: real(seed if entropy is None else entropy))
-    fresh = run_episode(scn, GainAction(kp), None)
+    fresh = run_episode(scn, kp, None)
     assert _memo_counts() == counts
 
     samples, final_state, diverged = _single_pass(scn, kp, seed)
@@ -427,7 +430,7 @@ def test_memoised_history_is_shared_safely_across_threads():
     jobs = [(seed, kp, scn) for seed in range(n_seeds) for kp in (0.5, 3.5)
             for scn in horizons]
     plant._history.cache_clear()
-    expected = {job: _bits(run_episode(job[2], GainAction(job[1]), job[0])) for job in jobs}
+    expected = {job: _bits(run_episode(job[2], job[1], job[0])) for job in jobs}
     plant._history.cache_clear()
     mismatches, start = [], threading.Barrier(6)
 
@@ -435,7 +438,7 @@ def test_memoised_history_is_shared_safely_across_threads():
         start.wait(timeout=10)
         for i in range(3 * len(jobs)):
             seed, kp, scn = job = jobs[(i * 7 + offset) % len(jobs)]
-            if _bits(run_episode(scn, GainAction(kp), seed)) != expected[job]:
+            if _bits(run_episode(scn, kp, seed)) != expected[job]:
                 mismatches.append(job)
 
     switch = sys.getswitchinterval()

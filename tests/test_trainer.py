@@ -47,7 +47,7 @@ def pretrace(scenario, cfg, obs_trace):
 @pytest.fixture(scope="module")
 def obs_trace():
     cfg = TrainConfig()
-    result = plant.run_episode(QUIET, plant.GainAction(QUIET.kp_unstable), seed=0)
+    result = plant.run_episode(QUIET, QUIET.kp_unstable, seed=0)
     return trainer.observation_trace(result.trace, QUIET, cfg)[0]
 
 
@@ -116,7 +116,7 @@ class TestReward:
         cfg = TrainConfig(filter_stage=stage)
         first, last = REWARD_WINDOWS[stage, act_time]
         assert config.reward_window(scn, cfg) == range(first, last + 1)
-        result = plant.run_episode(scn, plant.GainAction(kp), seed=3)
+        result = plant.run_episode(scn, kp, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
             _, full = sigproc.filter_head(result.trace, cfg.bandpass_spec,
@@ -133,7 +133,7 @@ class TestReward:
         # has none
         scn = replace(SCN, act_time=5.003)
         cfg = TrainConfig(filter_stage="post_decimation")
-        full = plant.run_episode(scn, plant.GainAction(2.5), seed=0).trace
+        full = plant.run_episode(scn, 2.5, seed=0).trace
         cut = plant.EpisodeResult(sigproc.SignalTrace(full.samples[:35050],
                                                       full.sample_rate),
                                   diverged=True, diverged_at=35050 * scn.sim_dt)
@@ -157,7 +157,7 @@ class TestRewardScenario:
         assert cut.n_samples < scn.n_samples
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            rewards = [episode_reward(plant.run_episode(s, plant.GainAction(2.5), seed),
+            rewards = [episode_reward(plant.run_episode(s, 2.5, seed),
                                       scn, cfg) for s in (scn, cut)]
         assert rewards[0] is not None and rewards[0] == rewards[1]
 
@@ -167,7 +167,7 @@ class TestRewardScenario:
         cut = reward_scenario(SCN, cfg)
         fewer = replace(cut, horizon=(cut.n_samples - 1) * cut.sim_dt)
         assert fewer.n_samples == cut.n_samples - 1
-        result = plant.run_episode(fewer, plant.GainAction(2.5), seed)
+        result = plant.run_episode(fewer, 2.5, seed)
         assert episode_reward(result, SCN, cfg) is None
 
     @pytest.mark.parametrize("stage, t_reward", [("post_decimation", 2.004),
@@ -180,11 +180,11 @@ class TestRewardScenario:
         assert config.reward_samples(scn, cfg) == 35001
         cut = reward_scenario(scn, cfg)
         assert cut.n_samples == 35001
-        full = plant.run_episode(scn, plant.GainAction(2.5), 1)
+        full = plant.run_episode(scn, 2.5, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
             rewards = [episode_reward(full, scn, cfg),
-                       episode_reward(plant.run_episode(cut, plant.GainAction(2.5), 1),
+                       episode_reward(plant.run_episode(cut, 2.5, 1),
                                       scn, cfg),
                        episode_reward(full, scn, replace(cfg, t_reward=2.0))]
         assert rewards[0] is not None and rewards[0] == rewards[1] == rewards[2]
@@ -220,7 +220,7 @@ def pretrace_head(scn, cfg, seed):
     """What train carries: the filter stage after the samples before
     act_time of the pre-trace at seed."""
     pre = plant.run_episode(replace(scn, horizon=scn.act_time + scn.sim_dt),
-                            plant.GainAction(scn.kp_unstable), seed)
+                            scn.kp_unstable, seed)
     return trainer.observation_trace(pre.trace, scn, cfg)[1]
 
 
@@ -246,7 +246,7 @@ class TestCarriedFilterState:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
             head = pretrace_head(scn, cfg, seed)
-            result = plant.run_episode(cut, plant.GainAction(kp), seed)
+            result = plant.run_episode(cut, kp, seed)
             carried = episode_reward(result, cut, cfg, head)
             full = episode_reward(result, cut, cfg)
         assert np.array_equal(result.trace.samples[:len(head.samples)], head.samples)
@@ -260,7 +260,7 @@ class TestCarriedFilterState:
         # window's first samples would be missing: the reward filters from t = 0
         cfg = TrainConfig(filter_stage=stage)
         cut = reward_scenario(SCN, cfg)
-        result = plant.run_episode(cut, plant.GainAction(2.0), 3)
+        result = plant.run_episode(cut, 2.0, 3)
         k = config.first_sample(SCN.act_time + 0.5, SCN.sample_rate)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
@@ -279,7 +279,7 @@ class TestCarriedFilterState:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             head = pretrace_head(scn, cfg, 3)
-            result = plant.run_episode(cut, plant.GainAction(2.0), 3)
+            result = plant.run_episode(cut, 2.0, 3)
             assert result.diverged and len(result.trace) > len(head.samples)
             assert episode_reward(result, cut, cfg, head) is None
 
@@ -546,17 +546,7 @@ class BatchSpyEnv(LocalPlantEnv):
     def run_episodes(self, jobs, until):
         self.batches.append(list(jobs))
         self.untils.append(until)
-        return (self.run_episode(kp, seed) for kp, seed in jobs)
-
-
-class OneByOneEnv:
-    """An environment with run_episode only."""
-
-    def __init__(self, scenario):
-        self.scenario = scenario
-
-    def run_episode(self, kp, seed):
-        return plant.run_episode(self.scenario, plant.GainAction(kp), seed)
+        return super().run_episodes(jobs, until)
 
 
 class TestEpisodeBatches:
@@ -584,22 +574,31 @@ class TestEpisodeBatches:
         # a bucket first missed in an epoch serves that epoch's later hits
         assert any(rec.cached for rec in epochs[0])
 
+    def test_every_gain_asked_lies_in_the_config_bounds(self):
+        # kp_max below kp_unstable: the pre-trace too is asked at kp_max,
+        # and its observation is the one kp_unstable gives
+        cfg = small_config(kp_max=3.5)
+        assert cfg.kp_max < SCN.kp_unstable
+        env = BatchSpyEnv(SCN)
+        result = train(SCN, cfg, env=env)
+        gains = [kp for batch in env.batches for kp, _ in batch]
+        assert env.batches[0] == [(cfg.kp_max, trainer._pretrace_seed(cfg.seed))]
+        assert all(cfg.kp_min <= kp <= cfg.kp_max for kp in gains)
+        assert len(gains) == result.plant_episodes == env.episode_count
+        seed = trainer._pretrace_seed(cfg.seed)
+        observed = [trainer.observation_trace(
+            plant.run_episode(trainer.reward_scenario(SCN, cfg), kp, seed).trace,
+            SCN, cfg)[0].samples for kp in (cfg.kp_max, SCN.kp_unstable)]
+        assert observed[0].tobytes() == observed[1].tobytes()
+
     def test_local_batch_runs_lazily_through_run_episode(self):
         env = SpyEnv(QUIET)
-        results = trainer.run_jobs(env, [(2.0, 1), (3.0, 2)], QUIET.horizon)
+        results = env.run_episodes([(2.0, 1), (3.0, 2)], QUIET.horizon)
         assert env.seeds == []
         next(results)
         assert env.seeds == [1]
         next(results)
         assert env.seeds == [1, 2] and env.episode_count == 2
-
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_env_without_run_episodes_gives_same_log(self, tmp_path, cache):
-        cfg = small_config(cache_enabled=cache)
-        train(SCN, cfg, run_dir=tmp_path / "local")
-        train(SCN, cfg, run_dir=tmp_path / "one", env=OneByOneEnv(SCN))
-        assert (tmp_path / "local" / "training_log.csv").read_bytes() == \
-               (tmp_path / "one" / "training_log.csv").read_bytes()
 
     def test_failed_batch_leaves_no_reserved_bucket(self, obs_trace):
         class Failing(LocalPlantEnv):
@@ -696,10 +695,11 @@ class TestTrain:
         monkeypatch.setattr(trainer, "run_epoch", scripted)
         result = train(SCN, small_config(), run_dir=tmp_path)
         assert result.best_reward == -1.0
-        # one Adam step per epoch: epoch 4 ties epoch 2 and wins
-        assert result.best_params.step_count == 4
+        # one Adam step per epoch: epoch 4 ties epoch 2 and wins, and kept
+        # the parameters it acted with, three steps in
+        assert result.best_params.step_count == 3
         best = pol.load_checkpoint(tmp_path / "best.ckpt")
-        assert best.step_count == 4
+        assert best.step_count == 3
 
     @pytest.mark.parametrize("rewards, best_epoch", [
         ([-3.0, -1.0, -2.0, -1.0, -1.5], 4),  # tied with epoch 2, not last
@@ -707,20 +707,22 @@ class TestTrain:
     ], ids=["tied_not_last", "last"])
     def test_best_params_are_a_copy_of_their_epoch(self, tmp_path, monkeypatch,
                                                    rewards, best_epoch):
-        # best_params and last_params share no array with each other or with
-        # any epoch's parameters, and no epoch's arrays change afterwards
+        # best_params are those the best epoch acted with; they share no
+        # array with last_params or with any epoch's parameters, and no
+        # epoch's arrays change afterwards
         scripted, epochs, snapshots = iter(rewards), [], []
         real = trainer.run_epoch
 
-        def recording(*args):
-            params, stats, records = real(*args)
-            epochs.append(params)
-            snapshots.append(params.copy())
+        def recording(acted, *args):
+            epochs.append(acted)
+            snapshots.append(acted.copy())
+            params, stats, records = real(acted, *args)
             return params, replace(stats, mean_reward=next(scripted)), records
 
         monkeypatch.setattr(trainer, "run_epoch", recording)
         result = train(SCN, small_config(), run_dir=tmp_path)
-        assert result.last_params is epochs[-1]
+        epochs.append(result.last_params)
+        snapshots.append(result.last_params.copy())
         best = snapshots[best_epoch - 1]
         saved = pol.load_checkpoint(tmp_path / "best.ckpt")
         for name in ("theta", "m", "v"):
@@ -731,7 +733,7 @@ class TestTrain:
                 == getattr(saved, name).tobytes()
             assert all(getattr(p, name).tobytes() == getattr(q, name).tobytes()
                        for p, q in zip(epochs, snapshots))
-        assert result.best_params.step_count == saved.step_count == best_epoch
+        assert result.best_params.step_count == saved.step_count == best_epoch - 1
 
     def test_best_checkpoint_acts_at_optimum_on_tied_seed(self):
         # at this seed 68+ epochs tie at the top reward; the first of them
@@ -740,6 +742,18 @@ class TestTrain:
         result = train(SCN, cfg)
         mu = pol.forward(result.best_params, canonical_observation(SCN, cfg)).mu
         assert clamp(mu, cfg.kp_min, cfg.kp_max) == cfg.kp_min
+
+    def test_best_checkpoint_is_the_last_before_its_epoch(self, tmp_path):
+        # best.ckpt holds the parameters its epoch acted with: those a run
+        # cut to the epochs before it ends with in last.ckpt
+        cfg = TrainConfig()
+        result = train(SCN, cfg, run_dir=tmp_path / "full")
+        rewards = [s.mean_reward for s in result.stats]
+        best_epoch = max(e for e, r in enumerate(rewards, 1) if r == max(rewards))
+        assert best_epoch >= 2
+        train(SCN, replace(cfg, n_epoch=best_epoch - 1), run_dir=tmp_path / "cut")
+        assert (tmp_path / "full" / "best.ckpt").read_bytes() == \
+               (tmp_path / "cut" / "last.ckpt").read_bytes()
 
     @pytest.mark.parametrize("fail_at", [None, 0, 3])
     def test_checkpoints_written_once_per_run(self, tmp_path, monkeypatch, fail_at):
@@ -873,7 +887,7 @@ class TestReferenceEpochs:
                           baseline_enabled=baseline, seed=7)
         cut = reward_scenario(SCN, cfg)
         seed = trainer._pretrace_seed(cfg.seed)
-        pre = plant.run_episode(cut, plant.GainAction(SCN.kp_unstable), seed)
+        pre = plant.run_episode(cut, SCN.kp_unstable, seed)
         obs_trace, head = trainer.observation_trace(pre.trace, SCN, cfg)
         record = trainer._Pretrace(cut, cfg, seed, obs_trace, head)
         env = MemoEnv(cut, cfg.cache_resolution)
@@ -1044,7 +1058,7 @@ class TestWindowing:
     def test_pretrace_too_short_for_the_windows_rejected(self):
         # a pre-activation trace that ends (diverges) before act_time
         cfg = TrainConfig()
-        result = plant.run_episode(QUIET, plant.GainAction(QUIET.kp_unstable), seed=0)
+        result = plant.run_episode(QUIET, QUIET.kp_unstable, seed=0)
         short = sigproc.SignalTrace(result.trace.samples[:24_950], result.trace.sample_rate)
         assert len(trainer.observation_trace(result.trace, QUIET, cfg)[0]) == 500
         with pytest.raises(sigproc.TraceError, match="windows need 500"):
@@ -1062,7 +1076,7 @@ class TestWindowing:
         # it runs its episode only to the end of the reward window
         cfg = TrainConfig(filter_stage=stage)
         quiet = replace(SCN, noise_std=0.0)
-        full = plant.run_episode(quiet, plant.GainAction(SCN.kp_unstable), seed=0)
+        full = plant.run_episode(quiet, SCN.kp_unstable, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # post_decimation clamps f_max
             expected = trainer.observation_trace(full.trace, SCN, cfg)[0].samples[460:490]
