@@ -8,12 +8,15 @@ measured signal. Episodes replay the mistuning timeline: nominal gain,
 mistuned gain at mistune_time, the commanded gain at act_time. No
 commanded gain reaches the samples before act_time, so a seed's history up
 to there is simulated once, and the noise after it drawn once, for every
-commanded gain to resume.
+commanded gain to resume; the two gains last run on a seed's history keep
+their finished episodes beside it, so a repeated (seed, gain) is not
+simulated again.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -342,10 +345,18 @@ def _draw(scenario: PlantScenario, streams, n_w: int, n_v: int) -> tuple:
     return w, vnoise
 
 
-# 8 bytes a sample to act_time and 16 after it (a float of each noise
-# stream): 360 kB at the training cut (25,001 samples, then 10,000), 600 kB
-# at the default 10 s horizon; a training run reads one entry, evaluate's
-# pair one, and grid_oracle's sweep with canonical_observation one
+# finished episodes an entry keeps beside its history, the most recently
+# used; the sessions of one server share the entries, so the lock guards
+# every change to which episodes an entry keeps
+_EPISODES_KEPT = 2
+_kept_lock = threading.Lock()
+
+
+# 8 bytes a sample to act_time, 16 after it (a float of each noise stream)
+# and 8 more after it for each kept episode: 520 kB at the training cut
+# (25,001 samples, then 10,000), 1 MB at the default 10 s horizon; a
+# training run reads one entry, evaluate's pair one, and grid_oracle's
+# sweep with canonical_observation one
 @lru_cache(maxsize=3)
 def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     """What every episode of scenario at seed shares, whatever its commanded
@@ -354,10 +365,13 @@ def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     of the kp_stable and kp_unstable segments, run by simulate_segments, and
     the noise of the samples after them, drawn on from the same streams.
 
-    Returns (samples, x, v, diverged, (w, vnoise)), all arrays read-only: the
-    samples (fewer when the mode diverged), the mode state after them (the
-    crossing state on divergence), the divergence flag, and the noise of
-    the rest of the episode (none after a divergence).
+    Returns (samples, x, v, diverged, (w, vnoise), episodes), all arrays
+    read-only: the samples (fewer when the mode diverged), the mode state
+    after them (the crossing state on divergence), the divergence flag,
+    the noise of the rest of the episode (none after a divergence), and
+    an empty dict in which run_episode keeps, by gain, up to
+    _EPISODES_KEPT finished episodes that continue this history, each as
+    (the samples after the history, x, v, diverged).
     """
     n_total = scenario.n_samples
     k_end = min(int(round(scenario.act_time / scenario.sim_dt)), n_total - 1)
@@ -377,7 +391,7 @@ def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     samples, tail = out[:n_valid], _draw(scenario, streams, n_tail, n_tail)
     for array in (samples, *tail):
         array.flags.writeable = False
-    return samples, x, v, diverged, tail
+    return samples, x, v, diverged, tail, {}
 
 
 def run_episode(scenario: PlantScenario, kp: float,
@@ -396,27 +410,45 @@ def run_episode(scenario: PlantScenario, kp: float,
     there, and the noise of the samples after it, are simulated and drawn
     once (_history, memoised on the scenario and the seed): each episode
     continues that history at kp on that noise, and is the one a
-    single pass gives, bit for bit. Seed None draws fresh entropy and is
-    not memoised.
+    single pass gives, bit for bit. The history's entry also keeps the
+    episodes of the two gains last run on it, so a repeat of one returns
+    a fresh copy of the kept episode and simulates nothing. Seed None
+    draws fresh entropy and is not memoised.
     """
     dt = scenario.sim_dt
     n_total = scenario.n_samples
     if n_total < 1:
         raise PlantError(f"horizon {scenario.horizon} holds no sample of {dt} s")
     history = _history if seed is not None else _history.__wrapped__
-    samples, x, v, diverged, (w, vnoise) = history(scenario, seed)
-    out = np.empty(n_total)
-    n_valid = len(samples)
-    out[:n_valid] = samples
-    if len(w):
-        threshold = scenario.diverge_threshold
-        n, x, v, crossing = _advance(x, v, transition(scenario, kp), w,
-                                     threshold * threshold, out[n_valid:], vnoise,
-                                     scenario.p_nom)
-        n_valid += n
-        if crossing is not None:
-            x, v = crossing
-            diverged = True
+    samples, x, v, diverged, (w, vnoise), episodes = history(scenario, seed)
+    with _kept_lock:
+        kept = episodes.pop(kp, None)
+        if kept is not None:
+            episodes[kp] = kept  # now the most recently used
+    if kept is None:
+        out = np.empty(n_total)
+        n_valid = len(samples)
+        out[:n_valid] = samples
+        if len(w):
+            threshold = scenario.diverge_threshold
+            n, x, v, crossing = _advance(x, v, transition(scenario, kp), w,
+                                         threshold * threshold, out[n_valid:], vnoise,
+                                         scenario.p_nom)
+            n_valid += n
+            if crossing is not None:
+                x, v = crossing
+                diverged = True
+            if seed is not None:
+                tail = out[len(samples):n_valid].copy()
+                tail.flags.writeable = False
+                with _kept_lock:
+                    episodes[kp] = (tail, x, v, diverged)
+                    while len(episodes) > _EPISODES_KEPT:
+                        del episodes[next(iter(episodes))]
+    else:
+        tail, x, v, diverged = kept
+        out = np.concatenate((samples, tail))
+        n_valid = len(out)
 
     trace = SignalTrace(out[:n_valid], scenario.sample_rate, 0.0)
     return EpisodeResult(trace=trace, diverged=bool(diverged),

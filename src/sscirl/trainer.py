@@ -24,10 +24,12 @@ import numpy as np
 
 from . import policy as pol
 from . import plant, sigproc
-from .config import (TrainConfig, first_sample, observation_starts, reward_samples,
-                     reward_window, validate, write)
+from .config import (ConfigError, TrainConfig, first_sample, observation_starts,
+                     reward_samples, reward_window, validate, write)
 
 DIVERGENCE_PENALTY_FLOOR = -1e6
+# the most gains grid_oracle sweeps (the default range and resolution give 71)
+ORACLE_MAX_GAINS = 10_001
 
 
 @dataclass
@@ -494,10 +496,15 @@ def grid_oracle(scenario: plant.PlantScenario,
                 config: TrainConfig) -> tuple[float, list[tuple[float, float]]]:
     """Exhaustive zero-noise reward sweep over the gain range at the cache
     resolution; returns (best gain, [(gain, reward), ...]). Every episode
-    continues one history, and each reward filters on from its _history_head."""
+    continues one history, and each reward filters on from its _history_head.
+    ConfigError, before any episode, when the sweep holds more than
+    ORACLE_MAX_GAINS gains."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     res = config.cache_resolution
     n = int(round((config.kp_max - config.kp_min) / res))
+    if n + 1 > ORACLE_MAX_GAINS:
+        raise ConfigError(f"cache_resolution {res!r} sweeps {n + 1} gains over "
+                          f"[kp_min, kp_max], more than the oracle's {ORACLE_MAX_GAINS}")
     sweep, head = [], None
     for i in range(n + 1):
         kp = min(config.kp_min + i * res, config.kp_max)

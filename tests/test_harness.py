@@ -417,15 +417,19 @@ class TestRefusals:
                         "--out", str(tmp_path / "eval")])
         assert code == 0
 
-    @pytest.mark.parametrize("command", ["train", "oracle"])
+    # 1e-06: fine enough for a training, but a sweep of 3.5 million gains
+    @pytest.mark.parametrize("command, resolution", [
+        ("train", "1e-310"), ("oracle", "1e-310"), ("oracle", "1e-06"),
+    ], ids=["train", "oracle", "oracle_sweep"])
     def test_too_fine_cache_resolution_exits_2_before_writing(self, tmp_path, capsys,
-                                                              command):
+                                                              command, resolution):
         out = tmp_path / "r"
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, "--out", str(out / "out"), "--cache_resolution", "1e-310"])
+            run_cli([command, "--out", str(out / "out"), "--cache_resolution", resolution])
         assert exc.value.code == cli.EXIT_BAD_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("bad config: cache_resolution 1e-310 ") and err.count("\n") == 1
+        assert err.startswith(f"bad config: cache_resolution {resolution} ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

@@ -349,6 +349,19 @@ def _memo_counts():
     return plant._history.cache_info()[:2]
 
 
+def _lfilter_calls(monkeypatch):
+    """A list that receives the input length of each lfilter call from now
+    on: two for each segment the plant simulates."""
+    calls, real = [], plant.signal.lfilter
+
+    def counting(b, a, x, *args, **kwargs):
+        calls.append(len(x))
+        return real(b, a, x, *args, **kwargs)
+
+    monkeypatch.setattr(plant.signal, "lfilter", counting)
+    return calls
+
+
 @pytest.mark.parametrize("overrides, kp", [
     ({}, 2.0),
     (DIVERGING, 4.0),                  # diverges before act_time
@@ -380,6 +393,7 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
                         lambda entropy=None: real(seed if entropy is None else entropy))
     fresh = run_episode(scn, kp, None)
     assert _memo_counts() == counts
+    monkeypatch.undo()
 
     samples, final_state, diverged = _single_pass(scn, kp, seed)
     expected = (samples.tobytes(), final_state.tobytes(), diverged,
@@ -388,7 +402,45 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     k_act = round(scn.act_time / scn.sim_dt)
     if overrides in (DIVERGING, MIXED):
         assert diverged and (len(samples) <= k_act) == (overrides is DIVERGING)
-    assert warm.trace.samples.flags.writeable
+
+    # a repeat of the gain is the kept episode: no segment simulated, and
+    # a fresh writable copy, so writing over an episode changes no repeat
+    calls = _lfilter_calls(monkeypatch)
+    for written in (warm, run_episode(scn, kp, seed)):
+        assert written.trace.samples.flags.writeable
+        written.trace.samples[:] = -1.0
+        written.final_state[:] = -1.0
+        assert _bits(run_episode(scn, kp, seed)) == expected
+    assert calls == [] and _memo_counts() == (counts[0] + 3, 1)
+    # seed None keeps nothing: each runs its own history and episode
+    kept = list(plant._history(scn, seed)[5])
+    a, b = (run_episode(scn, kp, None) for _ in range(2))
+    assert list(plant._history(scn, seed)[5]) == kept
+    assert len(calls) >= 2 * 2 and _memo_counts() == (counts[0] + 5, 1)
+    if scn.noise_std > 0:
+        assert a.trace.samples.tobytes() != b.trace.samples.tobytes()
+
+
+@pytest.mark.parametrize("overrides", [{}, MIXED], ids=["default", "diverge_after_act"])
+def test_entry_keeps_the_two_most_recently_used_episodes(overrides, monkeypatch):
+    scn, seed = replace(DEFAULT, **overrides), 3
+    plant._history.cache_clear()
+    first, second, third = 1.0, 2.0, 3.0
+    for kp in (first, second, first, third):
+        run_episode(scn, kp, seed)
+    episodes = plant._history(scn, seed)[5]
+    assert list(episodes) == [first, third]
+    # each kept tail is the samples after the history, read-only
+    samples = plant._history(scn, seed)[0]
+    for kp, (tail, *_) in episodes.items():
+        assert not tail.flags.writeable
+        assert tail.tobytes() == run_episode(scn, kp, seed).trace.samples[len(samples):].tobytes()
+    calls = _lfilter_calls(monkeypatch)
+    run_episode(scn, first, seed)
+    assert calls == []
+    run_episode(scn, second, seed)  # evicted when third was run
+    assert calls == [len(plant._history(scn, seed)[4][0])] * 2
+    assert list(episodes) == [first, second]
 
 
 @pytest.mark.parametrize("n", [1, 10_000, 25_000])
@@ -404,7 +456,7 @@ def test_suffix_noise_equals_one_pass_draws(overrides, n):
     assert scn.n_samples == k_end + 1 + n
     seed = 7
     plant._history.cache_clear()
-    samples, _, _, diverged, (w, vnoise) = plant._history(scn, seed)
+    samples, _, _, diverged, (w, vnoise), _ = plant._history(scn, seed)
     assert not diverged and len(samples) == k_end + 1
     if scn.noise_std > 0:
         w_rng, v_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
@@ -424,22 +476,30 @@ def test_suffix_noise_equals_one_pass_draws(overrides, n):
 def test_memoised_history_is_shared_safely_across_threads():
     # sessions of one server run episodes on threads that share the memo;
     # more histories than it holds (two horizons of each seed), so entries
-    # are evicted while others read them
+    # are evicted while others read them, and more gains of one seed than
+    # its entry keeps, each asked for again and again, so kept episodes
+    # are evicted while others read and move them
     horizons = [replace(DEFAULT, horizon=DEFAULT.act_time + t) for t in (0.3, 0.5)]
     n_seeds = plant._history.cache_info().maxsize + 3
     jobs = [(seed, kp, scn) for seed in range(n_seeds) for kp in (0.5, 3.5)
             for scn in horizons]
+    repeats = [(0, kp, horizons[0]) for kp in (0.5, 1.0, 1.5, 2.5, 3.5)]
     plant._history.cache_clear()
-    expected = {job: _bits(run_episode(job[2], job[1], job[0])) for job in jobs}
+    expected = {job: _bits(run_episode(job[2], job[1], job[0])) for job in jobs + repeats}
     plant._history.cache_clear()
-    mismatches, start = [], threading.Barrier(6)
+    mismatches, errors, start = [], [], threading.Barrier(6)
 
     def worker(offset):
-        start.wait(timeout=10)
-        for i in range(3 * len(jobs)):
-            seed, kp, scn = job = jobs[(i * 7 + offset) % len(jobs)]
-            if _bits(run_episode(scn, kp, seed)) != expected[job]:
-                mismatches.append(job)
+        try:
+            start.wait(timeout=10)
+            for i in range(3 * len(jobs)):
+                pick = (jobs[(i * 7 + offset) % len(jobs)],
+                        repeats[(i + offset) % len(repeats)])
+                for seed, kp, scn in pick:
+                    if _bits(run_episode(scn, kp, seed)) != expected[seed, kp, scn]:
+                        mismatches.append((seed, kp, scn))
+        except Exception as exc:  # reported below, not lost with the thread
+            errors.append(exc)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -452,7 +512,8 @@ def test_memoised_history_is_shared_safely_across_threads():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(switch)
-    assert mismatches == []
+    assert errors == [] and mismatches == []
+    assert len(plant._history(horizons[0], 0)[5]) <= 2
 
 
 class TestScenarioValidation:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -811,6 +812,30 @@ class TestTrain:
         # one pre-activation trace + one episode per iteration
         assert result.plant_episodes == 1 + cfg.n_epoch * cfg.n_iter
 
+    def test_cache_off_training_equals_one_with_nothing_kept(self, tmp_path, monkeypatch):
+        # most cache-off episodes repeat a (gain, seed) the plant keeps; the
+        # same training through an env that clears the memo before every
+        # episode simulates each of them, and logs and saves the same bytes
+        class Cold(LocalPlantEnv):
+            def run_episode(self, kp, seed):
+                plant._history.cache_clear()
+                return super().run_episode(kp, seed)
+
+        cfg = small_config(n_epoch=10, cache_enabled=False)
+        segments, real = [], plant._advance
+        monkeypatch.setattr(plant, "_advance",
+                            lambda *args, **kw: segments.append(1) or real(*args, **kw))
+        plant._history.cache_clear()
+        kept = train(SCN, cfg, run_dir=tmp_path / "kept")
+        # the history's two segments, then one per episode simulated
+        simulated = len(segments) - 2
+        cold = train(SCN, cfg, run_dir=tmp_path / "cold", env=Cold(reward_scenario(SCN, cfg)))
+        assert kept.plant_episodes == cold.plant_episodes == 1 + cfg.n_epoch * cfg.n_iter
+        assert simulated < kept.plant_episodes // 2
+        for name in ("training_log.csv", "best.ckpt", "last.ckpt"):
+            assert (tmp_path / "kept" / name).read_bytes() == \
+                (tmp_path / "cold" / name).read_bytes(), name
+
     def test_training_stays_on_one_thread(self, tmp_path):
         # CPU used by the process outside its main thread (e.g. BLAS worker
         # threads spinning after a LAPACK call) during a 3-epoch training,
@@ -1234,6 +1259,22 @@ class TestOracle:
             from_zero = grid_oracle(SCN, cfg)
         assert heads == [k_act] + [0] * len(from_zero[1]) == [k_act] + [0] * 71
         assert repr(headed) == repr(from_zero)
+
+    def test_sweep_past_its_bound_is_refused_before_any_episode(self, monkeypatch):
+        # kp_max - kp_min = 0.5 at a resolution of 0.5 / (n - 1) sweeps n gains
+        def ran(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        span = dict(kp_min=1.0, kp_max=1.5)
+        at_bound = TrainConfig(cache_resolution=0.5 / (trainer.ORACLE_MAX_GAINS - 1), **span)
+        past = TrainConfig(cache_resolution=0.5 / trainer.ORACLE_MAX_GAINS, **span)
+        monkeypatch.setattr(plant, "run_episode", ran)
+        with pytest.raises(AssertionError, match="an episode ran"):
+            grid_oracle(SCN, at_bound)
+        with pytest.raises(config.ConfigError,
+                           match=re.escape(f"cache_resolution {past.cache_resolution!r} "
+                                           f"sweeps {trainer.ORACLE_MAX_GAINS + 1} gains")):
+            grid_oracle(SCN, past)
 
     def test_history_diverged_before_act_time_sweeps_to_minus_inf(self):
         # canonical_observation has no windows there; the sweep still runs,
