@@ -28,9 +28,11 @@ order. `RemoteEnv` keeps at most two `run_episode` requests in flight,
 and after an `error` reply reads and drops the reply still in flight, so
 the connection stays in step.
 
-A reset's scenario values are typed by `config.coerce`, as in a config
-file (so "48" is 48.0); an unknown field or a value its field does not
-take gets code "args" naming the field. A `kp` must be a JSON number and
+A reset's `scenario` is absent, for the served scenario, or an object;
+anything else, null, [] and "" included, gets "args" naming it. Its
+values are typed by `config.coerce`, as in a config file (so "48" is
+48.0); an unknown field or a value its field does not take gets code
+"args" naming the field. A `kp` must be a JSON number and
 an `n_steps` an integral one (7 or 7.0); a bool, a string or 5.9 gets
 "args" naming the field. A `seed` (reset, run_episode) is absent, for
 fresh entropy, or a non-negative JSON integer; anything else, null
@@ -141,9 +143,10 @@ class _Session:
         try:
             if kind == "reset":
                 seed = _seed(msg)
-                overrides = msg.get("scenario") or {}
+                overrides = msg.get("scenario", {})
                 if not isinstance(overrides, dict):
-                    raise TypeError("scenario must be an object of field: value")
+                    raise TypeError(f"scenario must be an object of field: value, "
+                                    f"got {overrides!r}")
                 scenario = replace(self.base_scenario,
                                    **coerce(plant.PlantScenario, overrides))
                 cap = self.base_scenario.n_samples

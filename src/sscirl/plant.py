@@ -8,15 +8,14 @@ measured signal. Episodes replay the mistuning timeline: nominal gain,
 mistuned gain at mistune_time, the commanded gain at act_time. No
 commanded gain reaches the samples before act_time, so a seed's history up
 to there is simulated once, and the noise after it drawn once, for every
-commanded gain to resume; the two gains last run on a seed's history keep
-their finished episodes beside it, so a repeated (seed, gain) is not
+commanded gain to resume (_history), and a seed's episode at a gain
+continues that history once (_episode), so a repeated (seed, gain) is not
 simulated again.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -345,18 +344,10 @@ def _draw(scenario: PlantScenario, streams, n_w: int, n_v: int) -> tuple:
     return w, vnoise
 
 
-# finished episodes an entry keeps beside its history, the most recently
-# used; the sessions of one server share the entries, so the lock guards
-# every change to which episodes an entry keeps
-_EPISODES_KEPT = 2
-_kept_lock = threading.Lock()
-
-
-# 8 bytes a sample to act_time, 16 after it (a float of each noise stream)
-# and 8 more after it for each kept episode: 520 kB at the training cut
-# (25,001 samples, then 10,000), 1 MB at the default 10 s horizon; a
-# training run reads one entry, evaluate's pair one, and grid_oracle's
-# sweep with canonical_observation one
+# 8 bytes a sample to act_time and 16 after it (a float of each noise
+# stream): 360 kB at the training cut (25,001 samples, then 10,000), 600 kB
+# at the default 10 s horizon; a training run reads one entry, evaluate's
+# pair one, and grid_oracle's sweep with canonical_observation one
 @lru_cache(maxsize=3)
 def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     """What every episode of scenario at seed shares, whatever its commanded
@@ -365,13 +356,10 @@ def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     of the kp_stable and kp_unstable segments, run by simulate_segments, and
     the noise of the samples after them, drawn on from the same streams.
 
-    Returns (samples, x, v, diverged, (w, vnoise), episodes), all arrays
-    read-only: the samples (fewer when the mode diverged), the mode state
-    after them (the crossing state on divergence), the divergence flag,
-    the noise of the rest of the episode (none after a divergence), and
-    an empty dict in which run_episode keeps, by gain, up to
-    _EPISODES_KEPT finished episodes that continue this history, each as
-    (the samples after the history, x, v, diverged).
+    Returns (samples, x, v, diverged, (w, vnoise)), all arrays read-only:
+    the samples (fewer when the mode diverged), the mode state after them
+    (the crossing state on divergence), the divergence flag, and the noise
+    of the rest of the episode (none after a divergence).
     """
     n_total = scenario.n_samples
     k_end = min(int(round(scenario.act_time / scenario.sim_dt)), n_total - 1)
@@ -391,7 +379,38 @@ def _history(scenario: PlantScenario, seed: int | None) -> tuple:
     samples, tail = out[:n_valid], _draw(scenario, streams, n_tail, n_tail)
     for array in (samples, *tail):
         array.flags.writeable = False
-    return samples, x, v, diverged, tail, {}
+    return samples, x, v, diverged, tail
+
+
+# 8 bytes a sample after act_time, beside a reference to the history's
+# samples: 80 kB at the training cut, 200 kB at 10 s. Two gains for each
+# history _history holds; an entry keeps its history's samples alive after
+# _history drops them, so at most 6 histories' samples stay (1.2 MB at the
+# training cut). Server sessions share the entries: two threads that miss
+# on one key compute the same bits, so either one's entry serves
+@lru_cache(maxsize=6)
+def _episode(scenario: PlantScenario, seed: int | None, kp: float) -> tuple:
+    """The episode of scenario at seed and the commanded gain kp, as its
+    _history continued at kp on the history's noise.
+
+    Returns (samples, tail, x, v, diverged), both arrays read-only: the
+    history's samples, the samples after them (fewer when the mode
+    diverged, none when the history did), the final mode state (the
+    crossing state on divergence) and the divergence flag.
+    """
+    history = _history if seed is not None else _history.__wrapped__
+    samples, x, v, diverged, (w, vnoise) = history(scenario, seed)
+    tail = np.empty(len(w))
+    if len(w):
+        threshold = scenario.diverge_threshold
+        n, x, v, crossing = _advance(x, v, transition(scenario, kp), w,
+                                     threshold * threshold, tail, vnoise, scenario.p_nom)
+        tail = tail[:n]
+        if crossing is not None:
+            x, v = crossing
+            diverged = True
+    tail.flags.writeable = False
+    return samples, tail, x, v, diverged
 
 
 def run_episode(scenario: PlantScenario, kp: float,
@@ -406,51 +425,21 @@ def run_episode(scenario: PlantScenario, kp: float,
     a longer one. On divergence the trace is truncated at the last finite
     sample and the flag is set.
 
-    No gain reaches the samples up to act_time, so a seed's history to
-    there, and the noise of the samples after it, are simulated and drawn
-    once (_history, memoised on the scenario and the seed): each episode
-    continues that history at kp on that noise, and is the one a
-    single pass gives, bit for bit. The history's entry also keeps the
-    episodes of the two gains last run on it, so a repeat of one returns
-    a fresh copy of the kept episode and simulates nothing. Seed None
-    draws fresh entropy and is not memoised.
+    Two memos serve a seed. No gain reaches the samples up to act_time, so
+    a seed's history to there, and the noise of the samples after it, are
+    simulated and drawn once (_history, on the scenario and the seed); the
+    episode at kp continues that history on that noise once (_episode, on
+    the scenario, the seed and kp), so a repeat simulates nothing. Either
+    way the trace is a fresh writable array, the one a single pass gives,
+    bit for bit. Seed None draws fresh entropy and is not memoised.
     """
     dt = scenario.sim_dt
-    n_total = scenario.n_samples
-    if n_total < 1:
+    if scenario.n_samples < 1:
         raise PlantError(f"horizon {scenario.horizon} holds no sample of {dt} s")
-    history = _history if seed is not None else _history.__wrapped__
-    samples, x, v, diverged, (w, vnoise), episodes = history(scenario, seed)
-    with _kept_lock:
-        kept = episodes.pop(kp, None)
-        if kept is not None:
-            episodes[kp] = kept  # now the most recently used
-    if kept is None:
-        out = np.empty(n_total)
-        n_valid = len(samples)
-        out[:n_valid] = samples
-        if len(w):
-            threshold = scenario.diverge_threshold
-            n, x, v, crossing = _advance(x, v, transition(scenario, kp), w,
-                                         threshold * threshold, out[n_valid:], vnoise,
-                                         scenario.p_nom)
-            n_valid += n
-            if crossing is not None:
-                x, v = crossing
-                diverged = True
-            if seed is not None:
-                tail = out[len(samples):n_valid].copy()
-                tail.flags.writeable = False
-                with _kept_lock:
-                    episodes[kp] = (tail, x, v, diverged)
-                    while len(episodes) > _EPISODES_KEPT:
-                        del episodes[next(iter(episodes))]
-    else:
-        tail, x, v, diverged = kept
-        out = np.concatenate((samples, tail))
-        n_valid = len(out)
-
-    trace = SignalTrace(out[:n_valid], scenario.sample_rate, 0.0)
+    episode = _episode if seed is not None else _episode.__wrapped__
+    samples, tail, x, v, diverged = episode(scenario, seed, kp)
+    out = np.concatenate((samples, tail))
+    trace = SignalTrace(out, scenario.sample_rate, 0.0)
     return EpisodeResult(trace=trace, diverged=bool(diverged),
-                         diverged_at=(n_valid * dt) if diverged else None,
+                         diverged_at=(len(out) * dt) if diverged else None,
                          final_state=np.array([x, v]))

@@ -465,10 +465,13 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
     oscillation energy to the unmitigated (gain stays mistuned) episode's:
     the filtered energy before reward_window's start, and from it to the
     episode's end (infinite when it diverged, and so ended early). Both
-    episodes run at seed and share the history before act_time, so one
-    head over the mitigated one's serves both (_filter_on)."""
+    episodes run at seed (at seed None, at one seed drawn from fresh
+    entropy) and share the history before act_time, so one head over the
+    mitigated one's serves both (_filter_on)."""
     mu = pol.forward(params, canonical_observation(scenario, config)).mu
     applied = clamp(mu, config.kp_min, config.kp_max) if mitigate else scenario.kp_unstable
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
 
     mitigated = plant.run_episode(scenario, applied, seed)
     unmitigated = plant.run_episode(scenario, scenario.kp_unstable, seed)

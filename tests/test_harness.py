@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -768,6 +768,14 @@ class TestProtocol:
         reply = conn.send(id=2, kind="reset", scenario={"nope": 1.0})
         assert reply["kind"] == "error" and reply["code"] == "args"
 
+    @pytest.mark.parametrize("overrides", [None, [], 0, False, "", [1], "x"],
+                             ids=["null", "empty_list", "zero", "false", "empty_string",
+                                  "list", "string"])
+    def test_reset_refuses_a_scenario_that_is_not_an_object(self, conn, overrides):
+        reply = conn.send(id=1, kind="reset", scenario=overrides, seed=0)
+        assert reply["kind"] == "error" and reply["code"] == "args"
+        assert "scenario" in reply["message"]
+
     def test_reset_coerces_overrides(self, conn):
         reply = conn.send(id=1, kind="reset", scenario={"f_osc": "47.5"}, seed=0)
         assert reply["kind"] == "ok"
@@ -895,6 +903,7 @@ REQUEST = st.fixed_dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(requests=st.lists(st.tuples(st.booleans(), REQUEST | JSON.filter(
     lambda v: isinstance(v, dict))), min_size=1, max_size=5))
+@example(requests=[(True, {"kind": "reset", "scenario": None})])
 def test_session_handle_never_raises(requests):
     session = _Session(SCN)
     for rid, (numbered, req) in enumerate(requests, start=1):
@@ -904,13 +913,19 @@ def test_session_handle_never_raises(requests):
         assert reply["kind"] in ("ok", "trace", "error")
         assert reply.get("nbytes", 0) == len(payload)
         json.dumps(reply)
-        # a seed is absent or a non-negative integer; anything else is
-        # refused by name (unless the id already was)
+        # a seed is absent or a non-negative integer, and a reset's scenario
+        # absent or an object; anything else is refused by name (unless the
+        # id already was, or for a scenario, the seed)
         seed_ok = type(msg.get("seed", 0)) is int and msg.get("seed", 0) >= 0
-        if msg.get("kind") in ("reset", "run_episode") and not seed_ok \
-                and reply.get("code") not in ("parse", "sequence"):
+        scenario_ok = isinstance(msg.get("scenario", {}), dict)
+        if reply.get("code") in ("parse", "sequence"):
+            continue
+        if msg.get("kind") in ("reset", "run_episode") and not seed_ok:
             assert reply["kind"] == "error" and reply["code"] == "args"
             assert "seed" in reply["message"]
+        elif msg.get("kind") == "reset" and not scenario_ok:
+            assert reply["kind"] == "error" and reply["code"] == "args"
+            assert "scenario" in reply["message"]
 
 
 # a short served scenario, unstable at every gain above 1.0: the mode grows
@@ -1181,15 +1196,19 @@ class TestRemoteEnv:
     @pytest.mark.parametrize("where", ["local", "remote"])
     def test_default_training_simulates_one_history(self, server, where):
         # the pre-trace and every training episode ask for one history at
-        # one horizon; the in-process server's sessions share this memo
+        # one horizon; the in-process server's sessions share these memos
         plant._history.cache_clear()
+        plant._episode.cache_clear()
         env = RemoteEnv(*server.address, scenario=SCN) if where == "remote" else None
         try:
             result = trainer.train(SCN, trainer.TrainConfig(), env=env)
         finally:
             if env is not None:
                 env.close()
-        assert plant._history.cache_info()[:2] == (result.plant_episodes - 1, 1)
+        # each episode the episode memo misses continues the one history
+        history, episodes = plant._history.cache_info(), plant._episode.cache_info()
+        assert history.misses == 1 and history.hits + history.misses == episodes.misses
+        assert episodes.hits + episodes.misses == result.plant_episodes
 
     def test_error_reply_drains_the_reply_in_flight(self, server):
         # the second request is on the wire when the first is refused; its

@@ -135,6 +135,7 @@ def test_one_lfilter_pair_per_segment(monkeypatch):
     sizes = _count_lfilter_pairs(monkeypatch)
     # cold: the two history segments, then the suffix; warm: the suffix
     plant._history.cache_clear()
+    plant._episode.cache_clear()
     plant.run_episode(scn, 2.0, seed=0)
     plant.run_episode(scn, 2.5, seed=0)
     assert sizes == [k_mistune] * 2 + [k_act - k_mistune] * 2 \
@@ -153,6 +154,7 @@ def test_explosive_divergence_filters_each_segment_once(monkeypatch):
                      scn.p_nom, scn.diverge_threshold)
     sizes = _count_lfilter_pairs(monkeypatch)
     plant._history.cache_clear()
+    plant._episode.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = plant.run_episode(scn, scn.kp_unstable, seed=0)

@@ -345,8 +345,13 @@ def _bits(result):
 
 
 def _memo_counts():
-    """(hits, misses) of the history memo."""
-    return plant._history.cache_info()[:2]
+    """(hits, misses) of the history memo, then of the episode memo."""
+    return plant._history.cache_info()[:2] + plant._episode.cache_info()[:2]
+
+
+def _clear_memos():
+    plant._history.cache_clear()
+    plant._episode.cache_clear()
 
 
 def _lfilter_calls(monkeypatch):
@@ -379,14 +384,14 @@ def _lfilter_calls(monkeypatch):
 def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     scn = replace(DEFAULT, **overrides)
     seed = 3
-    plant._history.cache_clear()
+    _clear_memos()
     cold = run_episode(scn, kp, seed)
     # the history an episode at another gain drew serves this one
-    plant._history.cache_clear()
-    run_episode(scn, scn.kp_unstable, seed)
+    _clear_memos()
+    run_episode(scn, scn.kp_stable if kp == scn.kp_unstable else scn.kp_unstable, seed)
     warm = run_episode(scn, kp, seed)
-    assert _memo_counts() == (1, 1)
-    # seed None draws fresh entropy, here pinned to the seed, and bypasses the memo
+    assert _memo_counts() == (1, 1, 0, 2)
+    # seed None draws fresh entropy, here pinned to the seed, and bypasses both memos
     counts = _memo_counts()
     real = np.random.SeedSequence
     monkeypatch.setattr(np.random, "SeedSequence",
@@ -403,44 +408,46 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     if overrides in (DIVERGING, MIXED):
         assert diverged and (len(samples) <= k_act) == (overrides is DIVERGING)
 
-    # a repeat of the gain is the kept episode: no segment simulated, and
-    # a fresh writable copy, so writing over an episode changes no repeat
+    # a repeat of the gain is the memoised episode: no segment simulated,
+    # and a fresh writable copy, so writing over an episode changes no repeat
     calls = _lfilter_calls(monkeypatch)
     for written in (warm, run_episode(scn, kp, seed)):
         assert written.trace.samples.flags.writeable
         written.trace.samples[:] = -1.0
         written.final_state[:] = -1.0
         assert _bits(run_episode(scn, kp, seed)) == expected
-    assert calls == [] and _memo_counts() == (counts[0] + 3, 1)
+    assert calls == [] and _memo_counts() == (*counts[:2], counts[2] + 3, counts[3])
     # seed None keeps nothing: each runs its own history and episode
-    kept = list(plant._history(scn, seed)[5])
+    kept = plant._episode.cache_info().currsize
     a, b = (run_episode(scn, kp, None) for _ in range(2))
-    assert list(plant._history(scn, seed)[5]) == kept
-    assert len(calls) >= 2 * 2 and _memo_counts() == (counts[0] + 5, 1)
+    assert plant._episode.cache_info().currsize == kept
+    assert len(calls) >= 2 * 2 and _memo_counts() == (*counts[:2], counts[2] + 3, counts[3])
     if scn.noise_std > 0:
         assert a.trace.samples.tobytes() != b.trace.samples.tobytes()
 
 
 @pytest.mark.parametrize("overrides", [{}, MIXED], ids=["default", "diverge_after_act"])
-def test_entry_keeps_the_two_most_recently_used_episodes(overrides, monkeypatch):
+def test_memo_keeps_the_most_recently_used_episodes(overrides, monkeypatch):
     scn, seed = replace(DEFAULT, **overrides), 3
-    plant._history.cache_clear()
-    first, second, third = 1.0, 2.0, 3.0
-    for kp in (first, second, first, third):
+    _clear_memos()
+    maxsize = plant._episode.cache_info().maxsize
+    first, second, *rest = [0.5 + 0.5 * i for i in range(maxsize + 1)]
+    for kp in (first, second, *rest[:-1], first, rest[-1]):
         run_episode(scn, kp, seed)
-    episodes = plant._history(scn, seed)[5]
-    assert list(episodes) == [first, third]
-    # each kept tail is the samples after the history, read-only
-    samples = plant._history(scn, seed)[0]
-    for kp, (tail, *_) in episodes.items():
-        assert not tail.flags.writeable
+    assert plant._episode.cache_info().currsize == maxsize
+    # each kept episode is the history's samples, shared with its entry,
+    # and the read-only samples after them
+    history = plant._history(scn, seed)
+    for kp in (*rest, first):
+        samples, tail, *_ = plant._episode(scn, seed, kp)
+        assert samples is history[0] and not tail.flags.writeable
         assert tail.tobytes() == run_episode(scn, kp, seed).trace.samples[len(samples):].tobytes()
     calls = _lfilter_calls(monkeypatch)
     run_episode(scn, first, seed)
     assert calls == []
-    run_episode(scn, second, seed)  # evicted when third was run
-    assert calls == [len(plant._history(scn, seed)[4][0])] * 2
-    assert list(episodes) == [first, second]
+    run_episode(scn, second, seed)  # evicted when rest[-1] was run
+    assert calls == [len(history[4][0])] * 2
+    assert plant._episode.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize("n", [1, 10_000, 25_000])
@@ -456,7 +463,7 @@ def test_suffix_noise_equals_one_pass_draws(overrides, n):
     assert scn.n_samples == k_end + 1 + n
     seed = 7
     plant._history.cache_clear()
-    samples, _, _, diverged, (w, vnoise), _ = plant._history(scn, seed)
+    samples, _, _, diverged, (w, vnoise) = plant._history(scn, seed)
     assert not diverged and len(samples) == k_end + 1
     if scn.noise_std > 0:
         w_rng, v_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
@@ -474,19 +481,19 @@ def test_suffix_noise_equals_one_pass_draws(overrides, n):
 
 
 def test_memoised_history_is_shared_safely_across_threads():
-    # sessions of one server run episodes on threads that share the memo;
-    # more histories than it holds (two horizons of each seed), so entries
-    # are evicted while others read them, and more gains of one seed than
-    # its entry keeps, each asked for again and again, so kept episodes
-    # are evicted while others read and move them
+    # sessions of one server run episodes on threads that share the memos;
+    # more histories than the history memo holds (two horizons of each
+    # seed), so entries are evicted while others read them, and gains of
+    # one seed asked for again and again among more episodes than the
+    # episode memo holds, so its entries are evicted while others read them
     horizons = [replace(DEFAULT, horizon=DEFAULT.act_time + t) for t in (0.3, 0.5)]
     n_seeds = plant._history.cache_info().maxsize + 3
     jobs = [(seed, kp, scn) for seed in range(n_seeds) for kp in (0.5, 3.5)
             for scn in horizons]
     repeats = [(0, kp, horizons[0]) for kp in (0.5, 1.0, 1.5, 2.5, 3.5)]
-    plant._history.cache_clear()
+    _clear_memos()
     expected = {job: _bits(run_episode(job[2], job[1], job[0])) for job in jobs + repeats}
-    plant._history.cache_clear()
+    _clear_memos()
     mismatches, errors, start = [], [], threading.Barrier(6)
 
     def worker(offset):
@@ -513,7 +520,8 @@ def test_memoised_history_is_shared_safely_across_threads():
     finally:
         sys.setswitchinterval(switch)
     assert errors == [] and mismatches == []
-    assert len(plant._history(horizons[0], 0)[5]) <= 2
+    info = plant._episode.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 class TestScenarioValidation:
