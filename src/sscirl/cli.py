@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import plant, policy, sigproc, trainer
-from .config import KEYS, ConfigError, check_gain, resolve, write
+from .config import KEYS, ConfigError, check_gain, filter_band, resolve, write
 from .envproto import EnvServer, RemoteEnv, ProtocolError
 
 EXIT_OK = 0
@@ -99,9 +99,9 @@ def cmd_simulate(args, scenario, config) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sigproc.write_trace_csv(result.trace, out / "raw.csv")
-    filtered = sigproc.filter_head(result.trace, config.bandpass_spec,
-                                   config.target_rate, config.filter_stage)[1]
-    observed = sigproc.observed(filtered, config.target_rate, config.filter_stage)
+    filtered = sigproc.filter_head(result.trace,
+                                   *filter_band(result.trace.sample_rate, config))[1]
+    observed = sigproc.downsample(filtered, config.target_rate)
     sigproc.write_trace_csv(filtered, out / "filtered.csv")
     sigproc.write_trace_csv(observed, out / "decimated.csv")
     if result.diverged:

@@ -8,12 +8,16 @@ One file covers the plant scenario and the training settings: one
 optional). This module alone reads, writes and types the format; `validate`
 checks that a scenario and a training configuration can run together. It
 also alone decides the windows: the reward's and the observation's are
-sample index ranges computed here by one rule, `first_sample`.
+sample index ranges computed here by one rule, `first_sample`. And it alone
+reads `filter_stage`: `filter_band` turns it into the band and the rate
+the reward and the observation filter at, clamping a band-pass edge the
+decimated rate cannot carry, which `validate` warns of.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
@@ -23,6 +27,12 @@ from .plant import PlantScenario, transition
 
 class ConfigError(ValueError):
     """A configuration that cannot be used; the message names the field."""
+
+
+# band-pass at the native rate, then decimate; or decimate, then band-pass
+PRE_DECIMATION = "pre_decimation"
+POST_DECIMATION = "post_decimation"
+FILTER_STAGES = (PRE_DECIMATION, POST_DECIMATION)
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,7 @@ class TrainConfig:
     bandpass_order: int = 4
     target_rate: float = 100.0
     t_reward: float = 2.0
-    filter_stage: str = sigproc.PRE_DECIMATION
+    filter_stage: str = PRE_DECIMATION
     baseline_enabled: bool = False
     cache_enabled: bool = True
 
@@ -53,8 +63,8 @@ class TrainConfig:
             raise ValueError("need kp_min < kp_max")
         if self.cache_resolution <= 0:
             raise ValueError("cache_resolution must be positive")
-        if self.filter_stage not in sigproc.FILTER_STAGES:
-            raise ValueError(f"filter_stage must be one of {sigproc.FILTER_STAGES}, "
+        if self.filter_stage not in FILTER_STAGES:
+            raise ValueError(f"filter_stage must be one of {FILTER_STAGES}, "
                              f"got {self.filter_stage!r}")
 
     @property
@@ -150,10 +160,11 @@ def _build(cls, raw: Mapping):
         raise ConfigError(str(exc)) from exc
 
 
-def _named(key: str, check, *args) -> None:
-    """Run a sigproc check, naming key in the ConfigError it raises."""
+def _named(key: str, check, *args):
+    """Run a sigproc check and return its result, naming key in the
+    ConfigError it raises."""
     try:
-        check(*args)
+        return check(*args)
     except sigproc.TraceError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -165,13 +176,25 @@ def first_sample(t: float, rate: float) -> int:
     return math.ceil(t * rate - 1e-9)
 
 
+def filter_band(sample_rate: float,
+                config: TrainConfig) -> tuple[sigproc.BandpassSpec, float]:
+    """(band, rate): the band-pass the filter stage runs and the rate it
+    runs at, for an episode sampled at sample_rate. pre_decimation gives
+    bandpass_spec at sample_rate; post_decimation gives it at target_rate,
+    its f_max clamped to 0.95x the decimated Nyquist (TraceError unless
+    f_min stays below)."""
+    spec = config.bandpass_spec
+    if config.filter_stage == PRE_DECIMATION:
+        return spec, sample_rate
+    f_max = min(spec.f_max, 0.95 * (0.5 * config.target_rate))
+    return sigproc.BandpassSpec(spec.f_min, f_max, spec.order), config.target_rate
+
+
 def reward_window(scenario: PlantScenario, config: TrainConfig) -> range:
-    """The indices the reward integrates in the filter stage's trace (at
-    the native rate for pre_decimation, at target_rate for post_decimation):
-    from the first sample at or after act_time, round(t_reward * rate)
-    intervals on."""
-    rate = (config.target_rate if config.filter_stage == sigproc.POST_DECIMATION
-            else scenario.sample_rate)
+    """The indices the reward integrates in the filter stage's trace, at
+    filter_band's rate: from the first sample at or after act_time,
+    round(t_reward * rate) intervals on."""
+    _, rate = filter_band(scenario.sample_rate, config)
     start = first_sample(scenario.act_time, rate)
     return range(start, start + round(config.t_reward * rate) + 1)
 
@@ -179,10 +202,9 @@ def reward_window(scenario: PlantScenario, config: TrainConfig) -> range:
 def reward_samples(scenario: PlantScenario, config: TrainConfig) -> int:
     """The native samples from t = 0 that an episode's reward reads: to the
     one under reward_window's last index."""
-    last = reward_window(scenario, config).stop - 1
-    if config.filter_stage == sigproc.POST_DECIMATION:
-        last *= sigproc.decimation_factor(scenario.sample_rate, config.target_rate)
-    return last + 1
+    _, rate = filter_band(scenario.sample_rate, config)
+    factor = sigproc.decimation_factor(scenario.sample_rate, rate)
+    return (reward_window(scenario, config).stop - 1) * factor + 1
 
 
 def observation_starts(scenario: PlantScenario, config: TrainConfig) -> range:
@@ -212,10 +234,12 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     on scenario can run to its end: finite values, a cache_resolution
     giving every gain a finite bucket index and the oracle a finite step
     count, a non-negative seed, a positive learning rate and network, a
-    target rate dividing the native rate, a band-pass the stage's rate can
-    carry (clamped post-decimation), a finite plant transition at every
-    gain an episode runs, a non-empty observation_starts from index 0 or
-    later, and a positive t_reward whose reward_samples an episode holds."""
+    target rate dividing the native rate, a band-pass filter_band's rate
+    can carry (post-decimation, clamped with a UserWarning naming
+    bandpass_high), a finite plant
+    transition at every gain an episode runs, a non-empty
+    observation_starts from index 0 or later, and a positive t_reward whose
+    reward_samples an episode holds."""
     for part in (scenario, config):
         for key, value in asdict(part).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -237,13 +261,13 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
            config.target_rate)
     _named("bandpass_low, bandpass_high or bandpass_order", sigproc.BandpassSpec,
            config.bandpass_low, config.bandpass_high, config.bandpass_order)
-    if config.filter_stage == sigproc.PRE_DECIMATION:
-        _named("bandpass_high", sigproc.design_bandpass, config.bandpass_spec,
-               scenario.sample_rate)
-    else:
-        _named("bandpass_low", lambda: sigproc.design_bandpass(
-            sigproc.post_decimation_band(config.bandpass_spec, config.target_rate),
-            config.target_rate))
+    # the native Nyquist bounds f_max; the decimated one clamps it, so f_min
+    key = "bandpass_high" if config.filter_stage == PRE_DECIMATION else "bandpass_low"
+    band, rate = _named(key, filter_band, scenario.sample_rate, config)
+    _named(key, sigproc.design_bandpass, band, rate)
+    if band.f_max != config.bandpass_high:  # one line warns: shown once by default
+        warnings.warn(f"bandpass_high {config.bandpass_high} Hz is infeasible at target_rate "
+                      f"{rate} Hz; clamped to {band.f_max} Hz")
     starts = observation_starts(scenario, config)
     if not 0 <= starts.start < starts.stop:
         raise ConfigError(f"obs_window and d_obs must give 0 <= first <= last window "

@@ -467,10 +467,7 @@ class RemoteEnv:
         else:
             raise ProtocolError(f"episode failed after retry: {last_exc}")
         self.episode_count += 1
-        diverged = bool(reply.get("diverged"))
-        diverged_at = len(trace) * trace.dt if diverged else None
-        return plant.EpisodeResult(trace=trace, diverged=diverged,
-                                   diverged_at=diverged_at)
+        return plant.EpisodeResult(trace=trace, diverged=bool(reply.get("diverged")))
 
     def _drain(self, in_flight: list[int]):
         """Read and drop the replies still in flight; close the connection

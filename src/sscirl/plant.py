@@ -16,7 +16,7 @@ simulated again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -327,8 +327,12 @@ class EpisodeResult:
 
     trace: SignalTrace
     diverged: bool = False
-    diverged_at: float | None = None
-    final_state: np.ndarray = field(default_factory=lambda: np.zeros(2))
+
+    @property
+    def diverged_at(self) -> float | None:
+        """The time the truncated trace of a diverged episode ends at (its
+        sample count times dt), or None."""
+        return len(self.trace) * self.trace.dt if self.diverged else None
 
 
 def _draw(scenario: PlantScenario, streams, n_w: int, n_v: int) -> tuple:
@@ -393,24 +397,20 @@ def _episode(scenario: PlantScenario, seed: int | None, kp: float) -> tuple:
     """The episode of scenario at seed and the commanded gain kp, as its
     _history continued at kp on the history's noise.
 
-    Returns (samples, tail, x, v, diverged), both arrays read-only: the
+    Returns (samples, tail, diverged), both arrays read-only: the
     history's samples, the samples after them (fewer when the mode
-    diverged, none when the history did), the final mode state (the
-    crossing state on divergence) and the divergence flag.
+    diverged, none when the history did) and the divergence flag.
     """
     history = _history if seed is not None else _history.__wrapped__
     samples, x, v, diverged, (w, vnoise) = history(scenario, seed)
     tail = np.empty(len(w))
     if len(w):
         threshold = scenario.diverge_threshold
-        n, x, v, crossing = _advance(x, v, transition(scenario, kp), w,
+        n, _, _, crossing = _advance(x, v, transition(scenario, kp), w,
                                      threshold * threshold, tail, vnoise, scenario.p_nom)
-        tail = tail[:n]
-        if crossing is not None:
-            x, v = crossing
-            diverged = True
+        tail, diverged = tail[:n], crossing is not None
     tail.flags.writeable = False
-    return samples, tail, x, v, diverged
+    return samples, tail, diverged
 
 
 def run_episode(scenario: PlantScenario, kp: float,
@@ -433,13 +433,10 @@ def run_episode(scenario: PlantScenario, kp: float,
     way the trace is a fresh writable array, the one a single pass gives,
     bit for bit. Seed None draws fresh entropy and is not memoised.
     """
-    dt = scenario.sim_dt
     if scenario.n_samples < 1:
-        raise PlantError(f"horizon {scenario.horizon} holds no sample of {dt} s")
+        raise PlantError(f"horizon {scenario.horizon} holds no sample of "
+                         f"{scenario.sim_dt} s")
     episode = _episode if seed is not None else _episode.__wrapped__
-    samples, tail, x, v, diverged = episode(scenario, seed, kp)
-    out = np.concatenate((samples, tail))
-    trace = SignalTrace(out, scenario.sample_rate, 0.0)
-    return EpisodeResult(trace=trace, diverged=bool(diverged),
-                         diverged_at=(len(out) * dt) if diverged else None,
-                         final_state=np.array([x, v]))
+    samples, tail, diverged = episode(scenario, seed, kp)
+    trace = SignalTrace(np.concatenate((samples, tail)), scenario.sample_rate, 0.0)
+    return EpisodeResult(trace=trace, diverged=bool(diverged))

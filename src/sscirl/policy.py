@@ -102,8 +102,8 @@ def _views(flat: np.ndarray, obs_dim: int, hidden: int) -> dict[str, np.ndarray]
 
 def _tensor_at(params: PolicyParameters, index: int) -> str:
     """Name of the tensor holding entry index of the flat vector."""
-    ends = np.cumsum([t.size for t in params.tensors.values()])
-    return PARAM_NAMES[int(np.searchsorted(ends, index, side="right"))]
+    return next(name for name, span in _spans(params.obs_dim, params.hidden).items()
+                if index < span.stop)
 
 
 def init_params(obs_dim: int = 30, hidden: int = 64,

@@ -1,16 +1,16 @@
 """Signal conditioning for the oscillation-mitigation loop.
 
 Down-sampling with anti-aliasing, Butterworth band-pass filtering, the
-filter stage that chains them (one runner, FilterHead, which resumes
-from where the stage ended on a trace's first samples), the observation
-window type, and the oscillation-energy functional whose negation is the
-training reward.
+filter stage that chains them (a band-pass at a rate, after the
+anti-alias low-pass and decimation when that rate is below the trace's;
+one runner, FilterHead, resumes it from where it ended on a trace's first
+samples), the observation window type, and the oscillation-energy
+functional whose negation is the training reward. Which band and rate a
+run filters at is the configuration's choice (config.filter_band).
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -175,7 +175,7 @@ def design_bandpass(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
 
 def bandpass(trace: SignalTrace, spec: BandpassSpec) -> SignalTrace:
     """Causal single-pass Butterworth band-pass with zero initial state:
-    the pre_decimation stage's filtered trace (filter_head)."""
+    filter_head's filtered trace at the trace's own rate."""
     trace._require_nonempty("bandpass")
     return filter_head(trace, spec, trace.sample_rate)[1]
 
@@ -214,25 +214,7 @@ def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# filter stages
-
-PRE_DECIMATION = "pre_decimation"
-POST_DECIMATION = "post_decimation"
-FILTER_STAGES = (PRE_DECIMATION, POST_DECIMATION)
-
-
-def post_decimation_band(spec: BandpassSpec, target_rate: float) -> BandpassSpec:
-    """The band post_decimation filters with at target_rate: f_max clamped
-    to 0.95x the decimated Nyquist; TraceError unless f_min stays below."""
-    return BandpassSpec(spec.f_min, min(spec.f_max, 0.95 * (0.5 * target_rate)),
-                        spec.order)
-
-
-def observed(filtered: SignalTrace, target_rate: float,
-             stage: str = PRE_DECIMATION) -> SignalTrace:
-    """A stage's filtered trace at target_rate: decimated if pre_decimation."""
-    return downsample(filtered, target_rate) if stage == PRE_DECIMATION else filtered
-
+# the filter stage
 
 @dataclass(frozen=True, eq=False)
 class FilterHead:
@@ -269,26 +251,16 @@ class FilterHead:
         return samples, band, alias
 
 
-def filter_head(trace: SignalTrace, spec: BandpassSpec, target_rate: float,
-                stage: str = PRE_DECIMATION) -> tuple[FilterHead, SignalTrace]:
+def filter_head(trace: SignalTrace, band: BandpassSpec,
+                rate: float) -> tuple[FilterHead, SignalTrace]:
     """The FilterHead after trace's samples (at t = 0 for none) and the
-    filtered trace they gave: band-passed from a zero state, post_decimation
-    after downsample's low-pass and every factor-th sample from the first."""
-    if stage not in FILTER_STAGES:
-        raise TraceError(f"unknown filter stage {stage!r}")
-    rate, alias, factor, band = trace.sample_rate, None, 1, spec
-    if stage == POST_DECIMATION:
-        factor = decimation_factor(rate, target_rate)
-        band = post_decimation_band(spec, target_rate)
-        if band.f_max != spec.f_max:  # reported at the first caller outside this module
-            frame, level = sys._getframe(), 1
-            while frame.f_globals["__name__"] == __name__ and frame.f_back is not None:
-                frame, level = frame.f_back, level + 1
-            warnings.warn(f"band-pass upper cutoff {spec.f_max} Hz is infeasible at "
-                          f"{target_rate} Hz; clamped to {band.f_max} Hz", stacklevel=level)
+    filtered trace they gave: band-passed at rate from a zero state, after
+    downsample's low-pass and every factor-th sample from the first when
+    rate is below the trace's."""
+    alias, factor = None, decimation_factor(trace.sample_rate, rate)
     if factor > 1:
-        sos, zi_unit = _anti_alias(rate, target_rate)
-        alias, rate = (sos.copy(), zi_unit), target_rate
+        sos, zi_unit = _anti_alias(trace.sample_rate, rate)
+        alias = (sos.copy(), zi_unit)
     sos = design_bandpass(band, rate).copy()
     filtered, band, alias = FilterHead(trace.samples[:0], 0, rate, (
         sos, _read_only(np.zeros((len(sos), 2)))), alias, factor)._run(trace.samples)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import policy as pol
 from . import plant, sigproc
-from .config import (ConfigError, TrainConfig, first_sample, observation_starts,
-                     reward_samples, reward_window, validate, write)
+from .config import (ConfigError, TrainConfig, filter_band, first_sample,
+                     observation_starts, reward_samples, reward_window, validate, write)
 
 DIVERGENCE_PENALTY_FLOOR = -1e6
 # the most gains grid_oracle sweeps (the default range and resolution give 71)
@@ -102,11 +102,6 @@ def clamp(value: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # reward and observation plumbing
 
-def _stage(config: TrainConfig) -> tuple:
-    """The filter stage's settings, as sigproc's stage functions take them."""
-    return config.bandpass_spec, config.target_rate, config.filter_stage
-
-
 def _history_head(trace: sigproc.SignalTrace, act_time: float,
                   config: TrainConfig) -> tuple[sigproc.FilterHead, sigproc.SignalTrace]:
     """filter_head over the samples before act_time of trace, which starts
@@ -114,7 +109,7 @@ def _history_head(trace: sigproc.SignalTrace, act_time: float,
     from, and the filtered trace that pass gave."""
     rate = trace.sample_rate
     return sigproc.filter_head(sigproc.SignalTrace(
-        trace.samples[:first_sample(act_time, rate)], rate), *_stage(config))
+        trace.samples[:first_sample(act_time, rate)], rate), *filter_band(rate, config))
 
 
 def _filter_on(samples: np.ndarray, sample_rate: float, head: sigproc.FilterHead | None,
@@ -124,7 +119,7 @@ def _filter_on(samples: np.ndarray, sample_rate: float, head: sigproc.FilterHead
     head: head if the samples start with its samples, else the t = 0 one."""
     if head is None or not np.array_equal(samples[:len(head.samples)], head.samples):
         head, _ = sigproc.filter_head(sigproc.SignalTrace(samples[:0], sample_rate),
-                                      *_stage(config))
+                                      *filter_band(sample_rate, config))
     return head.filter_on(samples[len(head.samples):]), head
 
 
@@ -161,12 +156,13 @@ def reward_scenario(scenario: plant.PlantScenario,
 
 def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
                       config: TrainConfig) -> tuple[sigproc.SignalTrace, sigproc.FilterHead]:
-    """Conditioned low-rate trace of raw's samples before act_time and
-    _history_head's head, from its one pass. TraceError when the trace is
-    too short for a window at every index of observation_starts, as when
-    raw diverged before act_time."""
+    """Conditioned low-rate trace of raw's samples before act_time (their
+    filtered trace downsampled to target_rate, a copy when the stage
+    filtered at it) and _history_head's head, from its one pass.
+    TraceError when the trace is too short for a window at every index of
+    observation_starts, as when raw diverged before act_time."""
     head, filtered = _history_head(raw, scenario.act_time, config)
-    observed = sigproc.observed(filtered, config.target_rate, config.filter_stage)
+    observed = sigproc.downsample(filtered, config.target_rate)
     need = observation_starts(scenario, config).stop - 1 + config.d_obs
     if len(observed) < need:
         raise sigproc.TraceError(f"pre-activation trace holds {len(observed)} low-rate "

@@ -160,16 +160,14 @@ def test_accepted_pair_rewards_its_episodes(pair):
     # episode cannot diverge
     quiet = replace(default_mode(scenario), disturbance_amp=0.0)
     gain = quiet.kp_stable
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # post_decimation clamps f_max
-        full = plant.run_episode(quiet, gain, seed=0)
-        cut = plant.run_episode(trainer.reward_scenario(quiet, cfg), gain, seed=0)
-        reward = trainer.episode_reward(full, quiet, cfg)
-        assert reward is not None
-        assert repr(trainer.episode_reward(cut, quiet, cfg)) == repr(reward)
-        short = plant.EpisodeResult(sigproc.SignalTrace(cut.trace.samples[:-1],
-                                                        quiet.sample_rate))
-        assert trainer.episode_reward(short, quiet, cfg) is None
+    full = plant.run_episode(quiet, gain, seed=0)
+    cut = plant.run_episode(trainer.reward_scenario(quiet, cfg), gain, seed=0)
+    reward = trainer.episode_reward(full, quiet, cfg)
+    assert reward is not None
+    assert repr(trainer.episode_reward(cut, quiet, cfg)) == repr(reward)
+    short = plant.EpisodeResult(sigproc.SignalTrace(cut.trace.samples[:-1],
+                                                    quiet.sample_rate))
+    assert trainer.episode_reward(short, quiet, cfg) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,10 +182,7 @@ def test_reward_window_starts_at_act_time_and_spans_t_reward(pair):
     window = config.reward_window(scenario, cfg)
     raw = sigproc.SignalTrace(np.zeros(config.reward_samples(scenario, cfg)),
                               scenario.sample_rate)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # post_decimation clamps f_max
-        _, filtered = sigproc.filter_head(raw, cfg.bandpass_spec, cfg.target_rate,
-                                          cfg.filter_stage)
+    _, filtered = sigproc.filter_head(raw, *config.filter_band(raw.sample_rate, cfg))
     rate = filtered.sample_rate
     assert window.start - 1 < scenario.act_time * rate - 1e-9 <= window.start
     assert len(window) - 1 == round(cfg.t_reward * rate)
@@ -205,11 +200,9 @@ def test_accepted_pair_observes_every_window_start(pair):
     quiet = default_mode(scenario)
     starts = config.observation_starts(quiet, cfg)
     pre = replace(quiet, horizon=quiet.act_time + quiet.sim_dt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # post_decimation clamps f_max
-        result = plant.run_episode(pre, pre.kp_unstable, seed=0)
-        samples = trainer.observation_trace(result.trace, quiet, cfg)[0].samples
-        obs = trainer.canonical_observation(quiet, cfg)
+    result = plant.run_episode(pre, pre.kp_unstable, seed=0)
+    samples = trainer.observation_trace(result.trace, quiet, cfg)[0].samples
+    obs = trainer.canonical_observation(quiet, cfg)
     for first in (starts[0], starts[-1], starts[-1] + 1):
         fits = len(samples[first:first + cfg.d_obs]) == cfg.d_obs
         assert fits == (first in starts)
@@ -314,7 +307,40 @@ def test_resolve_rejects(key, changes):
 def test_post_decimation_band_is_not_held_to_native_nyquist():
     # post_decimation clamps the band at the decimated rate, with a warning
     cfg = TrainConfig(bandpass_high=3000.0, filter_stage="post_decimation")
-    config.validate(SCN, cfg)
+    with pytest.warns(UserWarning):
+        config.validate(SCN, cfg)
+
+
+def test_clamped_post_decimation_warns_naming_bandpass_high():
+    # the default 55 Hz edge is past the 50 Hz Nyquist of 100 Hz: validate
+    # warns once, and the functions that filter at the clamped band do not
+    cfg = TrainConfig(filter_stage="post_decimation")
+    with pytest.warns(UserWarning) as record:
+        config.validate(SCN, cfg)
+    assert len(record) == 1 and record[0].filename == config.__file__
+    message = str(record[0].message)
+    assert "bandpass_high 55.0 Hz" in message and "clamped to 47.5 Hz" in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert config.filter_band(SCN.sample_rate, cfg)[0].f_max == 47.5
+        trainer.canonical_observation(SCN, cfg)
+
+
+@pytest.mark.parametrize("changes", [{}, {"bandpass_high": 3000.0},
+                                     {"filter_stage": "post_decimation",
+                                      "bandpass_high": 47.5}],
+                         ids=["pre_decimation", "pre_decimation-wide",
+                              "post_decimation-unclamped"])
+def test_unclamped_band_warns_nothing(changes):
+    cfg = TrainConfig(**changes)
+    scn = replace(SCN, sim_dt=1e-4) if cfg.bandpass_high > 2000 else SCN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config.validate(scn, cfg)
+        band, rate = config.filter_band(scn.sample_rate, cfg)
+    assert band == cfg.bandpass_spec
+    assert rate == (cfg.target_rate if cfg.filter_stage == "post_decimation"
+                    else scn.sample_rate)
 
 
 def test_defaults_and_edges_accepted():

@@ -209,7 +209,7 @@ class TestSimulateCommand:
             outs[kp] = sigproc.energy(trace.samples[25000:], trace.sample_rate)
         assert outs[2.0] < outs[4.0]
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     @pytest.mark.parametrize("overrides", [{}, {"zeta_stable": "50", "noise_std": "0"}],
                              ids=["stable", "explosive"])
     def test_csvs_are_the_stage_traces(self, tmp_path, stage, overrides):
@@ -225,9 +225,9 @@ class TestSimulateCommand:
             assert run_cli(["simulate", "--kp", "2.0", "--out", str(out)] + flags) == 0
             scn, cfg = config.resolve(None, overrides)
             result = plant.run_episode(scn, 2.0, seed=0)
-            filtered = sigproc.filter_head(result.trace, cfg.bandpass_spec,
-                                           cfg.target_rate, stage)[1]
-        observed = sigproc.observed(filtered, cfg.target_rate, stage)
+            filtered = sigproc.filter_head(
+                result.trace, *config.filter_band(result.trace.sample_rate, cfg))[1]
+        observed = sigproc.downsample(filtered, cfg.target_rate)
         assert (out / "diverged.txt").exists() == result.diverged == (len(overrides) > 1)
         assert read_csv(out / "raw.csv").samples.tobytes() == result.trace.samples.tobytes()
         for name, trace in (("filtered.csv", filtered), ("decimated.csv", observed)):

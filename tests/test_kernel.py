@@ -102,16 +102,21 @@ def test_explosive_divergence_found_at_first_crossing():
     # that runs past the crossing overflows to inf and nan
     scn = plant.PlantScenario(zeta_stable=50.0, noise_std=0.0)
     workload = _episode_workload(scn, scn.kp_unstable, 0)
+    mats, _, w, _ = workload
+    k_mistune, thr2 = round(scn.mistune_time / scn.sim_dt), scn.diverge_threshold ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         n_valid, diverged = _assert_agree(scn, *workload)
         result = plant.run_episode(scn, scn.kp_unstable, seed=0)
+        # the episode's kp_stable segment, then its kp_unstable one to the crossing
+        _, x, v, _ = plant._advance(scn.disturbance_amp, 0.0, mats[0], w[:k_mistune], thr2)
+        n, _, _, crossing = plant._advance(x, v, mats[1], w[k_mistune:], thr2)
     assert diverged
-    assert round(scn.mistune_time / scn.sim_dt) < n_valid \
-        < round(scn.mistune_time / scn.sim_dt) + 100
+    assert k_mistune < n_valid < k_mistune + 100
     assert len(result.trace) == n_valid and result.diverged
-    assert np.all(np.isfinite(result.final_state))
-    assert np.linalg.norm(result.final_state) > scn.diverge_threshold
+    assert 1 + k_mistune + n == n_valid
+    assert np.all(np.isfinite(crossing))
+    assert np.linalg.norm(crossing) > scn.diverge_threshold
 
 
 def _count_lfilter_pairs(monkeypatch):

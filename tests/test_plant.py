@@ -316,7 +316,6 @@ def test_shorter_horizon_is_a_prefix(seed, kp, lengths, overrides):
     if b.diverged and len(b.trace) < short:
         assert a.diverged and len(a.trace) == len(b.trace)
         assert a.diverged_at == b.diverged_at
-        assert np.array_equal(a.final_state, b.final_state)
     else:
         assert not a.diverged and len(a.trace) == short
 
@@ -333,15 +332,14 @@ def _single_pass(scn, kp, seed):
     w = w_rng.standard_normal(n - 1) * (scn.noise_std / math.sqrt(scn.sim_dt))
     vnoise = v_rng.standard_normal(n) * scn.noise_std
     out = np.empty(n)
-    n_valid, x, v, diverged = plant.simulate_segments(
+    n_valid, _, _, diverged = plant.simulate_segments(
         scn.disturbance_amp, 0.0, mats, [k_mistune, k_act - k_mistune, n - 1 - k_act],
         w, vnoise, scn.p_nom, scn.diverge_threshold, out)
-    return out[:n_valid], np.array([x, v]), diverged
+    return out[:n_valid], diverged
 
 
 def _bits(result):
-    return (result.trace.samples.tobytes(), result.final_state.tobytes(),
-            result.diverged, result.diverged_at)
+    return result.trace.samples.tobytes(), result.diverged, result.diverged_at
 
 
 def _memo_counts():
@@ -400,8 +398,8 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     assert _memo_counts() == counts
     monkeypatch.undo()
 
-    samples, final_state, diverged = _single_pass(scn, kp, seed)
-    expected = (samples.tobytes(), final_state.tobytes(), diverged,
+    samples, diverged = _single_pass(scn, kp, seed)
+    expected = (samples.tobytes(), diverged,
                 len(samples) * scn.sim_dt if diverged else None)
     assert _bits(cold) == _bits(warm) == _bits(fresh) == expected
     k_act = round(scn.act_time / scn.sim_dt)
@@ -414,7 +412,6 @@ def test_memoised_history_is_bit_identical(overrides, kp, monkeypatch):
     for written in (warm, run_episode(scn, kp, seed)):
         assert written.trace.samples.flags.writeable
         written.trace.samples[:] = -1.0
-        written.final_state[:] = -1.0
         assert _bits(run_episode(scn, kp, seed)) == expected
     assert calls == [] and _memo_counts() == (*counts[:2], counts[2] + 3, counts[3])
     # seed None keeps nothing: each runs its own history and episode

@@ -6,6 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscirl import sigproc
+from sscirl.config import (FILTER_STAGES, POST_DECIMATION, PRE_DECIMATION, TrainConfig,
+                           filter_band, validate)
+from sscirl.plant import PlantScenario
 from sscirl.sigproc import (BandpassSpec, Observation, SignalTrace, TraceError,
                             bandpass, bandpass_gain, downsample,
                             oscillation_energy)
@@ -196,85 +199,86 @@ class TestPipeline:
         assert np.max(np.abs(a.samples[tail] - b.samples[tail])) <= 0.02 * ref
 
     def test_post_decimation_clamps_and_warns(self):
+        # config clamps the band and warns; filter_head runs what it is given
         trace = sine(20.0, 5000.0, 4.0)
+        cfg = TrainConfig(filter_stage=POST_DECIMATION)
         with pytest.warns(UserWarning, match="clamped"):
-            filtered = sigproc.filter_head(trace, BandpassSpec(15.0, 55.0, 4), 100.0,
-                                           stage=sigproc.POST_DECIMATION)[1]
+            validate(PlantScenario(), cfg)
+        band, rate = filter_band(5000.0, cfg)
+        assert (band, rate) == (BandpassSpec(15.0, 47.5, 4), 100.0)
+        filtered = sigproc.filter_head(trace, band, rate)[1]
         assert filtered.sample_rate == 100.0
-        assert sigproc.observed(filtered, 100.0, sigproc.POST_DECIMATION) is filtered
 
-    @pytest.mark.parametrize("route", ["filter_head"])
-    def test_clamp_warning_names_the_calling_file(self, route):
-        with pytest.warns(UserWarning, match="clamped") as record:
-            getattr(sigproc, route)(sine(20.0, 5000.0, 1.0), BandpassSpec(15.0, 55.0, 4),
-                                    100.0, sigproc.POST_DECIMATION)
-        assert [w.filename for w in record] == [__file__]
+    @pytest.mark.parametrize("rate", [5000.0, 100.0])
+    def test_filter_head_warns_at_no_rate(self, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigproc.filter_head(sine(20.0, 5000.0, 1.0), BandpassSpec(15.0, 45.0, 4), rate)
 
-    def test_unknown_stage(self):
-        with pytest.raises(TraceError, match="unknown filter stage 'bogus'"):
-            sigproc.filter_head(sine(20.0, 5000.0, 1.0),
-                                BandpassSpec(15.0, 55.0, 4), 100.0, stage="bogus")
+    def test_refuses_a_rate_that_does_not_divide_the_trace_rate(self):
+        with pytest.raises(TraceError, match="incompatible rates"):
+            sigproc.filter_head(sine(20.0, 5000.0, 1.0), BandpassSpec(15.0, 45.0, 4), 300.0)
 
 
-def by_primitives(trace, spec, target_rate, stage):
-    """The stage's filtered trace composed from downsample and bandpass."""
-    if stage == sigproc.PRE_DECIMATION:
-        return bandpass(trace, spec)
-    return bandpass(downsample(trace, target_rate),
-                    sigproc.post_decimation_band(spec, target_rate))
+def stage_band(stage, spec, target_rate):
+    """The (band, rate) config.filter_band gives stage for spec at target_rate."""
+    return filter_band(5000.0, TrainConfig(
+        bandpass_low=spec.f_min, bandpass_high=spec.f_max, bandpass_order=spec.order,
+        target_rate=target_rate, filter_stage=stage))
+
+
+def by_primitives(trace, band, rate):
+    """filter_head's filtered trace composed from downsample and bandpass."""
+    return bandpass(downsample(trace, rate), band)
 
 
 NOISE = np.random.default_rng(11).standard_normal(1234) + 0.3
 
 
 class TestFilterStage:
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", FILTER_STAGES)
     @pytest.mark.parametrize("target_rate", [100.0, 5000.0], ids=["decimating", "unit"])
     def test_filtered_trace_is_the_primitives_bit_for_bit(self, stage, target_rate):
         trace = SignalTrace(NOISE, 5000.0, t0=1.5)
-        spec = BandpassSpec(15.0, 55.0, 4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            mine = sigproc.filter_head(trace, spec, target_rate, stage)[1]
-            ref = by_primitives(trace, spec, target_rate, stage)
+        band_rate = stage_band(stage, BandpassSpec(15.0, 55.0, 4), target_rate)
+        mine = sigproc.filter_head(trace, *band_rate)[1]
+        ref = by_primitives(trace, *band_rate)
         assert mine.samples.tobytes() == ref.samples.tobytes()
         assert (mine.sample_rate, mine.t0) == (ref.sample_rate, ref.t0)
 
     @settings(max_examples=60, deadline=None)
-    @given(stage=st.sampled_from(sigproc.FILTER_STAGES),
+    @given(stage=st.sampled_from(FILTER_STAGES),
            k=st.integers(0, len(NOISE)), cut=st.integers(0, len(NOISE)))
-    @example(stage=sigproc.POST_DECIMATION, k=0, cut=len(NOISE))
-    @example(stage=sigproc.POST_DECIMATION, k=537, cut=len(NOISE))
-    @example(stage=sigproc.PRE_DECIMATION, k=537, cut=len(NOISE))
+    @example(stage=POST_DECIMATION, k=0, cut=len(NOISE))
+    @example(stage=POST_DECIMATION, k=537, cut=len(NOISE))
+    @example(stage=PRE_DECIMATION, k=537, cut=len(NOISE))
     def test_head_then_filter_on_is_one_pass(self, stage, k, cut):
         # any split, k = 0 and k off the factor-50 decimation grid included
         samples = NOISE[:max(k, cut)]
-        spec = BandpassSpec(15.0, 45.0, 4)
-        head, filtered = sigproc.filter_head(SignalTrace(samples[:k], 5000.0), spec,
-                                             100.0, stage)
-        whole = sigproc.filter_head(SignalTrace(samples, 5000.0), spec, 100.0, stage)[1]
+        band_rate = stage_band(stage, BandpassSpec(15.0, 45.0, 4), 100.0)
+        head, filtered = sigproc.filter_head(SignalTrace(samples[:k], 5000.0), *band_rate)
+        whole = sigproc.filter_head(SignalTrace(samples, 5000.0), *band_rate)[1]
         assert head.length == len(filtered)
         assert np.array_equal(head.samples, samples[:k])
         joined = np.concatenate([filtered.samples, head.filter_on(samples[k:])])
         assert joined.tobytes() == whole.samples.tobytes()
         if len(samples):
             assert whole.samples.tobytes() == by_primitives(
-                SignalTrace(samples, 5000.0), spec, 100.0, stage).samples.tobytes()
+                SignalTrace(samples, 5000.0), *band_rate).samples.tobytes()
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", FILTER_STAGES)
     def test_empty_trace_gives_the_stage_at_t0(self, stage):
         # the anti-alias low-pass starts at the steady state of the first
         # sample it is given: a constant passes unchanged, as in downsample
-        spec = BandpassSpec(15.0, 45.0, 4)
-        head, filtered = sigproc.filter_head(SignalTrace(np.array([]), 5000.0), spec,
-                                             100.0, stage)
+        band_rate = stage_band(stage, BandpassSpec(15.0, 45.0, 4), 100.0)
+        head, filtered = sigproc.filter_head(SignalTrace(np.array([]), 5000.0), *band_rate)
         assert len(filtered) == head.length == len(head.samples) == 0
         assert filtered.sample_rate == head.sample_rate == \
-            (100.0 if stage == sigproc.POST_DECIMATION else 5000.0)
+            (100.0 if stage == POST_DECIMATION else 5000.0)
         assert head.filter_on(np.array([])).size == 0
-        ref = sigproc.filter_head(SignalTrace(NOISE, 5000.0), spec, 100.0, stage)[1]
+        ref = sigproc.filter_head(SignalTrace(NOISE, 5000.0), *band_rate)[1]
         assert head.filter_on(NOISE).tobytes() == ref.samples.tobytes()
-        if stage == sigproc.POST_DECIMATION:
+        if stage == POST_DECIMATION:
             sos, state = head.alias
             assert np.array_equal(state, sigproc.signal.sosfilt_zi(sos))
 
@@ -300,7 +304,7 @@ class TestDesignCache:
         spec = BandpassSpec(15.0, 55.0, 4)
 
         def conditioned():
-            return sigproc.observed(sigproc.filter_head(trace, spec, 100.0)[1], 100.0)
+            return downsample(sigproc.filter_head(trace, spec, 5000.0)[1], 100.0)
 
         first = conditioned()
         for _ in range(3):

@@ -107,7 +107,7 @@ REWARD_WINDOWS = {("pre_decimation", 5.0): (25000, 35000),
 
 
 class TestReward:
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     @pytest.mark.parametrize("kp", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
     def test_prefix_reward_equals_full_trace_reward(self, stage, kp, act_time):
@@ -118,11 +118,9 @@ class TestReward:
         first, last = REWARD_WINDOWS[stage, act_time]
         assert config.reward_window(scn, cfg) == range(first, last + 1)
         result = plant.run_episode(scn, kp, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            _, full = sigproc.filter_head(result.trace, cfg.bandpass_spec,
-                                          cfg.target_rate, stage)
-            reward = episode_reward(result, scn, cfg)
+        _, full = sigproc.filter_head(
+            result.trace, *config.filter_band(result.trace.sample_rate, cfg))
+        reward = episode_reward(result, scn, cfg)
         x = full.samples[first:last + 1]
         assert reward == -np.trapezoid(x * x, dx=1.0 / full.sample_rate)
 
@@ -137,7 +135,8 @@ class TestReward:
         full = plant.run_episode(scn, 2.5, seed=0).trace
         cut = plant.EpisodeResult(sigproc.SignalTrace(full.samples[:35050],
                                                       full.sample_rate),
-                                  diverged=True, diverged_at=35050 * scn.sim_dt)
+                                  diverged=True)
+        assert cut.diverged_at == 35050 * scn.sim_dt
         assert episode_reward(cut, scn, cfg) is None
 
 
@@ -148,7 +147,7 @@ class TestRewardScenario:
         assert cut.n_samples == 35001
         assert cut == replace(SCN, horizon=cut.horizon)
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cut_reward_equals_full_reward(self, stage, act_time, seed):
@@ -156,10 +155,8 @@ class TestRewardScenario:
         cfg = TrainConfig(filter_stage=stage)
         cut = reward_scenario(scn, cfg)
         assert cut.n_samples < scn.n_samples
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            rewards = [episode_reward(plant.run_episode(s, 2.5, seed),
-                                      scn, cfg) for s in (scn, cut)]
+        rewards = [episode_reward(plant.run_episode(s, 2.5, seed),
+                                  scn, cfg) for s in (scn, cut)]
         assert rewards[0] is not None and rewards[0] == rewards[1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -182,12 +179,10 @@ class TestRewardScenario:
         cut = reward_scenario(scn, cfg)
         assert cut.n_samples == 35001
         full = plant.run_episode(scn, 2.5, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            rewards = [episode_reward(full, scn, cfg),
-                       episode_reward(plant.run_episode(cut, 2.5, 1),
-                                      scn, cfg),
-                       episode_reward(full, scn, replace(cfg, t_reward=2.0))]
+        rewards = [episode_reward(full, scn, cfg),
+                   episode_reward(plant.run_episode(cut, 2.5, 1),
+                                  scn, cfg),
+                   episode_reward(full, scn, replace(cfg, t_reward=2.0))]
         assert rewards[0] is not None and rewards[0] == rewards[1] == rewards[2]
 
     def test_window_past_the_horizon_keeps_the_scenario(self):
@@ -228,7 +223,7 @@ def pretrace_head(scn, cfg, seed):
 class TestCarriedFilterState:
     @settings(max_examples=40, deadline=None)
     @given(kp=st.floats(0.5, 4.0), seed=st.integers(0, 2**63 - 1),
-           stage=st.sampled_from(sigproc.FILTER_STAGES),
+           stage=st.sampled_from(config.FILTER_STAGES),
            act_time=st.sampled_from([5.0, 5.003]),
            t_reward=st.sampled_from([2.0, 2.004, 2.00005]),
            overrides=st.sampled_from([{}, LATE_DIVERGENCE]))
@@ -244,18 +239,16 @@ class TestCarriedFilterState:
         scn = replace(SCN, act_time=act_time, **overrides)
         cfg = TrainConfig(filter_stage=stage, t_reward=t_reward)
         cut = reward_scenario(scn, cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            head = pretrace_head(scn, cfg, seed)
-            result = plant.run_episode(cut, kp, seed)
-            carried = episode_reward(result, cut, cfg, head)
-            full = episode_reward(result, cut, cfg)
+        head = pretrace_head(scn, cfg, seed)
+        result = plant.run_episode(cut, kp, seed)
+        carried = episode_reward(result, cut, cfg, head)
+        full = episode_reward(result, cut, cfg)
         assert np.array_equal(result.trace.samples[:len(head.samples)], head.samples)
         assert head.length <= config.reward_window(scn, cfg).start
         assert repr(carried) == repr(full)
         assert (full is None) == (len(result.trace) < cut.n_samples)
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     def test_head_past_the_window_start_is_not_filtered_on(self, stage):
         # the episode starts with its samples, but filtered on from there the
         # window's first samples would be missing: the reward filters from t = 0
@@ -263,15 +256,14 @@ class TestCarriedFilterState:
         cut = reward_scenario(SCN, cfg)
         result = plant.run_episode(cut, 2.0, 3)
         k = config.first_sample(SCN.act_time + 0.5, SCN.sample_rate)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            head, _ = sigproc.filter_head(sigproc.SignalTrace(
-                result.trace.samples[:k], SCN.sample_rate), *trainer._stage(cfg))
-            assert head.length > config.reward_window(SCN, cfg).start
-            assert repr(episode_reward(result, cut, cfg, head)) == \
-                repr(episode_reward(result, cut, cfg))
+        head, _ = sigproc.filter_head(sigproc.SignalTrace(
+            result.trace.samples[:k], SCN.sample_rate),
+            *config.filter_band(SCN.sample_rate, cfg))
+        assert head.length > config.reward_window(SCN, cfg).start
+        assert repr(episode_reward(result, cut, cfg, head)) == \
+            repr(episode_reward(result, cut, cfg))
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
     def test_diverged_episode_has_no_reward(self, stage, act_time):
         scn = replace(SCN, act_time=act_time, **LATE_DIVERGENCE)
@@ -905,7 +897,7 @@ class TestReferenceEpochs:
     bits, epoch after epoch."""
 
     # post_decimation clamps the default band below the 50 Hz Nyquist, with a warning
-    @pytest.mark.filterwarnings("ignore:band-pass upper cutoff")
+    @pytest.mark.filterwarnings("ignore:bandpass_high")
     @pytest.mark.parametrize("baseline", [False, True], ids=["raw", "baseline"])
     @pytest.mark.parametrize("cache", [True, False], ids=["cache_on", "cache_off"])
     @pytest.mark.parametrize("stage", ["pre_decimation", "post_decimation"])
@@ -1098,16 +1090,14 @@ class TestWindowing:
         # band-passed content: near-zero mean relative to peak
         assert abs(obs.values.mean()) < 0.1 * np.max(np.abs(obs.values))
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     def test_canonical_observation_equals_full_horizon_one(self, stage):
         # it runs its episode only to the end of the reward window
         cfg = TrainConfig(filter_stage=stage)
         quiet = replace(SCN, noise_std=0.0)
         full = plant.run_episode(quiet, SCN.kp_unstable, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            expected = trainer.observation_trace(full.trace, SCN, cfg)[0].samples[460:490]
-            obs = canonical_observation(SCN, cfg)
+        expected = trainer.observation_trace(full.trace, SCN, cfg)[0].samples[460:490]
+        obs = canonical_observation(SCN, cfg)
         assert obs.values.tobytes() == expected.tobytes()
         assert obs.window_start == 4.6
 
@@ -1161,7 +1151,7 @@ class TestEvaluate:
         assert lengths == [k_act, k_act]
         assert continued == [(k_act, SCN.n_samples - k_act)] * 2
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     @pytest.mark.parametrize("act_time", [5.0, 5.003], ids=["on_grid", "off_grid"])
     @pytest.mark.parametrize("seed", [3, None], ids=["shared_history", "fresh_entropy"])
     def test_energies_equal_whole_trace_filtering(self, monkeypatch, stage, act_time, seed):
@@ -1181,12 +1171,10 @@ class TestEvaluate:
 
         monkeypatch.setattr(plant, "run_episode", recording)
         act = config.reward_window(scn, cfg).start
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            report = evaluate(params, scn, cfg, seed=seed)
-            _, mitigated, unmitigated = episodes  # after canonical_observation's
-            whole = [sigproc.filter_head(r.trace, *trainer._stage(cfg))[1]
-                     for r in (mitigated, unmitigated)]
+        report = evaluate(params, scn, cfg, seed=seed)
+        _, mitigated, unmitigated = episodes  # after canonical_observation's
+        whole = [sigproc.filter_head(r.trace, *config.filter_band(scn.sample_rate, cfg))[1]
+                 for r in (mitigated, unmitigated)]
         assert report.trace is mitigated.trace
         assert not (mitigated.diverged or unmitigated.diverged)
         k_act = config.first_sample(act_time, scn.sample_rate)
@@ -1244,7 +1232,7 @@ class TestOracle:
         assert plant._history.cache_info()[:2] == (len(sweep), 1) == (71, 1)
         assert plant._episode.cache_info()[:2] == (0, len(sweep) + 1)
 
-    @pytest.mark.parametrize("stage", sigproc.FILTER_STAGES)
+    @pytest.mark.parametrize("stage", config.FILTER_STAGES)
     def test_sweep_filters_on_from_one_head(self, stage, monkeypatch):
         # the sweep builds one head, over its history's samples before
         # act_time; no episode filters on from the stage at t = 0, and the
@@ -1259,13 +1247,11 @@ class TestOracle:
 
         monkeypatch.setattr(sigproc, "filter_head", counting)
         k_act = config.first_sample(SCN.act_time, SCN.sample_rate)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # post_decimation clamps f_max
-            headed = grid_oracle(SCN, cfg)
-            assert heads == [k_act]
-            heads.clear()
-            monkeypatch.setattr(trainer, "episode_reward", lambda *args: real_reward(*args[:3]))
-            from_zero = grid_oracle(SCN, cfg)
+        headed = grid_oracle(SCN, cfg)
+        assert heads == [k_act]
+        heads.clear()
+        monkeypatch.setattr(trainer, "episode_reward", lambda *args: real_reward(*args[:3]))
+        from_zero = grid_oracle(SCN, cfg)
         assert heads == [k_act] + [0] * len(from_zero[1]) == [k_act] + [0] * 71
         assert repr(headed) == repr(from_zero)
 
@@ -1301,5 +1287,5 @@ class TestOracle:
 def test_unknown_filter_stage_rejected():
     with pytest.raises(ValueError, match="filter_stage"):
         TrainConfig(filter_stage="bogus")
-    for stage in sigproc.FILTER_STAGES:
+    for stage in config.FILTER_STAGES:
         assert TrainConfig(filter_stage=stage).filter_stage == stage
