@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import sigproc
 from .plant import PlantScenario, transition
@@ -176,25 +176,30 @@ def first_sample(t: float, rate: float) -> int:
     return math.ceil(t * rate - 1e-9)
 
 
+def _stage_rate(sample_rate: float, config: TrainConfig) -> float:
+    """The rate the filter stage runs at for an episode sampled at
+    sample_rate: sample_rate pre_decimation, target_rate post_decimation."""
+    return sample_rate if config.filter_stage == PRE_DECIMATION else config.target_rate
+
+
 def filter_band(sample_rate: float,
                 config: TrainConfig) -> tuple[sigproc.BandpassSpec, float]:
     """(band, rate): the band-pass the filter stage runs and the rate it
-    runs at, for an episode sampled at sample_rate. pre_decimation gives
-    bandpass_spec at sample_rate; post_decimation gives it at target_rate,
-    its f_max clamped to 0.95x the decimated Nyquist (TraceError unless
-    f_min stays below)."""
-    spec = config.bandpass_spec
-    if config.filter_stage == PRE_DECIMATION:
-        return spec, sample_rate
-    f_max = min(spec.f_max, 0.95 * (0.5 * config.target_rate))
-    return sigproc.BandpassSpec(spec.f_min, f_max, spec.order), config.target_rate
+    runs at (_stage_rate), for an episode sampled at sample_rate.
+    pre_decimation gives bandpass_spec; post_decimation gives it with its
+    f_max clamped to 0.95x the decimated Nyquist (TraceError unless f_min
+    stays below)."""
+    spec, rate = config.bandpass_spec, _stage_rate(sample_rate, config)
+    if config.filter_stage == POST_DECIMATION:
+        spec = replace(spec, f_max=min(spec.f_max, 0.95 * (0.5 * rate)))
+    return spec, rate
 
 
 def reward_window(scenario: PlantScenario, config: TrainConfig) -> range:
     """The indices the reward integrates in the filter stage's trace, at
-    filter_band's rate: from the first sample at or after act_time,
+    its rate: from the first sample at or after act_time,
     round(t_reward * rate) intervals on."""
-    _, rate = filter_band(scenario.sample_rate, config)
+    rate = _stage_rate(scenario.sample_rate, config)
     start = first_sample(scenario.act_time, rate)
     return range(start, start + round(config.t_reward * rate) + 1)
 
@@ -202,8 +207,8 @@ def reward_window(scenario: PlantScenario, config: TrainConfig) -> range:
 def reward_samples(scenario: PlantScenario, config: TrainConfig) -> int:
     """The native samples from t = 0 that an episode's reward reads: to the
     one under reward_window's last index."""
-    _, rate = filter_band(scenario.sample_rate, config)
-    factor = sigproc.decimation_factor(scenario.sample_rate, rate)
+    factor = sigproc.decimation_factor(scenario.sample_rate,
+                                       _stage_rate(scenario.sample_rate, config))
     return (reward_window(scenario, config).stop - 1) * factor + 1
 
 
@@ -229,6 +234,9 @@ def check_gain(scenario: PlantScenario, key: str, kp: float) -> None:
                           f"is not finite")
 
 
+_passed: tuple = (None, None)  # the (frozen) pair validate last passed
+
+
 def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     """Raise ConfigError, naming the fields, unless a training of config
     on scenario can run to its end: finite values, a cache_resolution
@@ -239,7 +247,11 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     bandpass_high), a finite plant
     transition at every gain an episode runs, a non-empty
     observation_starts from index 0 or later, and a positive t_reward whose
-    reward_samples an episode holds."""
+    reward_samples an episode holds. The very objects that last passed
+    pass again unchecked: `resolve` then `trainer.train` warn once."""
+    global _passed
+    if _passed[0] is scenario and _passed[1] is config:
+        return
     for part in (scenario, config):
         for key, value in asdict(part).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -276,3 +288,4 @@ def validate(scenario: PlantScenario, config: TrainConfig) -> None:
     if not (config.t_reward > 0 and n <= scenario.n_samples):
         raise ConfigError(f"t_reward must be positive and end in the episode (needs {n} "
                           f"samples of {scenario.n_samples}), got {config.t_reward}")
+    _passed = (scenario, config)

@@ -2,10 +2,11 @@
 
 Down-sampling with anti-aliasing, Butterworth band-pass filtering, the
 filter stage that chains them (a band-pass at a rate, after the
-anti-alias low-pass and decimation when that rate is below the trace's;
-one runner, FilterHead, resumes it from where it ended on a trace's first
-samples), the observation window type, and the oscillation-energy
-functional whose negation is the training reward. Which band and rate a
+anti-alias low-pass and decimation when that rate is below the trace's),
+the observation window type, and the oscillation-energy functional whose
+negation is the training reward. One runner, FilterHead, does all the
+filtering: it resumes the stage from where it ended on a trace's first
+samples, and downsample is its stage with no band-pass. Which band and rate a
 run filters at is the configuration's choice (config.filter_band).
 """
 
@@ -139,22 +140,17 @@ def decimation_factor(sample_rate: float, target_rate: float) -> int:
 
 
 def downsample(trace: SignalTrace, target_rate: float) -> SignalTrace:
-    """Decimate to target_rate after an anti-aliasing low-pass.
+    """Decimate to target_rate after an anti-aliasing low-pass: the filtered
+    trace of filter_head with no band-pass.
 
     The decimation factor must be an integer. The low-pass is an 8th-order
     Butterworth at 0.45*target_rate, initialized at step steady state so a
     constant trace passes through unchanged (unit DC gain, no start-up
-    transient).
+    transient). A trace already at target_rate comes back with its own
+    samples.
     """
     trace._require_nonempty("downsample")
-    factor = decimation_factor(trace.sample_rate, target_rate)
-    if factor == 1:
-        return SignalTrace(trace.samples.copy(), trace.sample_rate, trace.t0)
-
-    sos, zi_unit = _anti_alias(trace.sample_rate, target_rate)
-    smooth, _ = signal.sosfilt(sos.copy(), trace.samples,
-                               zi=zi_unit * trace.samples[0])
-    return SignalTrace(smooth[::factor], target_rate, trace.t0)
+    return filter_head(trace, None, target_rate)[1]
 
 
 def design_bandpass(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
@@ -220,14 +216,15 @@ def oscillation_energy(trace: SignalTrace, p_nom: float, horizon: float) -> floa
 class FilterHead:
     """A filter stage after a trace's first native samples from t = 0 (none
     at t = 0): those samples (read-only), the filtered samples they gave
-    (length, at sample_rate), and the (sos, state) of the band-pass and, if
-    the stage decimates by factor, of the anti-alias low-pass, whose state
-    before any sample is downsample's steady state per unit first sample."""
+    (length, at sample_rate), and the (sos, state) of the band-pass (None:
+    no band-pass) and, if the stage decimates by factor, of the anti-alias
+    low-pass, whose state before any sample is its steady state per unit
+    first sample."""
 
     samples: np.ndarray
     length: int
     sample_rate: float
-    band: tuple
+    band: tuple | None
     alias: tuple | None
     factor: int
 
@@ -245,25 +242,27 @@ class FilterHead:
             smooth, state = signal.sosfilt(sos, samples,
                                            zi=state if seen else state * samples[0])
             alias, samples = (sos, _read_only(state)), smooth[-seen % self.factor::self.factor]
-        if len(samples):
+        if band is not None and len(samples):
             samples, state = signal.sosfilt(band[0], samples, zi=band[1])
             band = (band[0], _read_only(state))
         return samples, band, alias
 
 
-def filter_head(trace: SignalTrace, band: BandpassSpec,
+def filter_head(trace: SignalTrace, band: BandpassSpec | None,
                 rate: float) -> tuple[FilterHead, SignalTrace]:
     """The FilterHead after trace's samples (at t = 0 for none) and the
-    filtered trace they gave: band-passed at rate from a zero state, after
-    downsample's low-pass and every factor-th sample from the first when
-    rate is below the trace's."""
+    filtered trace they gave: every factor-th sample from the first of the
+    anti-alias low-pass's output when rate is below the trace's, then
+    band-passed at rate from a zero state unless band is None."""
     alias, factor = None, decimation_factor(trace.sample_rate, rate)
     if factor > 1:
         sos, zi_unit = _anti_alias(trace.sample_rate, rate)
         alias = (sos.copy(), zi_unit)
-    sos = design_bandpass(band, rate).copy()
-    filtered, band, alias = FilterHead(trace.samples[:0], 0, rate, (
-        sos, _read_only(np.zeros((len(sos), 2)))), alias, factor)._run(trace.samples)
+    if band is not None:
+        sos = design_bandpass(band, rate).copy()
+        band = (sos, _read_only(np.zeros((len(sos), 2))))
+    filtered, band, alias = FilterHead(trace.samples[:0], 0, rate, band, alias,
+                                       factor)._run(trace.samples)
     return (FilterHead(_read_only(trace.samples.view()), len(filtered), rate, band, alias,
                        factor), SignalTrace(filtered, rate, trace.t0))
 

@@ -1,13 +1,14 @@
 """Episodic policy-gradient training loop against the surrogate plant.
 
-Each iteration conditions the pre-activation measurement into an
-observation window, samples a gain from the policy, clamps it into the safe
-range, and scores it by the negated post-activation oscillation energy of
-a plant episode that continues the pre-activation trace (same seed), so
-iterations differ only by their gain; the reward filters such an episode
-on from where the filter stage ended on the pre-activation samples they
-share. A gain proposal reuses the finished reward of its cache bucket, or
-of the epoch's first miss in it, instead of simulating again. The policy
+Each scorer (train, evaluate, grid_oracle, canonical_observation) keeps
+one record, _Pretrace, of the history its episodes continue: the filter
+stage's one pass over its samples before act_time gives the head they
+filter on from, the filtered trace and the observation windows. Each
+training iteration samples a gain from the policy on a window, clamps it
+into the safe range, and scores it by the negated post-activation
+oscillation energy of a plant episode at the pre-trace's seed, so
+iterations differ only by their gain. A gain reuses the finished reward
+of its cache bucket, or of the epoch's first miss in it. The policy
 works per epoch: the epoch's windows go through one batched forward pass
 to sample their gains, and after scoring, the whole batch takes one
 gradient of the weighted log-probability objective, backpropagated
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +88,6 @@ class LocalPlantEnv:
         until asks."""
         return (self.run_episode(kp, seed) for kp, seed in jobs)
 
-    def close(self):
-        pass
-
 
 def _pretrace_seed(seed: int) -> int:
     """The plant seed of a run's pre-activation trace and of every training
@@ -102,25 +102,21 @@ def clamp(value: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # reward and observation plumbing
 
-def _history_head(trace: sigproc.SignalTrace, act_time: float,
-                  config: TrainConfig) -> tuple[sigproc.FilterHead, sigproc.SignalTrace]:
-    """filter_head over the samples before act_time of trace, which starts
-    at t = 0: the head every episode continuing its history filters on
-    from, and the filtered trace that pass gave."""
-    rate = trace.sample_rate
-    return sigproc.filter_head(sigproc.SignalTrace(
-        trace.samples[:first_sample(act_time, rate)], rate), *filter_band(rate, config))
-
-
-def _filter_on(samples: np.ndarray, sample_rate: float, head: sigproc.FilterHead | None,
-               config: TrainConfig) -> tuple[np.ndarray, sigproc.FilterHead]:
-    """The filtered samples from index head.length on of the trace of
-    samples (at sample_rate, from t = 0), one pass's bit for bit, and that
-    head: head if the samples start with its samples, else the t = 0 one."""
-    if head is None or not np.array_equal(samples[:len(head.samples)], head.samples):
+def _stage_energy(samples: np.ndarray, sample_rate: float, head: sigproc.FilterHead | None,
+                  config: TrainConfig, start: int, stop: int | None = None) -> float:
+    """The energy over [start, stop) (stop None: to the end) of the filter
+    stage's trace of samples, at sample_rate from t = 0: filtered on from
+    head when the samples start with head's samples and head ends by
+    start, else from the stage at t = 0 (the head of no samples): either
+    way, a whole-trace pass's energy bit for bit."""
+    if head is None or head.length > start or \
+            not np.array_equal(samples[:len(head.samples)], head.samples):
         head, _ = sigproc.filter_head(sigproc.SignalTrace(samples[:0], sample_rate),
                                       *filter_band(sample_rate, config))
-    return head.filter_on(samples[len(head.samples):]), head
+    filtered = head.filter_on(samples[len(head.samples):])
+    return sigproc.energy(filtered[start - head.length:
+                                   None if stop is None else stop - head.length],
+                          head.sample_rate)
 
 
 def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
@@ -128,19 +124,15 @@ def episode_reward(result: plant.EpisodeResult, scenario: plant.PlantScenario,
                    head: sigproc.FilterHead | None = None) -> float | None:
     """Negated oscillation energy of the filtered response over its
     reward_window. None when the trace, which starts at t = 0, holds fewer
-    than reward_samples (divergence). The trace filters on from head
-    (_filter_on) when head's filtered samples end before the window:
+    than reward_samples (divergence). Only those samples are filtered
+    (both filter stages are causal), on from head where _stage_energy can:
     the reward is the same bit for bit."""
     n = reward_samples(scenario, config)
     if len(result.trace) < n:
         return None
-    # both filter stages are causal: filtering only the window's samples is exact
     window = reward_window(scenario, config)
-    filtered, head = _filter_on(result.trace.samples[:n], result.trace.sample_rate,
-                                head if head is not None and head.length <= window.start
-                                else None, config)
-    start = window.start - head.length
-    return -sigproc.energy(filtered[start:start + len(window)], head.sample_rate)
+    return -_stage_energy(result.trace.samples[:n], result.trace.sample_rate, head, config,
+                          window.start, window.stop)
 
 
 def reward_scenario(scenario: plant.PlantScenario,
@@ -154,20 +146,46 @@ def reward_scenario(scenario: plant.PlantScenario,
     return replace(scenario, horizon=n * scenario.sim_dt)
 
 
-def observation_trace(raw: sigproc.SignalTrace, scenario: plant.PlantScenario,
-                      config: TrainConfig) -> tuple[sigproc.SignalTrace, sigproc.FilterHead]:
-    """Conditioned low-rate trace of raw's samples before act_time (their
-    filtered trace downsampled to target_rate, a copy when the stage
-    filtered at it) and _history_head's head, from its one pass.
-    TraceError when the trace is too short for a window at every index of
-    observation_starts, as when raw diverged before act_time."""
-    head, filtered = _history_head(raw, scenario.act_time, config)
+def observation_trace(filtered: sigproc.SignalTrace, scenario: plant.PlantScenario,
+                      config: TrainConfig) -> sigproc.SignalTrace:
+    """The observation trace of a history: filtered, the filter stage's
+    trace of its samples before act_time (a _Pretrace's), downsampled to
+    target_rate. TraceError when it is too short for a window at every
+    index of observation_starts, as when the history diverged before
+    act_time."""
     observed = sigproc.downsample(filtered, config.target_rate)
     need = observation_starts(scenario, config).stop - 1 + config.d_obs
     if len(observed) < need:
         raise sigproc.TraceError(f"pre-activation trace holds {len(observed)} low-rate "
                                  f"samples, its observation windows need {need}")
-    return observed, head
+    return observed
+
+
+class _Pretrace:
+    """The one record of a history: the episodes on scenario at seed that
+    continue result's samples before act_time. The filter stage's one pass
+    over those samples gives head, which such an episode filters on from,
+    and their filtered trace; starts is observation_starts, and row k of
+    windows (computed on first use, TraceError when the history ends short
+    of them) the d_obs samples of the observation trace from starts[k]."""
+
+    def __init__(self, result: plant.EpisodeResult, scenario: plant.PlantScenario,
+                 config: TrainConfig, seed: int):
+        self.scenario, self.config, self.seed = scenario, config, seed
+        rate = result.trace.sample_rate
+        self.head, self.filtered = sigproc.filter_head(sigproc.SignalTrace(
+            result.trace.samples[:first_sample(scenario.act_time, rate)], rate),
+            *filter_band(rate, config))
+        self.starts = observation_starts(scenario, config)
+
+    @cached_property
+    def windows(self) -> np.ndarray:
+        observed = observation_trace(self.filtered, self.scenario, self.config).samples
+        return observed[np.arange(self.starts.start, self.starts.stop)[:, np.newaxis]
+                        + np.arange(self.config.d_obs)]
+
+    def reward(self, result: plant.EpisodeResult) -> float | None:
+        return episode_reward(result, self.scenario, self.config, self.head)
 
 
 def canonical_observation(scenario: plant.PlantScenario,
@@ -178,11 +196,8 @@ def canonical_observation(scenario: plant.PlantScenario,
     the two share one plant history; the observation reads only
     [0, act_time)."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
-    result = plant.run_episode(quiet, quiet.kp_unstable, seed=0)
-    obs_trace, _ = observation_trace(result.trace, scenario, config)
-    i0 = observation_starts(scenario, config)[0]
-    return sigproc.Observation(obs_trace.samples[i0:i0 + config.d_obs],
-                               obs_trace.t0 + i0 / obs_trace.sample_rate)
+    history = _Pretrace(plant.run_episode(quiet, quiet.kp_unstable, seed=0), quiet, config, 0)
+    return sigproc.Observation(history.windows[0], history.starts[0] / config.target_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +230,6 @@ _LOG_FIELDS = tuple(f.name for f in fields(EpochStats))
 LOG_HEADER = ",".join(_LOG_FIELDS)
 
 
-class _Pretrace:
-    """What a training run fixes about the history its episodes continue:
-    the scenario they run on (train's reward_scenario), their seed (the
-    pre-trace's), the head they filter on from (None: each from t = 0),
-    observation_starts, and in row k of windows the d_obs samples of the
-    observation trace from starts[k]."""
-
-    def __init__(self, scenario: plant.PlantScenario, config: TrainConfig, seed: int,
-                 obs_trace: sigproc.SignalTrace, head: sigproc.FilterHead | None = None):
-        self.scenario = scenario
-        self.seed = seed
-        self.head = head
-        self.starts = observation_starts(scenario, config)
-        self.windows = obs_trace.samples[
-            np.arange(self.starts.start, self.starts.stop)[:, np.newaxis]
-            + np.arange(config.d_obs)]
-
-
 def run_epoch(params: pol.PolicyParameters, env, pretrace: _Pretrace, config: TrainConfig,
               rng: np.random.Generator, cache: EvalCache, epoch: int,
               worst_reward: float | None,
@@ -255,7 +252,7 @@ def run_epoch(params: pol.PolicyParameters, env, pretrace: _Pretrace, config: Tr
     episode while this one is scored; they are asked to end at
     pretrace.scenario's horizon (train's reward_scenario, at whose horizon
     it also ran the pre-trace, so the plant memoises one history), and
-    scored by episode_reward from pretrace.head. Their rewards enter the
+    scored by pretrace.reward. Their rewards enter the
     cache once all are scored: an epoch that raises leaves it as it was.
     """
     n = config.n_iter
@@ -283,13 +280,11 @@ def run_epoch(params: pol.PolicyParameters, env, pretrace: _Pretrace, config: Tr
             first_miss.setdefault(key, it)
         else:
             known[key] = reward
-    scenario, head = pretrace.scenario, pretrace.head
     # each miss's episode is scored as it is pulled and dropped before the
     # next; list() ends the batch (and so releases it) even when scoring raises
-    scores = iter(list(map(
-        lambda result: episode_reward(result, scenario, config, head),
-        env.run_episodes([(applied[it], pretrace.seed) for it in first_miss.values()],
-                         scenario.horizon))))
+    scores = iter(list(map(pretrace.reward, env.run_episodes(
+        [(applied[it], pretrace.seed) for it in first_miss.values()],
+        pretrace.scenario.horizon))))
 
     # in iteration order: a divergence penalty depends on the worst reward before it
     records, rewards = [], []
@@ -339,7 +334,7 @@ class TrainResult:
     stats: list[EpochStats]
     run_dir: Path | None
     cache: EvalCache
-    plant_episodes: int
+    plant_episodes: int  # the episodes this run asked its env for
 
 
 def train(scenario: plant.PlantScenario, config: TrainConfig,
@@ -358,21 +353,18 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     run_episodes(jobs, until), taking a list of (kp, seed) jobs, each kp in
     [kp_min, kp_max], and the time in seconds where the episodes may end,
     and yielding each job's EpisodeResult, its trace starting at t = 0, in
-    job order; episode_count, the episodes it has run; and close(), which
-    ends it (train closes only the env it made). The pre-activation trace, at
-    kp_unstable clamped into [kp_min, kp_max] (no commanded gain reaches
-    the samples it reads), and then each epoch's plant episodes go to it
-    as one batch each, all with until at the end of the reward window (the
-    pre-trace too, so that the plant simulates the history they share
-    once). An episode that runs past until, up to its env's own horizon,
-    gives the same log. The pair is checked by config.validate before
-    anything runs, and the pre-activation trace runs and is conditioned
-    before anything is written: if either raises, run_dir is left as it
-    was.
+    job order. The pre-activation trace, at kp_unstable clamped into
+    [kp_min, kp_max] (no commanded gain reaches the samples it reads), and
+    then each epoch's plant episodes go to it as one batch each, all with
+    until at the end of the reward window (the pre-trace too, so that the
+    plant simulates the history they share once). An episode that runs
+    past until, up to its env's own horizon, gives the same log. The pair
+    is checked by config.validate before anything runs, and the
+    pre-activation trace runs and its observation windows are taken before
+    anything is written: if either raises, run_dir is left as it was.
     """
     validate(scenario, config)
     cut = reward_scenario(scenario, config)
-    own_env = env is None
     if env is None:
         env = LocalPlantEnv(cut)
 
@@ -383,8 +375,9 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     seed = _pretrace_seed(config.seed)
     kp = clamp(scenario.kp_unstable, config.kp_min, config.kp_max)
     [pre_result] = env.run_episodes([(kp, seed)], cut.horizon)
-    pretrace = _Pretrace(cut, config, seed,
-                         *observation_trace(pre_result.trace, scenario, config))
+    pretrace = _Pretrace(pre_result, cut, config, seed)
+    pretrace.windows  # noqa: B018 -- raises here, before run_dir is written
+    episodes = 1
 
     run_dir = Path(run_dir) if run_dir is not None else None
     log_fh = None
@@ -408,8 +401,9 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
     try:
         for epoch in range(config.n_epoch):
             acted = params
-            params, stats, _ = run_epoch(
+            params, stats, records = run_epoch(
                 acted, env, pretrace, config, rng, cache, epoch, worst)
+            episodes += sum(not record.cached for record in records)
             worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
             stats_rows.append(stats)
             if log_fh is not None:
@@ -428,12 +422,10 @@ def train(scenario: plant.PlantScenario, config: TrainConfig,
         if run_dir is not None and stats_rows:
             pol.save_checkpoint(best_params, run_dir / "best.ckpt")
             pol.save_checkpoint(params, run_dir / "last.ckpt")
-        if own_env:
-            env.close()
 
     # the one copy: the result's best_params share no array with an epoch's
     return TrainResult(best_params.copy(), params, best_reward, stats_rows, run_dir,
-                       cache, env.episode_count)
+                       cache, episodes)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +454,8 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
     the filtered energy before reward_window's start, and from it to the
     episode's end (infinite when it diverged, and so ended early). Both
     episodes run at seed (at seed None, at one seed drawn from fresh
-    entropy) and share the history before act_time, so one head over the
-    mitigated one's serves both (_filter_on)."""
+    entropy) and share the history before act_time: the unmitigated one's
+    record gives pre_energy, and both filter on from its head."""
     mu = pol.forward(params, canonical_observation(scenario, config)).mu
     applied = clamp(mu, config.kp_min, config.kp_max) if mitigate else scenario.kp_unstable
     if seed is None:
@@ -471,18 +463,14 @@ def evaluate(params: pol.PolicyParameters, scenario: plant.PlantScenario,
 
     mitigated = plant.run_episode(scenario, applied, seed)
     unmitigated = plant.run_episode(scenario, scenario.kp_unstable, seed)
+    history = _Pretrace(unmitigated, scenario, config, seed)
 
     act = reward_window(scenario, config).start
-    head, filtered = _history_head(mitigated.trace, scenario.act_time, config)
-    pre_energy = sigproc.energy(filtered.samples[:act], filtered.sample_rate)
-
-    def post_energy_of(result: plant.EpisodeResult) -> float:
-        if result.diverged:
-            return math.inf
-        on, used = _filter_on(result.trace.samples, result.trace.sample_rate, head, config)
-        return sigproc.energy(on[act - used.length:], used.sample_rate)
-
-    post_energy, unmit_energy = map(post_energy_of, (mitigated, unmitigated))
+    pre_energy = sigproc.energy(history.filtered.samples[:act], history.filtered.sample_rate)
+    post_energy, unmit_energy = (
+        math.inf if result.diverged else _stage_energy(
+            result.trace.samples, result.trace.sample_rate, history.head, config, act)
+        for result in (mitigated, unmitigated))
 
     ratio = (post_energy / unmit_energy  # finite / inf is 0.0
              if unmit_energy > 0 and not mitigated.diverged else math.inf)
@@ -495,22 +483,19 @@ def grid_oracle(scenario: plant.PlantScenario,
                 config: TrainConfig) -> tuple[float, list[tuple[float, float]]]:
     """Exhaustive zero-noise reward sweep over the gain range at the cache
     resolution; returns (best gain, [(gain, reward), ...]). Every episode
-    continues one history, and each reward filters on from its _history_head.
-    ConfigError, before any episode, when the sweep holds more than
-    ORACLE_MAX_GAINS gains."""
+    continues one history, whose record the first episode gives, and each
+    scores by its reward. ConfigError, before any episode, when the sweep
+    holds more than ORACLE_MAX_GAINS gains."""
     quiet = replace(reward_scenario(scenario, config), noise_std=0.0)
     res = config.cache_resolution
     n = int(round((config.kp_max - config.kp_min) / res))
     if n + 1 > ORACLE_MAX_GAINS:
         raise ConfigError(f"cache_resolution {res!r} sweeps {n + 1} gains over "
                           f"[kp_min, kp_max], more than the oracle's {ORACLE_MAX_GAINS}")
-    sweep, head = [], None
-    for i in range(n + 1):
-        kp = min(config.kp_min + i * res, config.kp_max)
-        result = plant.run_episode(quiet, kp, seed=0)
-        if head is None:
-            head, _ = _history_head(result.trace, quiet.act_time, config)
-        reward = episode_reward(result, quiet, config, head)
-        sweep.append((kp, -math.inf if reward is None else reward))
+    gains = [min(config.kp_min + i * res, config.kp_max) for i in range(n + 1)]
+    episodes = (plant.run_episode(quiet, kp, seed=0) for kp in gains)
+    history = _Pretrace(first := next(episodes), quiet, config, 0)
+    sweep = [(kp, -math.inf if reward is None else reward)
+             for kp, reward in zip(gains, map(history.reward, chain([first], episodes)))]
     best = max(sweep, key=lambda pair: pair[1])[0]
     return best, sweep

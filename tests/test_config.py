@@ -201,7 +201,8 @@ def test_accepted_pair_observes_every_window_start(pair):
     starts = config.observation_starts(quiet, cfg)
     pre = replace(quiet, horizon=quiet.act_time + quiet.sim_dt)
     result = plant.run_episode(pre, pre.kp_unstable, seed=0)
-    samples = trainer.observation_trace(result.trace, quiet, cfg)[0].samples
+    samples = trainer.observation_trace(trainer._Pretrace(result, quiet, cfg, 0).filtered,
+                                        quiet, cfg).samples
     obs = trainer.canonical_observation(quiet, cfg)
     for first in (starts[0], starts[-1], starts[-1] + 1):
         fits = len(samples[first:first + cfg.d_obs]) == cfg.d_obs

@@ -59,6 +59,19 @@ class TestTrainCommand:
         assert (out / "best.ckpt").exists()
         assert (out / "last.ckpt").exists()
 
+    def test_clamped_band_warns_once(self, tmp_path):
+        # resolve checks the pair and train takes it as checked: one clamp
+        # warning, naming bandpass_high, even when every warning is shown;
+        # a direct trainer.train call on a pair of its own still warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["train", "--out", str(tmp_path / "r"), "--n_epoch", "1",
+                            "--filter_stage", "post_decimation"]) == 0
+        clamps = [w for w in caught if issubclass(w.category, UserWarning)]
+        assert len(clamps) == 1 and "bandpass_high" in str(clamps[0].message)
+        with pytest.warns(UserWarning, match="bandpass_high"):
+            trainer.train(SCN, trainer.TrainConfig(filter_stage="post_decimation", n_epoch=1))
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["train", "--out", str(tmp_path / "r"),

@@ -221,22 +221,39 @@ class TestPipeline:
 
 
 def stage_band(stage, spec, target_rate):
-    """The (band, rate) config.filter_band gives stage for spec at target_rate."""
+    """The (band, rate) config.filter_band gives stage for spec at
+    target_rate; stage None is the band-less stage at target_rate."""
+    if stage is None:
+        return None, target_rate
     return filter_band(5000.0, TrainConfig(
         bandpass_low=spec.f_min, bandpass_high=spec.f_max, bandpass_order=spec.order,
         target_rate=target_rate, filter_stage=stage))
 
 
+def direct_downsample(trace, rate):
+    """The anti-alias decimation written out: one sosfilt of the low-pass
+    from its steady state per unit first sample, then every factor-th
+    sample from the first (a copy of the samples at the trace's rate)."""
+    factor = sigproc.decimation_factor(trace.sample_rate, rate)
+    if factor == 1:
+        return trace.samples.copy()
+    sos, zi = sigproc._anti_alias(trace.sample_rate, rate)
+    smooth, _ = sigproc.signal.sosfilt(sos.copy(), trace.samples, zi=zi * trace.samples[0])
+    return smooth[::factor]
+
+
 def by_primitives(trace, band, rate):
-    """filter_head's filtered trace composed from downsample and bandpass."""
-    return bandpass(downsample(trace, rate), band)
+    """filter_head's filtered trace composed from direct_downsample and
+    bandpass (none when band is None)."""
+    decimated = SignalTrace(direct_downsample(trace, rate), rate, trace.t0)
+    return decimated if band is None else bandpass(decimated, band)
 
 
 NOISE = np.random.default_rng(11).standard_normal(1234) + 0.3
 
 
 class TestFilterStage:
-    @pytest.mark.parametrize("stage", FILTER_STAGES)
+    @pytest.mark.parametrize("stage", FILTER_STAGES + (None,))
     @pytest.mark.parametrize("target_rate", [100.0, 5000.0], ids=["decimating", "unit"])
     def test_filtered_trace_is_the_primitives_bit_for_bit(self, stage, target_rate):
         trace = SignalTrace(NOISE, 5000.0, t0=1.5)
@@ -245,15 +262,19 @@ class TestFilterStage:
         ref = by_primitives(trace, *band_rate)
         assert mine.samples.tobytes() == ref.samples.tobytes()
         assert (mine.sample_rate, mine.t0) == (ref.sample_rate, ref.t0)
+        if stage is None:  # the band-less stage is downsample
+            assert downsample(trace, target_rate).samples.tobytes() == ref.samples.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(stage=st.sampled_from(FILTER_STAGES),
+    @given(stage=st.sampled_from(FILTER_STAGES + (None,)),
            k=st.integers(0, len(NOISE)), cut=st.integers(0, len(NOISE)))
     @example(stage=POST_DECIMATION, k=0, cut=len(NOISE))
     @example(stage=POST_DECIMATION, k=537, cut=len(NOISE))
     @example(stage=PRE_DECIMATION, k=537, cut=len(NOISE))
+    @example(stage=None, k=537, cut=len(NOISE))
     def test_head_then_filter_on_is_one_pass(self, stage, k, cut):
-        # any split, k = 0 and k off the factor-50 decimation grid included
+        # any split, k = 0 and k off the factor-50 decimation grid included;
+        # stage None is the band-less stage, downsample's
         samples = NOISE[:max(k, cut)]
         band_rate = stage_band(stage, BandpassSpec(15.0, 45.0, 4), 100.0)
         head, filtered = sigproc.filter_head(SignalTrace(samples[:k], 5000.0), *band_rate)
@@ -281,6 +302,16 @@ class TestFilterStage:
         if stage == POST_DECIMATION:
             sos, state = head.alias
             assert np.array_equal(state, sigproc.signal.sosfilt_zi(sos))
+
+    def test_band_less_filter_on_resumes_the_decimation_phase(self):
+        # a split at every offset mod the factor 50, in the first and the
+        # second decimation period
+        whole = direct_downsample(SignalTrace(NOISE, 5000.0), 100.0).tobytes()
+        for k in range(101):
+            head, filtered = sigproc.filter_head(SignalTrace(NOISE[:k], 5000.0), None, 100.0)
+            assert head.length == len(filtered) == -(-k // 50)
+            joined = np.concatenate([filtered.samples, head.filter_on(NOISE[k:])])
+            assert joined.tobytes() == whole, k
 
     def test_filtered_trace_refuses_an_empty_trace(self):
         # filter_head takes one, as the stage at t = 0; bandpass does not

@@ -39,17 +39,22 @@ def pinned_params(cfg, mu):
     return params
 
 
-def pretrace(scenario, cfg, obs_trace):
-    """run_epoch's record of a history: train's, for obs_trace taken from
-    scenario's pre-trace, with no head (each episode filters from t = 0)."""
-    return trainer._Pretrace(scenario, cfg, trainer._pretrace_seed(cfg.seed), obs_trace)
+def pretrace(scenario, cfg, history):
+    """run_epoch's record of a history: train's, at cfg's pre-trace seed,
+    for the history episode's samples before act_time."""
+    return trainer._Pretrace(history, scenario, cfg, trainer._pretrace_seed(cfg.seed))
 
 
 @pytest.fixture(scope="module")
-def obs_trace():
+def history():
+    """The zero-noise pre-trace: every seed's, as QUIET has no noise."""
+    return plant.run_episode(QUIET, QUIET.kp_unstable, seed=0)
+
+
+@pytest.fixture(scope="module")
+def obs_trace(history):
     cfg = TrainConfig()
-    result = plant.run_episode(QUIET, QUIET.kp_unstable, seed=0)
-    return trainer.observation_trace(result.trace, QUIET, cfg)[0]
+    return trainer.observation_trace(pretrace(QUIET, cfg, history).filtered, QUIET, cfg)
 
 
 class TestCache:
@@ -58,20 +63,20 @@ class TestCache:
         assert cache.bucket(2.0) == cache.bucket(2.01) == cache.bucket(1.99)
         assert cache.bucket(2.0) != cache.bucket(2.06)
 
-    def test_hit_skips_simulation(self, obs_trace):
+    def test_hit_skips_simulation(self, history):
         cfg = small_config()
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
         cache.store(2.0, -0.123)
         params = pinned_params(cfg, 2.0)
         rng = np.random.default_rng(0)
-        _, stats, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng,
+        _, stats, records = run_epoch(params, env, pretrace(QUIET, cfg, history), cfg, rng,
                                       cache, epoch=0, worst_reward=None)
         assert all(rec.cached and rec.reward == -0.123 for rec in records)
         assert stats.cache_hit_rate == 1.0
         assert env.episode_count == 0
 
-    def test_soundness_same_bucket_same_reward(self, obs_trace):
+    def test_soundness_same_bucket_same_reward(self, history):
         # zero plant noise: reward is a function of the bucket only
         cfg = small_config(cache_enabled=False)
         env = LocalPlantEnv(QUIET)
@@ -217,7 +222,7 @@ def pretrace_head(scn, cfg, seed):
     act_time of the pre-trace at seed."""
     pre = plant.run_episode(replace(scn, horizon=scn.act_time + scn.sim_dt),
                             scn.kp_unstable, seed)
-    return trainer.observation_trace(pre.trace, scn, cfg)[1]
+    return trainer._Pretrace(pre, scn, cfg, seed).head
 
 
 class TestCarriedFilterState:
@@ -300,11 +305,12 @@ class TestCarriedFilterState:
         result = train(SCN, cfg, env=env)
         pre, *episodes = env.traces
         assert len(episodes) == cfg.n_epoch * cfg.n_iter
-        # one head over the pre-trace's samples before act_time, from which
-        # each episode filters on or, not continuing it, one head at t = 0
-        # per episode
+        # one head over the pre-trace's samples before act_time, one
+        # band-less head decimating its filtered trace to the windows, and
+        # then each episode filters on from the first or, not continuing it,
+        # from one head at t = 0 per episode
         k_act = round(SCN.act_time / SCN.sim_dt)
-        assert heads == [k_act] + [0] * len(episodes) * seedless
+        assert heads == [k_act, k_act] + [0] * len(episodes) * seedless
         assert filter_ons == [0 if seedless else k_act] * len(episodes)
         assert all(np.array_equal(t[:k_act], pre[:k_act]) for t in episodes) != seedless
         for e, row in enumerate(result.stats):
@@ -335,25 +341,25 @@ class TestRunEpoch:
         r_bad = episode_reward(env.run_episode(4.0, 0), QUIET, cfg)
         assert r_good > r_bad
 
-    def test_rewards_nonpositive(self, obs_trace):
+    def test_rewards_nonpositive(self, history):
         cfg = small_config(n_iter=6)
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
         rng = np.random.default_rng(1)
-        _, _, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng,
+        _, _, records = run_epoch(params, env, pretrace(QUIET, cfg, history), cfg, rng,
                                   cache, epoch=0, worst_reward=None)
         assert len(records) == 6
         assert all(rec.reward <= 0.0 for rec in records)
 
-    def test_actions_drawn_through_batched_policy(self, obs_trace):
+    def test_actions_drawn_through_batched_policy(self, history, obs_trace):
         # iteration j draws its window start, then its noise eps_j; the
         # windows go through one forward pass and a_j = mu_j + sqrt(var_j) eps_j
         cfg = small_config(n_iter=8)
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1)
         rng = np.random.default_rng(4)
-        _, _, records = run_epoch(params, LocalPlantEnv(QUIET), pretrace(QUIET, cfg, obs_trace),
+        _, _, records = run_epoch(params, LocalPlantEnv(QUIET), pretrace(QUIET, cfg, history),
                                   cfg, rng, cache, epoch=0, worst_reward=None)
 
         replay = np.random.default_rng(4)
@@ -377,7 +383,7 @@ class TestRunEpoch:
             assert rec.log_prob == pytest.approx(
                 pol.log_prob(params, windows[j], rec.action_raw), rel=1e-12)
 
-    def test_draws_cover_every_window_start(self, obs_trace):
+    def test_draws_cover_every_window_start(self, history):
         # 320 default iterations from a fixed rng draw each start index,
         # 460 (the canonical window's) among them; every bucket is cached
         cfg = TrainConfig()
@@ -388,12 +394,12 @@ class TestRunEpoch:
         rng = np.random.default_rng(0)
         drawn = set()
         for epoch in range(40):
-            _, _, records = run_epoch(params, LocalPlantEnv(QUIET), pretrace(QUIET, cfg, obs_trace),
+            _, _, records = run_epoch(params, LocalPlantEnv(QUIET), pretrace(QUIET, cfg, history),
                                       cfg, rng, cache, epoch, worst_reward=None)
             drawn.update(rec.window_start for rec in records)
         assert sorted(drawn) == list(range(460, 471))
 
-    def test_action_moments_match_the_policy(self, obs_trace, monkeypatch):
+    def test_action_moments_match_the_policy(self, history, monkeypatch):
         # row by row, the drawn action_raw has the mean and variance of the
         # forward pass that drew it; every bucket is cached, so no episode runs
         cfg = small_config(n_iter=20_000)
@@ -405,7 +411,7 @@ class TestRunEpoch:
         monkeypatch.setattr(pol, "forward", lambda *a: outs.append(real(*a)) or outs[-1])
         env = LocalPlantEnv(QUIET)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=9)
-        _, _, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg,
+        _, _, records = run_epoch(params, env, pretrace(QUIET, cfg, history), cfg,
                                   np.random.default_rng(11), cache, epoch=0,
                                   worst_reward=None)
         (out,) = outs
@@ -414,12 +420,12 @@ class TestRunEpoch:
         assert abs(resid.mean()) < 3 * math.sqrt(out.var.mean() / len(resid))
         assert (resid ** 2).mean() == pytest.approx(out.var.mean(), rel=0.05)
 
-    def test_every_episode_continues_the_pretrace_seed(self, obs_trace):
+    def test_every_episode_continues_the_pretrace_seed(self, history):
         # every action in one bucket: iteration 0 runs, the others hit
         cfg = small_config(n_iter=8)
         seed = trainer._pretrace_seed(cfg.seed)
         env = SpyEnv(QUIET)
-        _, _, records = run_epoch(pinned_params(cfg, 2.0), env, pretrace(QUIET, cfg, obs_trace),
+        _, _, records = run_epoch(pinned_params(cfg, 2.0), env, pretrace(QUIET, cfg, history),
                                   cfg, np.random.default_rng(5),
                                   EvalCache(cfg.cache_resolution), epoch=3, worst_reward=None)
         assert [rec.cached for rec in records] == [False] + [True] * 7
@@ -429,7 +435,7 @@ class TestRunEpoch:
         cfg = small_config(n_iter=8, cache_enabled=False)
         env = SpyEnv(QUIET)
         run_epoch(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2), env,
-                  pretrace(QUIET, cfg, obs_trace), cfg, np.random.default_rng(6),
+                  pretrace(QUIET, cfg, history), cfg, np.random.default_rng(6),
                   EvalCache(cfg.cache_resolution), epoch=3, worst_reward=None)
         assert env.seeds == [seed] * 8
 
@@ -447,14 +453,14 @@ class TestRunEpoch:
             assert len(trace) > k_act + 1
             assert np.array_equal(trace[:k_act + 1], pre[:k_act + 1])
 
-    def test_clamp_correctness(self, obs_trace):
+    def test_clamp_correctness(self, history):
         cfg = small_config()
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
         params.tensors["b3_mu"][...] = -10.0  # force clamping low
         rng = np.random.default_rng(2)
-        _, stats, records = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng,
+        _, stats, records = run_epoch(params, env, pretrace(QUIET, cfg, history), cfg, rng,
                                       cache, epoch=0, worst_reward=None)
         for rec in records:
             assert rec.action_applied == clamp(rec.action_raw, cfg.kp_min, cfg.kp_max)
@@ -468,7 +474,7 @@ class TestRunEpoch:
         # the first penalty is the bucket's reward, reused by the others
         (True, [-20.0] * 4, [False, True, True, True]),
     ], ids=["cache_off", "cache_on"])
-    def test_divergence_penalty_applied(self, obs_trace, cache_enabled, rewards, cached):
+    def test_divergence_penalty_applied(self, history, cache_enabled, rewards, cached):
         # a violently unstable plant diverges before the reward window
         hot = plant.PlantScenario(zeta_stable=0.05, noise_std=0.0)
         cfg = small_config(cache_enabled=cache_enabled)
@@ -483,7 +489,7 @@ class TestRunEpoch:
         params = pinned_params(cfg, 10.0)
         cache = EvalCache(cfg.cache_resolution)
         env = LocalPlantEnv(hot)
-        _, _, records = run_epoch(params, env, pretrace(hot, cfg, obs_trace), cfg,
+        _, _, records = run_epoch(params, env, pretrace(hot, cfg, history), cfg,
                                   np.random.default_rng(3), cache, epoch=0,
                                   worst_reward=-2.0)
         assert [rec.action_applied for rec in records] == [cfg.kp_max] * 4
@@ -495,14 +501,14 @@ class TestRunEpoch:
         else:
             assert len(cache) == 0
 
-    def test_singleton_epoch_matches_manual_adam(self, obs_trace):
+    def test_singleton_epoch_matches_manual_adam(self, history, obs_trace):
         cfg = small_config(n_iter=1)
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=5)
         rng = np.random.default_rng(7)
         new_params, stats, records = run_epoch(
-            params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng, cache, epoch=0,
+            params, env, pretrace(QUIET, cfg, history), cfg, rng, cache, epoch=0,
             worst_reward=None)
         rec = records[0]
         obs = obs_trace.samples[rec.window_start:rec.window_start + cfg.d_obs]
@@ -511,7 +517,7 @@ class TestRunEpoch:
         expected = pol.adam_step(params, grad, cfg.lr)
         assert np.array_equal(new_params.theta, expected.theta)
 
-    def test_baseline_cancels_constant_rewards(self, obs_trace):
+    def test_baseline_cancels_constant_rewards(self, history):
         cfg = small_config(baseline_enabled=True, n_iter=3)
         env = LocalPlantEnv(QUIET)
         cache = EvalCache(cfg.cache_resolution)
@@ -521,7 +527,7 @@ class TestRunEpoch:
         params.tensors["w3_mu"][:] = 0.0
         params.tensors["b3_var"][...] = -30.0  # near-zero spread
         rng = np.random.default_rng(8)
-        new_params, stats, _ = run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg,
+        new_params, stats, _ = run_epoch(params, env, pretrace(QUIET, cfg, history), cfg,
                                          rng, cache, epoch=0, worst_reward=None)
         assert stats.min_reward == stats.max_reward == -0.5
         assert np.array_equal(new_params.theta, params.theta)
@@ -579,9 +585,9 @@ class TestEpisodeBatches:
         assert all(cfg.kp_min <= kp <= cfg.kp_max for kp in gains)
         assert len(gains) == result.plant_episodes == env.episode_count
         seed = trainer._pretrace_seed(cfg.seed)
-        observed = [trainer.observation_trace(
-            plant.run_episode(trainer.reward_scenario(SCN, cfg), kp, seed).trace,
-            SCN, cfg)[0].samples for kp in (cfg.kp_max, SCN.kp_unstable)]
+        cut = trainer.reward_scenario(SCN, cfg)
+        observed = [trainer._Pretrace(plant.run_episode(cut, kp, seed), cut, cfg, seed).windows
+                    for kp in (cfg.kp_max, SCN.kp_unstable)]
         assert observed[0].tobytes() == observed[1].tobytes()
 
     def test_local_batch_runs_lazily_through_run_episode(self):
@@ -593,7 +599,7 @@ class TestEpisodeBatches:
         next(results)
         assert env.seeds == [1, 2] and env.episode_count == 2
 
-    def test_failed_batch_leaves_no_reserved_bucket(self, obs_trace):
+    def test_failed_batch_leaves_no_reserved_bucket(self, history):
         class Failing(LocalPlantEnv):
             def run_episode(self, kp, seed):
                 if self.episode_count:
@@ -606,11 +612,11 @@ class TestEpisodeBatches:
         params = pol.init_params(cfg.d_obs, cfg.hidden_size, seed=2)
         params.tensors["b3_mu"][...] = 2.0  # actions spread over buckets
         with pytest.raises(RuntimeError, match="simulator lost"):
-            run_epoch(params, Failing(QUIET), pretrace(QUIET, cfg, obs_trace), cfg,
+            run_epoch(params, Failing(QUIET), pretrace(QUIET, cfg, history), cfg,
                       np.random.default_rng(6), cache, epoch=0, worst_reward=None)
         assert len(cache) == 1 and cache.lookup(100.0) == -1.0
 
-    def test_every_cache_entry_is_a_finished_reward(self, obs_trace):
+    def test_every_cache_entry_is_a_finished_reward(self, history):
         # whenever an episode runs, each bucket the cache holds has a finite
         # reward: an epoch's misses enter it only once the epoch is scored
         cfg = small_config(n_iter=8)
@@ -631,7 +637,7 @@ class TestEpisodeBatches:
         params.tensors["b3_mu"][...] = 2.0  # actions spread over buckets
         env = Checking(QUIET)
         rng = np.random.default_rng(6)
-        epochs = [run_epoch(params, env, pretrace(QUIET, cfg, obs_trace), cfg, rng, cache,
+        epochs = [run_epoch(params, env, pretrace(QUIET, cfg, history), cfg, rng, cache,
                             epoch, worst_reward=None)[2] for epoch in range(3)]
         # the epochs repeat buckets, within one and across them
         assert any(rec.cached for rec in epochs[0])
@@ -852,6 +858,14 @@ class TestTrain:
             cache, share = line.split()
             assert float(share) < 0.05, f"cache {cache}: other threads used {share}"
 
+    def test_plant_episodes_counts_the_runs_own(self):
+        # two identical trainings on one env each report the episodes they
+        # asked for: the pre-trace and every epoch's misses
+        cfg = small_config(n_epoch=3)
+        env = LocalPlantEnv(reward_scenario(SCN, cfg))
+        first, second = (train(SCN, cfg, env=env).plant_episodes for _ in range(2))
+        assert first == second and env.episode_count == 2 * first
+
     def test_cache_enabled_bounds_episodes(self, tmp_path):
         cfg = small_config(n_epoch=30)
         result = train(SCN, cfg, run_dir=tmp_path)
@@ -907,8 +921,8 @@ class TestReferenceEpochs:
         cut = reward_scenario(SCN, cfg)
         seed = trainer._pretrace_seed(cfg.seed)
         pre = plant.run_episode(cut, SCN.kp_unstable, seed)
-        obs_trace, head = trainer.observation_trace(pre.trace, SCN, cfg)
-        record = trainer._Pretrace(cut, cfg, seed, obs_trace, head)
+        record = trainer._Pretrace(pre, cut, cfg, seed)
+        obs_trace = trainer.observation_trace(record.filtered, SCN, cfg)
         env = MemoEnv(cut, cfg.cache_resolution)
         # one reward per episode the env hands out, shared by both sides
         rewards, real_reward = {}, trainer.episode_reward
@@ -928,7 +942,7 @@ class TestReferenceEpochs:
         for epoch in range(cfg.n_epoch):
             new = run_epoch(p_new, env, record, cfg, rng_new, cache_new, epoch, worst)
             ref = epoch_reference.run_epoch(p_ref, env, cut, cfg, rng_ref, cache_ref,
-                                            obs_trace, epoch, worst, head)
+                                            obs_trace, epoch, worst, record.head)
             assert_same_epoch(new, ref)
             (p_new, stats, _), (p_ref, _, _) = new, ref
             worst = stats.min_reward if worst is None else min(worst, stats.min_reward)
@@ -938,11 +952,11 @@ class TestReferenceEpochs:
         assert rng_new.standard_normal() == rng_ref.standard_normal()
 
     @pytest.mark.parametrize("cache", [True, False], ids=["cache_on", "cache_off"])
-    def test_divergence_penalty_epoch_matches_reference(self, obs_trace, cache):
+    def test_divergence_penalty_epoch_matches_reference(self, history, obs_trace, cache):
         hot = plant.PlantScenario(zeta_stable=0.05, noise_std=0.0)
         cfg = TrainConfig(cache_enabled=cache)
         params = pinned_params(cfg, 10.0)  # every action clamps to kp_max and diverges
-        new = run_epoch(params, LocalPlantEnv(hot), pretrace(hot, cfg, obs_trace), cfg,
+        new = run_epoch(params, LocalPlantEnv(hot), pretrace(hot, cfg, history), cfg,
                         np.random.default_rng(3), EvalCache(cfg.cache_resolution),
                         epoch=0, worst_reward=-2.0)
         ref = epoch_reference.run_epoch(params, LocalPlantEnv(hot), hot, cfg,
@@ -1078,10 +1092,15 @@ class TestWindowing:
         # a pre-activation trace that ends (diverges) before act_time
         cfg = TrainConfig()
         result = plant.run_episode(QUIET, QUIET.kp_unstable, seed=0)
-        short = sigproc.SignalTrace(result.trace.samples[:24_950], result.trace.sample_rate)
-        assert len(trainer.observation_trace(result.trace, QUIET, cfg)[0]) == 500
+        short = plant.EpisodeResult(sigproc.SignalTrace(result.trace.samples[:24_950],
+                                                        result.trace.sample_rate), diverged=True)
+        full, cut = (trainer._Pretrace(r, QUIET, cfg, 0) for r in (result, short))
+        assert len(trainer.observation_trace(full.filtered, QUIET, cfg)) == 500
+        assert full.windows.shape == (11, cfg.d_obs)
         with pytest.raises(sigproc.TraceError, match="windows need 500"):
-            trainer.observation_trace(short, QUIET, cfg)
+            trainer.observation_trace(cut.filtered, QUIET, cfg)
+        with pytest.raises(sigproc.TraceError, match="windows need 500"):
+            cut.windows
 
     def test_canonical_observation_shape_and_content(self):
         cfg = TrainConfig()
@@ -1095,8 +1114,10 @@ class TestWindowing:
         # it runs its episode only to the end of the reward window
         cfg = TrainConfig(filter_stage=stage)
         quiet = replace(SCN, noise_std=0.0)
-        full = plant.run_episode(quiet, SCN.kp_unstable, seed=0)
-        expected = trainer.observation_trace(full.trace, SCN, cfg)[0].samples[460:490]
+        full = plant.run_episode(quiet, SCN.kp_unstable, seed=0).trace
+        before = sigproc.SignalTrace(full.samples[:25_000], full.sample_rate)
+        filtered = sigproc.filter_head(before, *config.filter_band(full.sample_rate, cfg))[1]
+        expected = sigproc.downsample(filtered, cfg.target_rate).samples[460:490]
         obs = canonical_observation(SCN, cfg)
         assert obs.values.tobytes() == expected.tobytes()
         assert obs.window_start == 4.6
@@ -1145,10 +1166,12 @@ class TestEvaluate:
         monkeypatch.setattr(sigproc.FilterHead, "filter_on", counting_on)
         cfg = small_config()
         evaluate(pol.init_params(cfg.d_obs, cfg.hidden_size, seed=1), SCN, cfg, seed=3)
-        # one head over the canonical observation's samples before act_time,
-        # one over the mitigated episode's; both episodes filter on from it
+        # one head over the canonical observation's samples before act_time
+        # and a band-less one decimating their filtered trace to its window,
+        # then one over the unmitigated episode's; both episodes filter on
+        # from that one
         k_act = config.first_sample(SCN.act_time, SCN.sample_rate)
-        assert lengths == [k_act, k_act]
+        assert lengths == [k_act, k_act, k_act]
         assert continued == [(k_act, SCN.n_samples - k_act)] * 2
 
     @pytest.mark.parametrize("stage", config.FILTER_STAGES)
